@@ -20,10 +20,18 @@ import sys
 
 from .catalog import builtin_catalog, catalog_entry, load_catalog_dir
 from .coset import EnumerationError, EnumerationLimits
-from .groups import derived_subgroup, group_from_presentation
-from .harness import SCHEMA_VERSION, SUITES, run_suite
+from .groups import group_from_presentation
+from .harness import (
+    SCHEMA_VERSION,
+    SUITES,
+    fibre_law,
+    nu_order_law,
+    route_agreement,
+    run_suite,
+    xp_order_law,
+)
 from .homology import schur_multiplier_bar
-from .products import im_rho_verify, s_subgroup
+from .products import im_rho_verify
 from .tensor import SizeGateError, build_nu, build_tensor_square, predicted_nu_order
 from .weakcomm import build_xp
 from .words import ParseError, parse_presentation
@@ -84,14 +92,12 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
 def _cmd_xp(args) -> int:
     label, G, _ = _load_group(args.input, _limits(args), args.strategy)
     xb = build_xp(G, limits=_limits(args), strategy=args.strategy)
-    od = xb.orders()
-    ab = G.order // derived_subgroup(G).order
-    ok = od["group"] == od["im_rho"] * od["W"] and od["im_rho"] == G.order**3 // ab
+    ok, facts = xp_order_law(xb)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "xp",
         "input": label,
-        "orders": od,
+        "orders": facts["orders"],
         "h2_invariants": xb.h2_invariants(),
         "order_law_holds": ok,
     }
@@ -107,7 +113,6 @@ def _cmd_nu(args) -> int:
         "command": "nu",
         "input": label,
         "tensor_order": T.group.order,
-        "tensor_scope": T.scope_used,
         "exterior_order": T.exterior_order,
         "h2_via_pairing": T.h2_invariants(),
         "predicted_nu_order": predicted_nu_order(G, T),
@@ -118,18 +123,12 @@ def _cmd_nu(args) -> int:
         payload["nu"] = {"gated": True, "predicted_order": exc.predicted, "gate": exc.gate}
         _emit(payload, args.format, args.out)
         return 0
-    ok = (
-        nb.group.order == G.order**2 * nb.tensor.order
-        and nb.delta_is_central()
-        and nb.delta_in_derived()
-    )
+    ok, facts = nu_order_law(nb)
     payload["nu"] = {
         "gated": False,
         "orders": nb.orders(),
         "h2_invariants": nb.h2_invariants(),
-        "delta_central": nb.delta_is_central(),
-        "delta_in_derived": nb.delta_in_derived(),
-        "order_law_holds": nb.group.order == G.order**2 * nb.tensor.order,
+        **facts,
     }
     _emit(payload, args.format, args.out)
     return 0 if ok else 1
@@ -144,22 +143,13 @@ def _cmd_schur(args) -> int:
         "pairing": T.h2_invariants(),
         "bar": schur_multiplier_bar(G),
     }
-    vals = list(routes.values())
-    ok = all(v == vals[0] for v in vals)
+    ok, facts = route_agreement(routes, entry)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "schur",
         "input": label,
-        "routes": routes,
-        "agree": ok,
+        **facts,
     }
-    if entry is not None and entry.expected_h2 is not None:
-        payload["expected"] = {
-            "invariants": list(entry.expected_h2),
-            "provenance": entry.h2_provenance,
-        }
-        ok = ok and vals[0] == list(entry.expected_h2)
-        payload["matches_expected"] = vals[0] == list(entry.expected_h2)
     _emit(payload, args.format, args.out)
     return 0 if ok else 1
 
@@ -180,9 +170,8 @@ def _cmd_imrho(args) -> int:
 
 def _cmd_fibre(args) -> int:
     label, G, _ = _load_group(args.input, _limits(args), args.strategy)
-    ab = G.order // derived_subgroup(G).order
     try:
-        S = s_subgroup(G)
+        ok, facts = fibre_law(G)
     except RuntimeError as exc:
         _emit(
             {
@@ -196,14 +185,13 @@ def _cmd_fibre(args) -> int:
             args.out,
         )
         return 1
-    ok = S.order * ab == G.order**2
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "fibre",
         "input": label,
-        "ambient_order": G.order**2,
-        "antidiagonal_order": S.order,
-        "abelianization_order": ab,
+        "ambient_order": facts["ambient_order"],
+        "antidiagonal_order": facts["antidiagonal_order"],
+        "abelianization_order": facts["abelianization_order"],
         "order_law_holds": ok,
         "matches_antipodal_fibre_product": True,  # construction verifies or raises
     }

@@ -8,6 +8,14 @@ positive generators), subgroup closures, normal closures, commutator
 subgroups, central/derived series, quotients, and generator-image
 homomorphisms verified at construction time.
 
+Every subgroup is grown by one incremental routine that adds a generator
+to a closed element set, multiplying the old elements by the new
+generator only and the new elements by all generators.  Normal closures
+and commutator subgroups add one helper that closes under conjugation by
+conjugating generators, not elements: [A, B] is the normal closure in
+<A, B> of the commutators of generators (Holt-Eick-O'Brien, Handbook of
+Computational Group Theory, 2005, sections 3.3 and 4.1).
+
 All operations are deterministic: element lists have a stable order, BFS
 is used for canonical words, and any sampling uses fixed seeds.
 """
@@ -24,7 +32,6 @@ from .words import Presentation, Word
 _ASSOC_SAMPLES = 64
 _HOM_EXHAUSTIVE_MAX = 64
 _HOM_SAMPLES = 10_000
-_ELEMENTWISE_CAP = 300_000
 
 
 class HomomorphismError(ValueError):
@@ -331,7 +338,7 @@ class Subgroup:
         G = self.parent
         return all(
             G.conj(h, g) in self.elements
-            for h in self.elements
+            for h in self.gens
             for g in G.generators
         )
 
@@ -351,37 +358,65 @@ class Subgroup:
         return f"<Subgroup of order {self.order} in {self.parent!r}>"
 
 
-def _closure_set(G: FiniteGroup, seeds) -> set:
-    out = {G.identity}
-    frontier = [G.identity]
-    seeds = [s for s in seeds if s != G.identity]
+def _extend(G: FiniteGroup, gens: list, have: set, g) -> None:
+    """Add `g` to `gens` and grow `have`, the subgroup they generate, in
+    place; nothing changes when g already lies in it.
+
+    `have` is closed under right multiplication by `gens` on entry, so the
+    old elements need multiplying by g only and the new ones by every
+    generator (finite group: positive products suffice).
+    """
+    if g in have:
+        return
+    gens.append(g)
+    frontier = []
+    for x in list(have):
+        y = G.mul(x, g)
+        if y not in have:
+            have.add(y)
+            frontier.append(y)
     while frontier:
         x = frontier.pop()
-        for s in seeds:
+        for s in gens:
             y = G.mul(x, s)
-            if y not in out:
-                out.add(y)
+            if y not in have:
+                have.add(y)
                 frontier.append(y)
-    return out
+
+
+def _generate(G: FiniteGroup, candidates) -> tuple[list, set]:
+    """Greedy generating set drawn from `candidates` (order-stable) and
+    the subgroup it generates."""
+    gens: list = []
+    have = {G.identity}
+    for x in candidates:
+        _extend(G, gens, have, x)
+    return gens, have
+
+
+def _close_under_conjugation(G: FiniteGroup, gens: list, have: set, conjugators) -> None:
+    """Grow <gens> in place until the conjugators normalize it.
+
+    H^c lies in H exactly when every generator of H does, so only the
+    generators are conjugated, including those this loop appends.
+    """
+    i = 0
+    while i < len(gens):
+        h = gens[i]
+        for c in conjugators:
+            _extend(G, gens, have, G.conj(h, c))
+        i += 1
 
 
 def _thin_gens(G: FiniteGroup, candidates) -> list:
     """Greedy small generating set drawn from `candidates` (order-stable)."""
-    gens: list = []
-    have = {G.identity}
-    for x in candidates:
-        if x not in have:
-            gens.append(x)
-            have = _closure_set(G, gens)
-    return gens
+    return _generate(G, candidates)[0]
 
 
 def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:
-    """The subgroup generated by `seeds` (finite, so positive products
-    suffice)."""
-    seeds = list(dict.fromkeys(seeds))
-    gens = _thin_gens(G, seeds)
-    return Subgroup(G, _closure_set(G, gens), gens)
+    """The subgroup generated by `seeds`."""
+    gens, have = _generate(G, dict.fromkeys(seeds))
+    return Subgroup(G, have, gens)
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -394,19 +429,9 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
 
 def normal_closure(G: FiniteGroup, seeds) -> Subgroup:
     """Smallest normal subgroup of G containing `seeds`."""
-    gens = _thin_gens(G, list(dict.fromkeys(seeds)))
-    have = _closure_set(G, gens)
-    changed = True
-    while changed:
-        changed = False
-        for h in sorted(have, key=G._index.__getitem__):
-            for g in G.generators:
-                c = G.conj(h, g)
-                if c not in have:
-                    gens.append(c)
-                    have = _closure_set(G, gens)
-                    changed = True
-    return Subgroup(G, have, _thin_gens(G, gens))
+    gens, have = _generate(G, dict.fromkeys(seeds))
+    _close_under_conjugation(G, gens, have, G.generators)
+    return Subgroup(G, have, gens)
 
 
 def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
@@ -422,21 +447,19 @@ def _as_subgroup(X) -> Subgroup:
     return whole_subgroup(X) if isinstance(X, FiniteGroup) else X
 
 
-def commutator_subgroup(A, B, method: str = "auto") -> Subgroup:
+def commutator_subgroup(A, B, method: str = "generated") -> Subgroup:
     """[A, B]: the subgroup generated by all commutators [a, b].
 
-    'elementwise' takes all |A|*|B| commutators (the oracle); 'generated'
-    closes generator commutators under conjugation by gens of <A, B> (the
-    fast path, cross-checked against the oracle in tests); 'auto' picks by
-    size.
+    'generated' (the only path the engine uses) takes the normal closure
+    in <A, B> of the commutators of generators, closing under conjugation
+    by the generators of A and B.  'elementwise' closes all |A|*|B|
+    commutators; it is the oracle the tests compare against.
     """
     A = _as_subgroup(A)
     B = _as_subgroup(B)
     if A.parent is not B.parent:
         raise ValueError("subgroups of different parents")
     G = A.parent
-    if method == "auto":
-        method = "elementwise" if A.order * B.order <= _ELEMENTWISE_CAP else "generated"
     if method == "elementwise":
         seen = set()
         for a in A.sorted_elements():
@@ -445,20 +468,9 @@ def commutator_subgroup(A, B, method: str = "auto") -> Subgroup:
         return subgroup_closure(G, sorted(seen, key=G._index.__getitem__))
     if method != "generated":
         raise ValueError(f"unknown method {method!r}")
-    conjugators = list(dict.fromkeys(list(A.gens) + list(B.gens)))
-    gens = _thin_gens(G, [G.comm(a, b) for a in A.gens for b in B.gens])
-    have = _closure_set(G, gens)
-    changed = True
-    while changed:
-        changed = False
-        for h in sorted(have, key=G._index.__getitem__):
-            for g in conjugators:
-                c = G.conj(h, g)
-                if c not in have:
-                    gens.append(c)
-                    have = _closure_set(G, gens)
-                    changed = True
-    return Subgroup(G, have, _thin_gens(G, gens))
+    gens, have = _generate(G, [G.comm(a, b) for a in A.gens for b in B.gens])
+    _close_under_conjugation(G, gens, have, dict.fromkeys(A.gens + B.gens))
+    return Subgroup(G, have, gens)
 
 
 def center(G: FiniteGroup) -> Subgroup:

@@ -79,7 +79,7 @@ def clear_caches():
 
 
 def _entry_context(entry: CatalogEntry, exc: EnumerationError) -> EnumerationError:
-    return EnumerationError(f"{entry.name}: {exc}")
+    return EnumerationError(f"{entry.name}: {exc}", exc.cosets_used)
 
 
 def base_group(entry: CatalogEntry, limits: EnumerationLimits | None = None) -> FiniteGroup:
@@ -190,6 +190,64 @@ def _row(suite: str, entry: str, check: str, fn) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# checks: each takes built objects and returns (ok, facts); the suite rows
+# and the single-group CLI commands show different selections of the facts
+# ---------------------------------------------------------------------------
+
+
+def xp_order_law(xb) -> tuple[bool, dict]:
+    """|X| = |im rho| * |W| and |im rho| = |G|^3 / |G^ab|."""
+    G = xb.base
+    od = xb.orders()
+    ab = G.order // derived_subgroup(G).order
+    ok = od["group"] == od["im_rho"] * od["W"] and od["im_rho"] == G.order**3 // ab
+    return ok, {"orders": od, "abelianization_order": ab}
+
+
+def nu_order_law(nb) -> tuple[bool, dict]:
+    """|nu| = |G|^2 * |T|, with Delta central and inside the derived
+    subgroup."""
+    central = nb.delta_is_central()
+    inside = nb.delta_in_derived()
+    law = nb.group.order == nb.base.order**2 * nb.tensor.order
+    facts = {"delta_central": central, "delta_in_derived": inside, "order_law_holds": law}
+    return law and central and inside, facts
+
+
+def route_agreement(routes: dict, entry: CatalogEntry | None) -> tuple[bool, dict]:
+    """Every multiplier route gives the same invariants, and they match
+    the catalog expectation when the entry has one."""
+    vals = list(routes.values())
+    agree = all(v == vals[0] for v in vals)
+    facts = {"routes": routes, "agree": agree}
+    ok = agree
+    if entry is not None and entry.expected_h2 is not None:
+        matches = vals[0] == list(entry.expected_h2)
+        facts["expected"] = {
+            "invariants": list(entry.expected_h2),
+            "provenance": entry.h2_provenance,
+        }
+        facts["matches_expected"] = matches
+        ok = ok and matches
+    return ok, facts
+
+
+def fibre_law(G: FiniteGroup) -> tuple[bool, dict]:
+    """|S| * |G^ab| = |G|^2 for the antidiagonal subgroup S of G x G;
+    s_subgroup raises RuntimeError when S is not the antipodal fibre
+    product."""
+    S = s_subgroup(G)
+    ab = G.order // derived_subgroup(G).order
+    facts = {
+        "ambient_order": G.order**2,
+        "antidiagonal_order": S.order,
+        "abelianization_order": ab,
+        "expected": G.order**2 // ab,
+    }
+    return S.order * ab == G.order**2, facts
+
+
+# ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
@@ -198,18 +256,13 @@ def _orders_rows(entries, limits):
     rows = []
     for e in entries:
         def fn(e=e):
-            G = base_group(e, limits)
-            xb = xp_of(e, limits)
-            od = xb.orders()
-            ab = G.order // derived_subgroup(G).order
-            ok = od["group"] == od["im_rho"] * od["W"]
-            ok = ok and od["im_rho"] == G.order**3 // ab
-            detail = {"orders": od, "abelianization_order": ab}
+            base_group(e, limits)  # built under `limits`; xp_of reuses it
+            ok, detail = xp_order_law(xp_of(e, limits))
             T = tensor_of(e, limits)
             detail["tensor_order"] = T.group.order
             try:
                 nb = nu_of(e, limits)
-                ok = ok and nb.group.order == G.order**2 * nb.tensor.order
+                ok = ok and nu_order_law(nb)[0]
                 detail["nu_orders"] = nb.orders()
             except SizeGateError as exc:
                 detail["nu"] = {"gated": True, "predicted_order": exc.predicted}
@@ -247,15 +300,8 @@ def _schur_rows(entries, limits):
                 routes["nu"] = nu_of(e, limits).h2_invariants()
             except SizeGateError:
                 pass
-            vals = list(routes.values())
-            ok = all(v == vals[0] for v in vals)
-            detail = {"routes": routes}
-            if e.expected_h2 is not None:
-                detail["expected"] = {
-                    "invariants": list(e.expected_h2),
-                    "provenance": e.h2_provenance,
-                }
-                ok = ok and vals[0] == list(e.expected_h2)
+            ok, facts = route_agreement(routes, e)
+            detail = {k: facts[k] for k in ("routes", "expected") if k in facts}
             return ok, detail
 
         rows.append(_row("schur", e.name, "three-route-multiplier", fn))
@@ -344,14 +390,13 @@ def _delta_central_rows(entries, limits):
     for e in entries:
         def fn(e=e):
             nb = nu_of(e, limits)
-            central = nb.delta_is_central()
-            inside = nb.delta_in_derived()
+            ok, facts = nu_order_law(nb)
             detail = {
                 "delta_order": nb.delta.order,
-                "central": central,
-                "in_derived": inside,
+                "central": facts["delta_central"],
+                "in_derived": facts["delta_in_derived"],
             }
-            return central and inside, detail
+            return ok, detail
 
         rows.append(_row("delta-central", e.name, "delta-in-center-and-derived", fn))
     return rows
@@ -395,11 +440,8 @@ def _fibre_rows(entries, limits):
     rows = []
     for e in entries:
         def fn(e=e):
-            G = base_group(e, limits)
-            S = s_subgroup(G)  # raises if closure != antipodal fibre product
-            ab = G.order // derived_subgroup(G).order
-            detail = {"s_order": S.order, "expected": G.order**2 // ab}
-            return S.order * ab == G.order**2, detail
+            ok, facts = fibre_law(base_group(e, limits))
+            return ok, {"s_order": facts["antidiagonal_order"], "expected": facts["expected"]}
 
         rows.append(_row("fibre", e.name, "antidiagonal-fibre", fn))
 
@@ -462,22 +504,10 @@ def tower_demo(p: int, depth: int, limits: EnumerationLimits | None = None) -> V
     bases = [base_group(e, limits) for e in entries]
     steps = [_step_map(bases[i], bases[i + 1]) for i in range(len(bases) - 1)]
 
-    def xp_step(i):
+    def step(i, bundle_of, induced_map):
         def fn():
-            hi, lo = xp_of(entries[i], limits), xp_of(entries[i + 1], limits)
-            F = induced_xp_map(steps[i], hi, lo)
-            surj = F.is_surjective()
-            folds = all(
-                lo.alpha(F(x)) == steps[i](hi.alpha(x)) for x in hi.group.elements
-            )
-            return surj and folds, {"surjective": surj, "fold_compatible": folds}
-
-        return fn
-
-    def nu_step(i):
-        def fn():
-            hi, lo = nu_of(entries[i], limits), nu_of(entries[i + 1], limits)
-            F = induced_nu_map(steps[i], hi, lo)
+            hi, lo = bundle_of(entries[i], limits), bundle_of(entries[i + 1], limits)
+            F = induced_map(steps[i], hi, lo)
             surj = F.is_surjective()
             folds = all(
                 lo.alpha(F(x)) == steps[i](hi.alpha(x)) for x in hi.group.elements
@@ -488,8 +518,8 @@ def tower_demo(p: int, depth: int, limits: EnumerationLimits | None = None) -> V
 
     for i in range(len(steps)):
         label = f"{entries[i].name}->{entries[i + 1].name}"
-        report.rows.append(_row("tower", label, "doubled-step", xp_step(i)))
-        report.rows.append(_row("tower", label, "nu-step", nu_step(i)))
+        report.rows.append(_row("tower", label, "doubled-step", step(i, xp_of, induced_xp_map)))
+        report.rows.append(_row("tower", label, "nu-step", step(i, nu_of, induced_nu_map)))
 
     def xp_functorial(i):
         def fn():

@@ -8,11 +8,12 @@ g, h in P, with the two expansion families
     s(g, h1*h)  = s(g, h) * s(g^h, h1^h)
 
 where any symbol with an identity coordinate is dropped.  Enumeration
-runs with the expansion element (g resp. h) restricted to the base
+runs once, with the expansion element (g resp. h) restricted to the base
 generators; the full family is then certified against the finished
 table.  The restricted group always maps onto the fully-related one, so
-a passing certification proves the two coincide; a failing one escalates
-the build to the next relator scope.
+a passing certification proves the two coincide.  It is the only proof
+of T for the bases too large for nu, so it stays at build time: an
+enumeration limit propagates and a failed certification raises.
 
 nu(P) doubles P like the weak-commutativity construction, but with
 conjugation-compatibility relators instead of the diagonal pairing:
@@ -27,6 +28,13 @@ central; T/Delta is the exterior square; and (ker alpha cap [P, P'])
 modulo Delta recovers the Schur multiplier.  nu is enumerated only when
 the predicted order |P|^2 * |T| stays under a size gate, since it grows
 much faster than the constructions around it.
+
+nu is enumerated once, from the relators with all three slots over the
+base generators: Ellis and Leonard (Computing Schur multipliers and
+tensor products of finite groups, Proc. R. Irish Acad. 95A, 1995) show
+that these already present nu(P).  The build checks the order against
+|P|^2 * |T| and the isomorphism from the direct tensor presentation; the
+certification against the full |P|^3 relator family lives in the tests.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .coset import EnumerationError, EnumerationLimits
+from .coset import EnumerationLimits
 from .groups import (
     FiniteGroup,
     Homomorphism,
@@ -133,12 +141,12 @@ def tensor_relators(base: FiniteGroup, scope: str) -> list[Word]:
     return rels
 
 
-def tensor_square_presentation(base: FiniteGroup, scope: str = "gens") -> Presentation:
+def tensor_square_presentation(base: FiniteGroup) -> Presentation:
     names = [f"s{base.index(g)}_{base.index(h)}" for g, h in _tensor_symbols(base)]
     label = base.presentation.name if base.presentation else base.name
     return Presentation(
         names,
-        tensor_relators(base, scope),
+        tensor_relators(base, "gens"),
         name=f"ts_{label}" if label else None,
     )
 
@@ -152,7 +160,6 @@ class TensorSquare:
     symbols: list[tuple]
     to_base: Homomorphism  # s(g, h) -> [g, h]; image is the derived subgroup
     delta: Subgroup  # normal closure of the diagonal symbols
-    scope_used: str
 
     def symbol(self, g, h):
         if g == self.base.identity or h == self.base.identity:
@@ -195,22 +202,10 @@ def build_tensor_square(
     if not symbols:
         raise ValueError("trivial base group has no pairing symbols")
     lim = limits or EnumerationLimits(max_cosets=TENSOR_COSET_CAP)
-    last_exc: Exception | None = None
-    T = None
-    scope_used = ""
-    for scope in ("gens", "full"):
-        pres = tensor_square_presentation(base, scope=scope)
-        try:
-            cand = group_from_presentation(pres, limits=lim, strategy=strategy, name=pres.name)
-        except EnumerationError as exc:
-            last_exc = exc
-            continue
-        if scope == "full" or cand.table.relators_hold(tensor_relators(base, "full")):
-            T = cand
-            scope_used = scope
-            break
-    if T is None:
-        raise RuntimeError(f"tensor square build failed: {last_exc}")
+    pres = tensor_square_presentation(base)
+    T = group_from_presentation(pres, limits=lim, strategy=strategy, name=pres.name)
+    if not T.table.relators_hold(tensor_relators(base, "full")):
+        raise RuntimeError("generator-scope tensor relators fail the full expansion family")
 
     to_base = Homomorphism(T, base, [base.comm(g, h) for g, h in symbols])
     diag = [T.generators[k] for k, (g, h) in enumerate(symbols) if g == h]
@@ -221,7 +216,6 @@ def build_tensor_square(
         symbols=symbols,
         to_base=to_base,
         delta=delta,
-        scope_used=scope_used,
     )
 
 
@@ -231,18 +225,14 @@ def build_tensor_square(
 
 
 def nu_relators(base: FiniteGroup, scope: str) -> list[Word]:
-    """Conjugation-compatibility relators.  Scopes: "gens" (all three
-    slots over the generators), "mixed" (pair slots over all elements,
-    conjugating slot over the generators), "full" (everything)."""
+    """Conjugation-compatibility relators with all three slots over the
+    generators ("gens", the presentation) or over every element ("full",
+    the family the tests certify against)."""
     e = base.identity
-    els = [g for g in base.elements if g != e]
-    gens = [g for g in dict.fromkeys(base.generators) if g != e]
     if scope == "gens":
-        pairs, movers = gens, gens
-    elif scope == "mixed":
-        pairs, movers = els, gens
+        slots = [g for g in dict.fromkeys(base.generators) if g != e]
     elif scope == "full":
-        pairs, movers = els, els
+        slots = [g for g in base.elements if g != e]
     else:
         raise ValueError(f"unknown scope {scope!r}")
     n = base.presentation.ngens
@@ -255,10 +245,10 @@ def nu_relators(base: FiniteGroup, scope: str) -> list[Word]:
             seen.add(w.letters)
             rels.append(w)
 
-    for h1 in pairs:
-        for h2 in pairs:
+    for h1 in slots:
+        for h2 in slots:
             c12 = commutator(word[h1], mirror_word(word[h2], n))
-            for h3 in movers:
+            for h3 in slots:
                 target = commutator(
                     word[base.conj(h1, h3)], mirror_word(word[base.conj(h2, h3)], n)
                 )
@@ -267,14 +257,14 @@ def nu_relators(base: FiniteGroup, scope: str) -> list[Word]:
     return rels
 
 
-def nu_presentation(base: FiniteGroup, scope: str = "gens") -> Presentation:
+def nu_presentation(base: FiniteGroup) -> Presentation:
     pres = base.presentation
     if pres is None:
         raise ValueError("base group carries no presentation")
     n = pres.ngens
     rels = list(pres.relators)
     rels += [mirror_word(r, n) for r in pres.relators]
-    rels += nu_relators(base, scope)
+    rels += nu_relators(base, "gens")
     label = pres.name or base.name
     return Presentation(
         list(pres.generators) + mirror_names(pres.generators),
@@ -295,7 +285,6 @@ class NuBundle:
     delta: Subgroup
     tensor_square: TensorSquare  # the standalone direct presentation
     tensor_iso: Homomorphism  # direct presentation -> tensor subgroup
-    scope_used: str
 
     @property
     def exterior_order(self) -> int:
@@ -349,32 +338,11 @@ def build_nu(
     if predicted > size_gate:
         raise SizeGateError(predicted, size_gate)
 
-    cert: list[Word] | None = None
-    X = None
-    scope_used = ""
-    for scope in ("gens", "mixed", "full"):
-        pres = nu_presentation(base, scope=scope)
-        lim = limits or EnumerationLimits(max_cosets=max(60_000, 6 * predicted))
-        try:
-            cand = group_from_presentation(pres, limits=lim, strategy=strategy, name=pres.name)
-        except EnumerationError:
-            continue
-        if cand.order != predicted:
-            continue
-        if scope == "full":
-            X = cand
-            scope_used = scope
-            break
-        if cert is None:
-            cert = nu_relators(base, "full")
-        if cand.table.relators_hold(cert):
-            X = cand
-            scope_used = scope
-            break
-    if X is None:
-        raise RuntimeError(
-            f"no relator scope produced the certified group of order {predicted}"
-        )
+    pres = nu_presentation(base)
+    lim = limits or EnumerationLimits(max_cosets=max(60_000, 6 * predicted))
+    X = group_from_presentation(pres, limits=lim, strategy=strategy, name=pres.name)
+    if X.order != predicted:
+        raise RuntimeError(f"nu presentation enumerates to {X.order}, predicted {predicted}")
 
     n = base.presentation.ngens
     embed_left = Homomorphism(base, X, X.generators[:n])
@@ -411,7 +379,6 @@ def build_nu(
         delta=delta,
         tensor_square=tensor,
         tensor_iso=tensor_iso,
-        scope_used=scope_used,
     )
 
 

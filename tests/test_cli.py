@@ -182,9 +182,14 @@ def test_bad_presentation_exits_2(tmp_path, capsys):
 
 
 def test_coset_limit_exits_2(capsys):
-    code, out, err = run_cli(["xp", "catalog:D8", "--max-cosets", "10"], capsys)
-    assert code == 2
-    assert "enumeration limits" in err
+    for args in (
+        ["xp", "catalog:D8", "--max-cosets", "10"],
+        ["nu", "catalog:D8", "--max-cosets", "12"],  # limit hit building T
+        ["nu", "catalog:C2", "--max-cosets", "5"],  # limit hit building nu
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert "enumeration limits" in err, args
 
 
 def test_usage_error_exits_2():

@@ -36,6 +36,8 @@ from xpforge.groups import (
     trivial_subgroup,
     whole_subgroup,
 )
+from xpforge.tensor import build_nu
+from xpforge.weakcomm import build_xp
 from xpforge.words import parse_presentation
 
 PRESENTATIONS = {
@@ -49,6 +51,7 @@ PRESENTATIONS = {
     "D8": "gens a, b\nrels a^4, b^2, b^-1*a*b*a",
     "Q8": "gens a, b\nrels a^4, a^2*b^-2, b^-1*a*b*a",
     "A4": "gens a, b\nrels a^3, b^2, (a*b)^3",
+    "S4": "gens a, b\nrels a^4, b^2, (a*b)^3",
     "Heis27": "gens a, b, c\nrels a^3, b^3, c^3, [a,b]*c^-1, [a,c], [b,c]",
     "Mod27": "gens a, b\nrels a^9, b^3, b^-1*a*b*a^-4",
 }
@@ -157,13 +160,43 @@ def test_derived_of_mod27_is_cube_of_a():
     assert d.order == 3
 
 
-@pytest.mark.parametrize("name", ["D8", "Q8", "S3", "A4", "Heis27", "Mod27"])
+def commutator_cases(name):
+    """(A, B) pairs whose commutator subgroup the two methods must agree
+    on: the derived subgroup of a base group, [L, right copy] and [L, D]
+    in a doubled group, and the lower central terms of a nu group (with
+    its derived subgroup when |nu|^2 keeps the oracle fast)."""
+    if name.startswith("X("):
+        xb = build_xp(grp(name[2:-1]))
+        return [(xb.L, xb.right_copy), (xb.L, xb.D)]
+    if name.startswith("nu("):
+        N = build_nu(grp(name[3:-1])).group
+        w = whole_subgroup(N)
+        cases = [(w, t) for t in lower_central_series(N)[1:]]
+        if N.order <= 512:  # the oracle on nu(Q8)' takes 4096^2 commutators
+            cases.insert(0, (w, w))
+        return cases
+    w = whole_subgroup(grp(name))
+    return [(w, w)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["D8", "Q8", "S3", "A4", "Heis27", "Mod27", "X(D8)", "X(Q8)", "nu(C8)", "nu(Q8)"],
+)
 def test_commutator_subgroup_methods_agree(name):
+    for A, B in commutator_cases(name):
+        ew = commutator_subgroup(A, B, method="elementwise")
+        gen = commutator_subgroup(A, B, method="generated")
+        assert ew == gen
+
+
+# S4 is the case where conjugates of the seed must be conjugated again
+@pytest.mark.parametrize("name", ["D8", "Q8", "Heis27", "S4"])
+def test_normal_closure_matches_brute_force(name):
     G = grp(name)
-    w = whole_subgroup(G)
-    ew = commutator_subgroup(w, w, method="elementwise")
-    gen = commutator_subgroup(w, w, method="generated")
-    assert ew == gen
+    for w in G.elements:
+        conjugates = [G.conj(w, g) for g in G.elements]
+        assert normal_closure(G, [w]) == subgroup_closure(G, conjugates)
 
 
 def test_commutator_with_center_is_trivial():

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from xpforge import harness
 from xpforge.catalog import builtin_catalog, catalog_entry, load_catalog_dir
+from xpforge.coset import EnumerationError, EnumerationLimits
 from xpforge.harness import (
     SCHEMA_VERSION,
     SUITES,
@@ -93,6 +95,17 @@ def test_suite_reports_are_deterministic():
     a = strip_timing(run_suite("orders", entries=SMALL).as_dict())
     b = strip_timing(run_suite("orders", entries=SMALL).as_dict())
     assert a == b
+
+
+def test_limit_error_names_the_entry_and_keeps_the_counters():
+    harness.clear_caches()  # a cached D8 would never hit the limit
+    try:
+        with pytest.raises(EnumerationError) as exc:
+            harness.base_group(catalog_entry("D8"), EnumerationLimits(max_cosets=3))
+    finally:
+        harness.clear_caches()
+    assert str(exc.value).startswith("D8: ")
+    assert exc.value.cosets_used > 0
 
 
 # ---------------------------------------------------------------- gating

@@ -30,11 +30,11 @@ from xpforge.tensor import (
     build_tensor_square,
     induced_nu_map,
     nu_presentation,
+    nu_relators,
     predicted_nu_order,
     quotient_identification,
     tensor_relators,
     tensor_square_abelian_invariants,
-    tensor_square_presentation,
 )
 from xpforge.weakcomm import build_xp, mirror_names
 from xpforge.words import parse_presentation
@@ -111,7 +111,6 @@ def test_tensor_square_frozen(name):
     assert T.delta.order == delta
     assert T.exterior_order == ext
     assert T.h2_invariants() == h2
-    assert T.scope_used == "gens"
 
 
 @pytest.mark.parametrize("name", ABELIAN)
@@ -167,8 +166,6 @@ def test_trivial_base_rejected():
 
 def test_tensor_presentation_rejects_unknown_scope():
     with pytest.raises(ValueError):
-        tensor_square_presentation(base("C4"), scope="everything")
-    with pytest.raises(ValueError):
         tensor_relators(base("C4"), "everything")
 
 
@@ -178,9 +175,15 @@ def test_nu_frozen(name):
     size, h2 = NU_EXPECTED[name]
     assert b.group.order == size
     assert b.group.order == predicted_nu_order(base(name), tensor(name))
-    assert b.scope_used == "gens"
     assert b.tensor.order == tensor(name).group.order
     assert b.h2_invariants() == h2
+
+
+@pytest.mark.parametrize("name", sorted(NU_EXPECTED))
+def test_nu_presentation_certified_by_full_family(name):
+    # the generator-scope presentation maps onto the fully-related group,
+    # so the full |G|^3 family holding on its table proves they coincide
+    assert nu(name).group.table.relators_hold(nu_relators(base(name), "full"))
 
 
 @pytest.mark.parametrize("name", ["C4", "K4", "D8", "Q8", "C3xC3"])
@@ -296,11 +299,11 @@ def test_induced_map_rejects_wrong_endpoints():
 
 
 def test_nu_presentation_shape():
-    pres = nu_presentation(base("Q8"), scope="gens")
+    pres = nu_presentation(base("Q8"))
     assert pres.generators == ["a", "b", "ap", "bp"]
     assert pres.name == "nu_Q8"
     with pytest.raises(ValueError):
-        nu_presentation(base("Q8"), scope="everything")
+        nu_relators(base("Q8"), "everything")
 
 
 def test_mirrored_names_follow_the_doubling_convention():
