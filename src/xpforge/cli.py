@@ -1,7 +1,7 @@
 """Command-line interface.
 
     forge xp|nu|schur|imrho|fibre <pres-file|catalog:NAME>
-          [--max-cosets N] [--strategy hlt|felsch] [--format json|csv] [--out FILE]
+          [--max-cosets N] [--strategy auto|hlt|felsch] [--format json|csv] [--out FILE]
     forge verify --suite NAME [--catalog builtin|DIR] [--out FILE]
     forge catalog list
 
@@ -19,7 +19,7 @@ import json
 import sys
 
 from .catalog import builtin_catalog, catalog_entry, load_catalog_dir
-from .coset import EnumerationError, EnumerationLimits
+from .coset import STRATEGIES, EnumerationError, EnumerationLimits
 from .groups import group_from_presentation
 from .harness import (
     SCHEMA_VERSION,
@@ -232,7 +232,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="presentation file or catalog:NAME")
         p.add_argument("--max-cosets", type=int, default=None)
-        p.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
+        p.add_argument("--strategy", choices=STRATEGIES, default="auto")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
         return p

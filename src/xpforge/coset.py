@@ -1,4 +1,12 @@
-"""Todd-Coxeter coset enumeration: HLT with lookahead (default) and Felsch.
+"""Todd-Coxeter coset enumeration: HLT with lookahead and Felsch.
+
+The default strategy, "auto", reads the shape of the presentation: Felsch
+when every relator has at most 3 letters (the wide symbol presentations of
+the tensor square, where HLT fills every column of every row and defines
+hundreds of cosets per final one), HLT otherwise (the narrow doubled and
+pairing presentations, where HLT's relator-driven definitions pay off).
+Felsch pushes one deduction per new edge: the rotations that start with the
+inverse letter at the other end walk the same closed paths in reverse.
 
 Table format: one row per coset, 2*ngens columns.  Column 2*i holds the
 action of generator i, column 2*i+1 that of its inverse (so a column's
@@ -168,21 +176,24 @@ class _Enumerator:
                         table[nu][x ^ 1] = mu
                         if deds is not None:
                             deds.append((mu, x))
-                            deds.append((nu, x ^ 1))
 
     # -- defining and scanning ----------------------------------------------
+
+    def _check_deadline(self):
+        """Callers probe once every 1024 definitions or deductions."""
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise EnumerationError(
+                f"enumeration exceeded the time limit "
+                f"({self.limits.max_time}s) after defining {self.total_defined} cosets",
+                self.total_defined,
+            )
 
     def _define(self, f: int, col: int) -> int:
         if self.live >= self.limits.max_cosets:
             raise _CapHit
         self._time_probe += 1
-        if self._deadline is not None and (self._time_probe & 1023) == 0:
-            if time.monotonic() > self._deadline:
-                raise EnumerationError(
-                    f"enumeration exceeded the time limit "
-                    f"({self.limits.max_time}s) after defining {self.total_defined} cosets",
-                    self.total_defined,
-                )
+        if (self._time_probe & 1023) == 0:
+            self._check_deadline()
         n = len(self.table)
         self.table.append([-1] * self.ncols)
         self.p.append(n)
@@ -226,7 +237,6 @@ class _Enumerator:
                 table[b][w[i] ^ 1] = f
                 if deds is not None:
                     deds.append((f, w[i]))
-                    deds.append((b, w[i] ^ 1))
                 return True
             if not fill:
                 return False
@@ -323,8 +333,9 @@ class _Enumerator:
 
     def _relator_variants(self):
         """Cyclic rotations of every relator and its inverse, grouped by
-        first column (Felsch deduction processing)."""
-        byletter: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
+        first column (Felsch deduction processing); each comes with the
+        index of its last letter."""
+        byletter: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(self.ncols)]
         seen = set()
         for w in self.rel_cols:
             for base in (w, tuple(c ^ 1 for c in reversed(w))):
@@ -332,19 +343,55 @@ class _Enumerator:
                     rot = base[s:] + base[:s]
                     if rot not in seen:
                         seen.add(rot)
-                        byletter[rot[0]].append(rot)
+                        byletter[rot[0]].append((rot, len(rot) - 1))
         return byletter
 
     def _process_deductions(self, deds, byletter):
+        """Scan every rotation that starts with x at a, for each deduced
+        edge (a, x).  This is `_scan` without filling, inlined, and started
+        past the known first step a -x->."""
+        table = self.table
+        p = self.p
         while deds:
+            self._time_probe += 1
+            if (self._time_probe & 1023) == 0:
+                self._check_deadline()
             a, x = deds.pop()
             a = self._rep(a)
-            if self.table[a][x] < 0:
+            if table[a][x] < 0:
                 continue
-            for w in byletter[x]:
-                self._scan(a, w, False, deds)
-                if self.p[a] != a:
-                    break
+            for w, j in byletter[x]:
+                f = table[a][x]
+                i = 1
+                b = a
+                while i <= j:
+                    nxt = table[f][w[i]]
+                    if nxt < 0:
+                        break
+                    f = nxt
+                    i += 1
+                else:
+                    if f != b:
+                        self._coincidence(f, b, deds)
+                        if p[a] != a:
+                            break
+                    continue
+                while j >= i:
+                    prv = table[b][w[j] ^ 1]
+                    if prv < 0:
+                        break
+                    b = prv
+                    j -= 1
+                if j < i:
+                    if f != b:
+                        self._coincidence(f, b, deds)
+                        if p[a] != a:
+                            break
+                elif i == j:
+                    c = w[i]
+                    table[f][c] = b
+                    table[b][c ^ 1] = f
+                    deds.append((f, c))
 
     def run_felsch(self):
         byletter = self._relator_variants()
@@ -368,14 +415,13 @@ class _Enumerator:
                     break
                 if self.table[alpha][x] < 0:
                     try:
-                        n = self._define(alpha, x)
+                        self._define(alpha, x)
                     except _CapHit:
                         alpha = self._relieve(alpha, deds)
                         self._process_deductions(deds, byletter)
                         x = 0
                         continue
                     deds.append((alpha, x))
-                    deds.append((n, x ^ 1))
                     self._process_deductions(deds, byletter)
                 x += 1
             if self.p[alpha] == alpha:
@@ -436,19 +482,37 @@ class _Enumerator:
         )
 
 
+STRATEGIES = ("auto", "hlt", "felsch")
+
+# "auto" picks Felsch when no relator is longer than this
+FELSCH_MAX_RELATOR = 3
+
+
+def resolve_strategy(pres: Presentation, strategy: str = "auto") -> str:
+    """The strategy an enumeration of `pres` runs: an explicit "hlt" or
+    "felsch" as given, "auto" from the relator lengths alone."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r} (want one of {', '.join(STRATEGIES)})")
+    if strategy != "auto":
+        return strategy
+    if all(len(w.letters) <= FELSCH_MAX_RELATOR for w in pres.relators):
+        return "felsch"
+    return "hlt"
+
+
 def enumerate_cosets(
     pres: Presentation,
     subgroup_words=(),
     limits: EnumerationLimits | None = None,
-    strategy: str = "hlt",
+    strategy: str = "auto",
 ) -> CosetTable:
     """Enumerate cosets of the subgroup generated by `subgroup_words` in the
     group given by `pres`.  Returns a completed standardized table or raises
-    EnumerationError; never a partial table."""
+    EnumerationError; never a partial table.  The table's stats record the
+    strategy that ran."""
     if limits is None:
         limits = EnumerationLimits()
-    if strategy not in ("hlt", "felsch"):
-        raise ValueError(f"unknown strategy {strategy!r} (want 'hlt' or 'felsch')")
+    strategy = resolve_strategy(pres, strategy)
     enum = _Enumerator(pres, subgroup_words, limits, strategy)
     if strategy == "hlt":
         enum.run_hlt()

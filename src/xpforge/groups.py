@@ -658,15 +658,10 @@ class Homomorphism:
         return f"<hom {self.domain!r} -> {self.codomain!r}>"
 
 
-def from_coset_table(table: CosetTable, name=None) -> PermGroup:
-    """Regular representation of a completed trivial-subgroup table."""
-    return PermGroup(table, name=name)
-
-
 def group_from_presentation(
     pres: Presentation,
     limits: EnumerationLimits | None = None,
-    strategy: str = "hlt",
+    strategy: str = "auto",
     name=None,
 ) -> PermGroup:
     table = enumerate_cosets(pres, limits=limits, strategy=strategy)

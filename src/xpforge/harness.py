@@ -103,7 +103,7 @@ def base_group(entry: CatalogEntry, limits: EnumerationLimits | None = None) -> 
 def xp_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
     if entry not in _xp_cache:
         try:
-            _xp_cache[entry] = build_xp(base_group(entry), limits=limits)
+            _xp_cache[entry] = build_xp(base_group(entry, limits), limits=limits)
         except EnumerationError as exc:
             raise _entry_context(entry, exc) from exc
     return _xp_cache[entry]
@@ -112,7 +112,7 @@ def xp_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
 def tensor_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
     if entry not in _tensor_cache:
         try:
-            _tensor_cache[entry] = build_tensor_square(base_group(entry), limits=limits)
+            _tensor_cache[entry] = build_tensor_square(base_group(entry, limits), limits=limits)
         except EnumerationError as exc:
             raise _entry_context(entry, exc) from exc
     return _tensor_cache[entry]
@@ -121,7 +121,9 @@ def tensor_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
 def nu_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
     if entry not in _nu_cache:
         try:
-            _nu_cache[entry] = build_nu(base_group(entry), tensor=tensor_of(entry), limits=limits)
+            _nu_cache[entry] = build_nu(
+                base_group(entry, limits), tensor=tensor_of(entry, limits), limits=limits
+            )
         except SizeGateError as exc:
             _nu_cache[entry] = exc
         except EnumerationError as exc:
@@ -256,7 +258,6 @@ def _orders_rows(entries, limits):
     rows = []
     for e in entries:
         def fn(e=e):
-            base_group(e, limits)  # built under `limits`; xp_of reuses it
             ok, detail = xp_order_law(xp_of(e, limits))
             T = tensor_of(e, limits)
             detail["tensor_order"] = T.group.order

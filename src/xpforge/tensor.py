@@ -194,7 +194,7 @@ class TensorSquare:
 def build_tensor_square(
     base: FiniteGroup,
     limits: EnumerationLimits | None = None,
-    strategy: str = "hlt",
+    strategy: str = "auto",
 ) -> TensorSquare:
     if base.presentation is None:
         raise ValueError("base group carries no presentation")
@@ -290,11 +290,6 @@ class NuBundle:
     def exterior_order(self) -> int:
         return self.tensor.order // self.delta.order
 
-    def exterior_group(self):
-        tg = self.tensor.as_group()
-        d = Subgroup(tg, self.delta.elements, self.delta.gens)
-        return quotient(tg, d)
-
     def h2_invariants(self) -> list[int]:
         """Invariants of (ker alpha cap tensor)/delta."""
         ker = intersection(self.alpha.kernel(), self.tensor)
@@ -330,7 +325,7 @@ def build_nu(
     tensor: TensorSquare | None = None,
     size_gate: int = NU_SIZE_GATE,
     limits: EnumerationLimits | None = None,
-    strategy: str = "hlt",
+    strategy: str = "auto",
 ) -> NuBundle:
     if tensor is None:
         tensor = build_tensor_square(base, strategy=strategy)

@@ -138,7 +138,7 @@ def build_xp(
     base: FiniteGroup,
     elements: str = "all",
     limits: EnumerationLimits | None = None,
-    strategy: str = "hlt",
+    strategy: str = "auto",
 ) -> XPBundle:
     pres = xp_presentation(base, elements=elements)
     X = group_from_presentation(pres, limits=limits, strategy=strategy, name=pres.name)

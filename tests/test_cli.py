@@ -192,6 +192,20 @@ def test_coset_limit_exits_2(capsys):
         assert "enumeration limits" in err, args
 
 
+@pytest.mark.parametrize("strategy", ["auto", "hlt", "felsch"])
+def test_strategy_option_keeps_the_answers(strategy, capsys):
+    code, d = run_json(["schur", "catalog:D8", "--strategy", strategy], capsys)
+    assert code == 0
+    assert d["routes"] == {"doubling": [2], "pairing": [2], "bar": [2]}
+    assert d["matches_expected"] is True
+
+
+def test_unknown_strategy_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["xp", "catalog:C2", "--strategy", "fancy"])
+    assert exc.value.code == 2
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,6 +1,13 @@
+import functools
+import time
+
 import pytest
 
-from xpforge.coset import EnumerationError, EnumerationLimits, enumerate_cosets
+from xpforge.catalog import catalog_entry
+from xpforge.coset import EnumerationError, EnumerationLimits, enumerate_cosets, resolve_strategy
+from xpforge.groups import group_from_presentation
+from xpforge.tensor import tensor_square_presentation
+from xpforge.weakcomm import xp_presentation
 from xpforge.words import Word, parse_presentation
 
 C4 = parse_presentation("gens a\nrels a^4")
@@ -18,6 +25,21 @@ TRIVIAL = parse_presentation("gens a, b\nrels a*b*a^-1*b^-2, b*a*b^-1*a^-2")
 F25 = parse_presentation(
     "gens a, b, c, d, e\nrels a*b*c^-1, b*c*d^-1, c*d*e^-1, d*e*a^-1, e*a*b^-1"
 )
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_base(name):
+    return group_from_presentation(catalog_entry(name).presentation(), strategy="hlt")
+
+
+@functools.lru_cache(maxsize=None)
+def tensor_pres(name):
+    return tensor_square_presentation(catalog_base(name))
+
+
+# Tensor-square symbol presentations: 49 to 64 generators, relators of at
+# most 3 letters, the shape "auto" hands to Felsch.
+T_D8, T_Q8, T_C3XC3 = (tensor_pres(name) for name in ("D8", "Q8", "C3xC3"))
 
 
 @pytest.mark.parametrize(
@@ -76,7 +98,9 @@ def test_subgroup_index(pres, subgens, index):
     assert table.n == index
 
 
-@pytest.mark.parametrize("pres", [C4, KLEIN, S3, D8, Q8, A4, HEIS27, MOD27, TRIVIAL])
+@pytest.mark.parametrize(
+    "pres", [C4, KLEIN, S3, D8, Q8, A4, HEIS27, MOD27, TRIVIAL, T_D8, T_Q8, T_C3XC3]
+)
 def test_strategies_agree_after_standardization(pres):
     t1 = enumerate_cosets(pres, strategy="hlt")
     t2 = enumerate_cosets(pres, strategy="felsch")
@@ -133,3 +157,63 @@ def test_overtight_limit_never_returns_partial_table():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         enumerate_cosets(C4, strategy="fancy")
+
+
+def test_auto_reads_relator_lengths():
+    assert resolve_strategy(KLEIN) == "hlt"  # [a,b] has 4 letters
+    assert resolve_strategy(F25) == "felsch"  # every relator has 3
+    assert resolve_strategy(parse_presentation("gens a\nrels a^3")) == "felsch"
+    assert resolve_strategy(F25, "hlt") == "hlt"
+    assert resolve_strategy(KLEIN, "felsch") == "felsch"
+
+
+@pytest.mark.parametrize("strategy,want", [("auto", "felsch"), ("hlt", "hlt"), ("felsch", "felsch")])
+def test_stats_record_the_strategy_that_ran(strategy, want):
+    table = enumerate_cosets(F25, strategy=strategy)
+    assert table.stats["strategy"] == want
+    assert table.strategy == want
+
+
+# ------------------------------------------- wide tensor-square presentations
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8", "C3xC3", "Mod27"])
+def test_auto_enumerates_wide_presentations_without_spare_cosets(name):
+    # HLT defines 580 cosets for 32 on D8 and 26 256 for 81 on Mod27
+    table = enumerate_cosets(tensor_pres(name))
+    assert table.stats["strategy"] == "felsch"
+    assert table.stats["total_defined"] <= table.n + 1
+
+
+def test_felsch_honours_the_time_limit():
+    # T(Heis27) takes seconds under Felsch; the limit must stop it early,
+    # even though Felsch defines few cosets and the deadline is probed in
+    # the deduction loop
+    limit = 0.5
+    t0 = time.monotonic()
+    with pytest.raises(EnumerationError) as err:
+        enumerate_cosets(
+            tensor_pres("Heis27"), limits=EnumerationLimits(max_time=limit), strategy="felsch"
+        )
+    assert time.monotonic() - t0 < 2 * limit
+    assert "time limit" in str(err.value)
+
+
+# cosets HLT defines on these presentations, frozen before Felsch became
+# the default for wide presentations: forcing "hlt" must not change them
+HLT_TOTAL_DEFINED = {
+    ("T", "D8"): 580,
+    ("T", "Q8"): 1166,
+    ("T", "C3xC3"): 1942,
+    ("X", "D8"): 695,
+    ("X", "Q8"): 349,
+    ("X", "C3xC3"): 1017,
+}
+
+
+@pytest.mark.parametrize("kind,name", sorted(HLT_TOTAL_DEFINED))
+def test_forced_hlt_defines_as_before(kind, name):
+    pres = tensor_pres(name) if kind == "T" else xp_presentation(catalog_base(name))
+    table = enumerate_cosets(pres, strategy="hlt")
+    assert table.stats["strategy"] == "hlt"
+    assert table.stats["total_defined"] == HLT_TOTAL_DEFINED[kind, name]

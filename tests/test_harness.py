@@ -6,13 +6,14 @@ import pytest
 
 from xpforge import harness
 from xpforge.catalog import builtin_catalog, catalog_entry, load_catalog_dir
-from xpforge.coset import EnumerationError, EnumerationLimits
+from xpforge.coset import EnumerationError, EnumerationLimits, resolve_strategy
 from xpforge.harness import (
     SCHEMA_VERSION,
     SUITES,
     run_suite,
     tower_demo,
 )
+from xpforge.tensor import SizeGateError, nu_presentation
 
 SMALL = [catalog_entry(n) for n in ("C2", "C4", "C2xC2", "D8")]
 
@@ -106,6 +107,36 @@ def test_limit_error_names_the_entry_and_keeps_the_counters():
         harness.clear_caches()
     assert str(exc.value).startswith("D8: ")
     assert exc.value.cosets_used > 0
+
+
+@pytest.mark.parametrize("build", [harness.xp_of, harness.tensor_of, harness.nu_of])
+def test_limits_reach_the_base_group(build):
+    # D8's base group needs 8 cosets, so a cap of 3 must stop it before
+    # it is cached
+    entry = catalog_entry("D8")
+    harness.clear_caches()
+    try:
+        with pytest.raises(EnumerationError) as exc:
+            build(entry, EnumerationLimits(max_cosets=3))
+        assert entry not in harness._base_cache
+    finally:
+        harness.clear_caches()
+    assert str(exc.value).startswith("D8: ")
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+def test_auto_strategy_per_construction(entry):
+    # the tensor square's symbol presentation has relators of at most 3
+    # letters and gets Felsch; the doubled and pairing presentations keep HLT
+    assert harness.tensor_of(entry).group.table.stats["strategy"] == "felsch"
+    assert harness.xp_of(entry).group.table.stats["strategy"] == "hlt"
+    try:
+        nu_table = harness.nu_of(entry).group.table
+    except SizeGateError:
+        assert resolve_strategy(nu_presentation(harness.base_group(entry))) == "hlt"
+    else:
+        assert nu_table.stats["strategy"] == "hlt"
+
 
 
 # ---------------------------------------------------------------- gating
