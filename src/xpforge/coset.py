@@ -21,7 +21,10 @@ on it, and the BFS also yields shortlex canonical words in the positive
 generators for every coset.
 
 Enumeration either completes or raises EnumerationError (limit/time); a
-partial table is never returned.
+partial table is never returned.  Memory is bounded by a cell budget, rows
+times columns, as well as by the live-coset cap: a wide presentation
+(T(C64) has 7938 columns) reaches gigabytes long before it reaches a row
+cap.
 """
 
 from __future__ import annotations
@@ -34,25 +37,35 @@ import numpy as np
 
 from .words import Presentation, Word
 
+# Default cell budget.  Forced HLT on T(Heis27), the widest catalog
+# enumeration (1352 columns), peaks at 71 731 rows, 97.0 M cells and about
+# 1.1 GB; the list-of-lists table costs about 11.5 bytes a cell.
+MAX_CELLS = 120_000_000
+
 
 @dataclass
 class EnumerationLimits:
     """Resource bounds for one enumeration.
 
-    max_cosets bounds *live* cosets at any instant; max_time is wall-clock
-    seconds (None = unbounded).
+    max_cosets bounds *live* cosets at any instant; max_cells bounds the
+    allocated table, rows (dead ones included) times 2*ngens columns;
+    max_time is wall-clock seconds (None = unbounded).
     """
 
     max_cosets: int = 10_000_000
+    max_cells: int = MAX_CELLS
     max_time: float | None = None
 
 
 class EnumerationError(RuntimeError):
-    """Enumeration hit a resource limit; carries the cosets used so far."""
+    """Enumeration hit a resource limit; carries the cosets used so far and
+    the enumerator's counters at that moment (strategy, total_defined,
+    live, rows, ncols)."""
 
-    def __init__(self, message: str, cosets_used: int):
+    def __init__(self, message: str, cosets_used: int, stats: dict | None = None):
         super().__init__(message)
         self.cosets_used = cosets_used
+        self.stats = dict(stats or {})
 
 
 class _CapHit(Exception):
@@ -120,6 +133,7 @@ class _Enumerator:
                 self.rel_cols.append(cols)
         self.sub_cols = [word_to_cols(w) for w in subgroup_words if w]
         self.limits = limits
+        self.max_rows = limits.max_cells // max(self.ncols, 1)
         self.strategy = strategy
         self.table: list[list[int]] = [[-1] * self.ncols]
         self.p = [0]
@@ -179,17 +193,26 @@ class _Enumerator:
 
     # -- defining and scanning ----------------------------------------------
 
+    def _error(self, message: str) -> EnumerationError:
+        stats = {
+            "strategy": self.strategy,
+            "total_defined": self.total_defined,
+            "live": self.live,
+            "rows": len(self.table),
+            "ncols": self.ncols,
+        }
+        return EnumerationError(message, self.total_defined, stats)
+
     def _check_deadline(self):
         """Callers probe once every 1024 definitions or deductions."""
         if self._deadline is not None and time.monotonic() > self._deadline:
-            raise EnumerationError(
+            raise self._error(
                 f"enumeration exceeded the time limit "
-                f"({self.limits.max_time}s) after defining {self.total_defined} cosets",
-                self.total_defined,
+                f"({self.limits.max_time}s) after defining {self.total_defined} cosets"
             )
 
     def _define(self, f: int, col: int) -> int:
-        if self.live >= self.limits.max_cosets:
+        if self.live >= self.limits.max_cosets or len(self.table) >= self.max_rows:
             raise _CapHit
         self._time_probe += 1
         if (self._time_probe & 1023) == 0:
@@ -280,16 +303,23 @@ class _Enumerator:
 
     def _relieve(self, alpha: int, deds) -> int:
         """Lookahead + compact after a cap hit; returns the renumbered alpha
-        to resume from, or raises EnumerationError if still over the cap."""
+        to resume from, or raises EnumerationError if still over the cap
+        or the cell budget."""
         self._lookahead(deds)
         alpha = self._rep(alpha)
         mapping = self._compact()
         if self.live >= self.limits.max_cosets:
-            raise EnumerationError(
+            raise self._error(
                 f"coset limit exceeded: {self.live} live cosets "
                 f"({self.total_defined} defined in total, cap {self.limits.max_cosets}); "
-                f"the index may be infinite or the limit too small",
-                self.total_defined,
+                f"the index may be infinite or the limit too small"
+            )
+        if self.live >= self.max_rows:
+            raise self._error(
+                f"cell budget exceeded: {self.live} live cosets x {self.ncols} columns "
+                f"leave no room in the budget of {self.limits.max_cells} cells "
+                f"({self.total_defined} defined in total); "
+                f"the index may be infinite or the budget too small"
             )
         return mapping[alpha]
 

@@ -2,11 +2,20 @@
 
 Elements are opaque hashable ids: integers (coset numbers of the regular
 representation), tuples (direct products), or parent ids (quotient coset
-representatives, subgroups viewed as groups).  A subclass provides _mul and
-_inv; everything else is generic: canonical words (shortlex BFS over the
+representatives, subgroups viewed as groups).  A subclass provides _mul,
+_inv and right_action (the index of x*g for every element x, as one numpy
+array); everything else is generic: canonical words (shortlex BFS over the
 positive generators), subgroup closures, normal closures, commutator
 subgroups, central/derived series, quotients, and generator-image
 homomorphisms verified at construction time.
+
+A homomorphism is held as an index array: the image of every domain
+element, filled once by a BFS over the right actions of the domain
+generators.  Its verification is exhaustive and costs O(n*d) array work:
+f(x*g) = f(x)*f(g) for every element x and every generator g, one array
+comparison per generator.  Since every element is a product of
+generators, that is a complete proof of the product law (Holt-Eick-
+O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
 
 Every subgroup is grown by one incremental routine that adds a generator
 to a closed element set, multiplying the old elements by the new
@@ -17,21 +26,24 @@ conjugating generators, not elements: [A, B] is the normal closure in
 Computational Group Theory, 2005, sections 3.3 and 4.1).
 
 All operations are deterministic: element lists have a stable order, BFS
-is used for canonical words, and any sampling uses fixed seeds.
+is used for canonical words, and the sampled associativity check at
+construction uses a fixed seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from functools import reduce
 
+import numpy as np
+
 from .coset import CosetTable, EnumerationLimits, enumerate_cosets
+from .homology import abelian_invariants
 from .words import Presentation, Word
 
 _ASSOC_SAMPLES = 64
-_HOM_EXHAUSTIVE_MAX = 64
-_HOM_SAMPLES = 10_000
 
 
 class HomomorphismError(ValueError):
@@ -63,6 +75,10 @@ class FiniteGroup:
         raise NotImplementedError
 
     def _inv(self, a):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def right_action(self, g) -> np.ndarray:  # pragma: no cover - abstract
+        """Index of x*g for every element x, in element order."""
         raise NotImplementedError
 
     # -- generic arithmetic ---------------------------------------------------
@@ -203,13 +219,21 @@ class PermGroup(FiniteGroup):
             x = self.cols[2 * (k - 1) + 1][x]
         return x
 
+    def right_action(self, g) -> np.ndarray:
+        """The generator columns composed along the canonical word of g."""
+        cols = self.table.col_arrays()
+        v = np.arange(self.order, dtype=np.int32)
+        for k in self._words[g]:
+            v = cols[2 * (k - 1)][v]
+        return v
+
 
 class TupleGroup(FiniteGroup):
-    """Direct product with componentwise arithmetic; elements are tuples."""
+    """Direct product with componentwise arithmetic; elements are tuples in
+    itertools.product order, so the index of (x1, ..., xk) is mixed radix
+    in the factor indices, the last factor varying fastest."""
 
     def __init__(self, factors, name=None):
-        import itertools
-
         self.factors = list(factors)
         elements = itertools.product(*(f.elements for f in self.factors))
         identity = tuple(f.identity for f in self.factors)
@@ -227,6 +251,12 @@ class TupleGroup(FiniteGroup):
 
     def _inv(self, a):
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
+
+    def right_action(self, g) -> np.ndarray:
+        v = np.zeros(1, dtype=np.int64)
+        for f, x in zip(self.factors, g):
+            v = np.add.outer(v * f.order, f.right_action(x)).ravel()
+        return v
 
     def embed(self, i: int, x):
         e = list(self.identity)
@@ -252,6 +282,7 @@ class SubgroupAsGroup(FiniteGroup):
         self.subgroup = sub
         gens = list(sub.gens)
         super().__init__(sub.sorted_elements(), sub.parent.identity, gens, name=name)
+        self._maps = None  # (parent index of each element, parent index -> own)
         self._self_check()
 
     def _mul(self, a, b):
@@ -259,6 +290,16 @@ class SubgroupAsGroup(FiniteGroup):
 
     def _inv(self, a):
         return self.parent.inv(a)
+
+    def right_action(self, g) -> np.ndarray:
+        if self._maps is None:
+            P = self.parent
+            at = np.array([P.index(e) for e in self.elements], dtype=np.int64)
+            back = np.full(P.order, -1, dtype=np.int64)
+            back[at] = np.arange(self.order)
+            self._maps = at, back
+        at, back = self._maps
+        return back[self.parent.right_action(g)[at]]
 
 
 class QuotientGroup(FiniteGroup):
@@ -288,6 +329,7 @@ class QuotientGroup(FiniteGroup):
             [rep[g] for g in parent.generators],
             name=name,
         )
+        self._maps = None  # (parent index of each rep, parent index -> own coset)
         self._self_check()
         self.projection = Homomorphism(parent, self, list(self.generators))
 
@@ -296,6 +338,15 @@ class QuotientGroup(FiniteGroup):
 
     def _inv(self, a):
         return self.rep_map[self.parent.inv(a)]
+
+    def right_action(self, g) -> np.ndarray:
+        if self._maps is None:
+            P, own = self.parent, self._index
+            at = np.array([P.index(r) for r in self.elements], dtype=np.int64)
+            coset = np.array([own[self.rep_map[e]] for e in P.elements], dtype=np.int64)
+            self._maps = at, coset
+        at, coset = self._maps
+        return coset[self.parent.right_action(g)[at]]
 
 
 class Subgroup:
@@ -522,6 +573,14 @@ def quotient(G: FiniteGroup, N: Subgroup, name=None) -> QuotientGroup:
     return QuotientGroup(G, N, name=name)
 
 
+def quotient_invariants(N: Subgroup, M: Subgroup) -> list[int]:
+    """Invariant factors of the abelian section N/M, for subgroups M <= N
+    of one group with M normal in N: N becomes a group of its own, M is
+    re-homed in it, and the quotient is read by abelian_invariants."""
+    NG = N.as_group()
+    return abelian_invariants(quotient(NG, Subgroup(NG, M.elements, M.gens)))
+
+
 def power_subgroup(G: FiniteGroup, k: int) -> Subgroup:
     """The subgroup generated by all k-th powers."""
     pows = {pow_element(G, x, k) for x in G.elements}
@@ -585,13 +644,15 @@ def is_powerful(G: FiniteGroup) -> bool:
 class Homomorphism:
     """Generator-image homomorphism, verified at construction.
 
-    If the domain carries a presentation, every relator is checked to map
-    to the identity (complete proof of well-definedness); the product law
-    f(xy) = f(x)f(y) is additionally checked, exhaustively for small
-    domains and on seeded samples otherwise.
+    If the domain carries a presentation, every relator is first checked to
+    map to the identity, which names the failing relator.  The image of
+    every domain element is then filled in by a BFS over the domain
+    generators' right actions, and f(x*g) = f(x)*f(g) is checked for every
+    element x and every domain generator g.  Every element is a product of
+    generators, so this proves the product law outright.
     """
 
-    def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, images, check=True):
+    def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, images):
         if len(images) != len(domain.generators):
             raise HomomorphismError(
                 f"{len(images)} images for {len(domain.generators)} generators"
@@ -602,47 +663,50 @@ class Homomorphism:
         self.domain = domain
         self.codomain = codomain
         self.images = list(images)
-        self._cache = {domain.identity: codomain.identity}
-        if check:
-            self._verify()
+        self._image = self._verify()
 
-    def _verify(self):
-        pres = self.domain.presentation
+    def _verify(self) -> np.ndarray:
+        """The codomain index of the image of every domain element, in
+        domain element order; raises HomomorphismError if the generator
+        images do not extend to a homomorphism."""
+        dom, cod = self.domain, self.codomain
+        pres = dom.presentation
         if pres is not None:
             for k, rel in enumerate(pres.relators):
-                v = self.codomain.eval_letters(rel.letters, self.images)
-                if v != self.codomain.identity:
+                v = cod.eval_letters(rel.letters, self.images)
+                if v != cod.identity:
                     raise HomomorphismError(
                         f"relator {k} ({pres.word_text(rel)}) does not map to the identity"
                     )
-        dom, cod = self.domain, self.codomain
-        if dom.order <= _HOM_EXHAUSTIVE_MAX:
-            pairs = ((x, y) for x in dom.elements for y in dom.elements)
-        else:
-            rng = random.Random(20240817)
-            els = dom.elements
-            pairs = (
-                (els[rng.randrange(len(els))], els[rng.randrange(len(els))])
-                for _ in range(_HOM_SAMPLES)
+        acts = [dom.right_action(g) for g in dom.generators]
+        cod_acts = [cod.right_action(h) for h in self.images]
+        image = np.full(dom.order, -1, dtype=np.int64)
+        level = np.array([dom.index(dom.identity)])
+        image[level] = cod.index(cod.identity)
+        while level.size:
+            found = [level[:0]]  # defined even without generators
+            for act, cod_act in zip(acts, cod_acts):
+                y = act[level]
+                new = image[y] < 0
+                image[y[new]] = cod_act[image[level[new]]]
+                found.append(y[new])
+            level = np.concatenate(found)
+        if (image < 0).any():
+            raise ValueError(
+                f"generators only reach {int((image >= 0).sum())} of {dom.order} elements"
             )
-        for x, y in pairs:
-            if self(dom.mul(x, y)) != cod.mul(self(x), self(y)):
+        for act, cod_act in zip(acts, cod_acts):
+            if not np.array_equal(image[act], cod_act[image]):
                 raise HomomorphismError("product law fails")
+        return image
 
     def __call__(self, x):
-        r = self._cache.get(x)
-        if r is None:
-            cod = self.codomain
-            r = cod.identity
-            for k in self.domain.word_of(x):
-                r = cod.mul(r, self.images[k - 1])
-            self._cache[x] = r
-        return r
+        return self.codomain.elements[self._image[self.domain.index(x)]]
 
     def kernel(self) -> Subgroup:
         dom = self.domain
-        e = self.codomain.identity
-        els = [x for x in dom.elements if self(x) == e]
+        e = self.codomain.index(self.codomain.identity)
+        els = [dom.elements[i] for i in np.flatnonzero(self._image == e)]
         return Subgroup(dom, els, _thin_gens(dom, els))
 
     def image(self) -> Subgroup:

@@ -10,17 +10,22 @@ through H/H').  s_subgroup performs that comparison on construction.
 
 im_rho_verify checks the product-coordinate description of the image of
 rho for a doubled-group bundle: a triple lies in the image exactly when
-g1 * g2^-1 * g3 falls in the derived subgroup of the base.  Small bases
-are checked exhaustively; larger ones by seeded sampling in both
-directions.  The report also tabulates every single and pairwise
-projection of the image, which are all onto.
+g1 * g2^-1 * g3 falls in the derived subgroup of the base.  The check
+runs on index arrays: the base's multiplication table (built from its
+right actions) and boolean masks for G' and for im(rho) over the cube's
+index space.  Small bases are checked exhaustively; larger ones by
+sampling in both directions from numpy's generator
+np.random.default_rng(seed), with a fixed default seed.  The report also
+tabulates every single and pairwise projection of the image, which are
+all onto.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .groups import (
     FiniteGroup,
@@ -145,6 +150,49 @@ class SubdirectReport:
         }
 
 
+def described_set_mismatches(
+    G: FiniteGroup,
+    der: Subgroup,
+    im: Subgroup,
+    samples: int = SAMPLES_PER_DIRECTION,
+    seed: int = _SAMPLE_SEED,
+) -> tuple[str, int, int]:
+    """Compare `im`, a subgroup of G x G x G, with the set of triples whose
+    g1 * g2^-1 * g3 lies in `der`; returns (mode, checked, mismatches).
+
+    Exhaustive over all |G|^3 triples for |G| <= EXHAUSTIVE_BASE_ORDER;
+    otherwise `samples` elements of `im` checked against the description,
+    then `samples` described triples checked for membership in `im`.
+    """
+    n = G.order
+    table = np.stack([G.right_action(b) for b in G.elements], axis=1)
+    inv = np.argmax(table == G.index(G.identity), axis=1)
+    der_mask = np.zeros(n, dtype=bool)
+    der_mask[[G.index(d) for d in der.elements]] = True
+    at = G._index
+    im_mask = np.zeros(n**3, dtype=bool)
+    im_mask[[(at[a] * n + at[b]) * n + at[c] for a, b, c in im.elements]] = True
+
+    def described(t):
+        g1, rest = np.divmod(t, n * n)
+        g2, g3 = np.divmod(rest, n)
+        return der_mask[table[table[g1, inv[g2]], g3]]
+
+    if n <= EXHAUSTIVE_BASE_ORDER:
+        mismatches = np.count_nonzero(described(np.arange(n**3)) != im_mask)
+        return "exhaustive", n**3, int(mismatches)
+    rng = np.random.default_rng(seed)
+    in_im = np.flatnonzero(im_mask)
+    mismatches = np.count_nonzero(~described(in_im[rng.integers(in_im.size, size=samples)]))
+    g1 = rng.integers(n, size=samples)
+    g2 = rng.integers(n, size=samples)
+    in_der = np.flatnonzero(der_mask)
+    d = in_der[rng.integers(in_der.size, size=samples)]
+    g3 = table[inv[table[g1, inv[g2]]], d]
+    mismatches += np.count_nonzero(~im_mask[(g1 * n + g2) * n + g3])
+    return "sampled", 2 * samples, int(mismatches)
+
+
 def im_rho_verify(
     xb,
     samples: int = SAMPLES_PER_DIRECTION,
@@ -156,35 +204,7 @@ def im_rho_verify(
     cube = xb.rho.codomain
     im = xb.rho.image()
     der = derived_subgroup(G)
-    der_set = der.elements
-
-    def in_described_set(t) -> bool:
-        return G.mul(G.mul(t[0], G.inv(t[1])), t[2]) in der_set
-
-    mismatches = 0
-    if G.order <= EXHAUSTIVE_BASE_ORDER:
-        mode = "exhaustive"
-        checked = len(cube.elements)
-        for t in cube.elements:
-            if (t in im.elements) != in_described_set(t):
-                mismatches += 1
-    else:
-        mode = "sampled"
-        rng = random.Random(seed)
-        im_list = im.sorted_elements()
-        der_list = der.sorted_elements()
-        els = G.elements
-        checked = 2 * samples
-        for _ in range(samples):
-            t = rng.choice(im_list)
-            if not in_described_set(t):
-                mismatches += 1
-        for _ in range(samples):
-            g1, g2 = rng.choice(els), rng.choice(els)
-            d = rng.choice(der_list)
-            g3 = G.mul(G.inv(G.mul(g1, G.inv(g2))), d)
-            if (g1, g2, g3) not in im.elements:
-                mismatches += 1
+    mode, checked, mismatches = described_set_mismatches(G, der, im, samples, seed)
     index = cube.order // im.order
     ab_order = G.order // der.order
     return SubdirectReport(

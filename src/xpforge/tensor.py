@@ -55,8 +55,9 @@ from .groups import (
     intersection,
     normal_closure,
     quotient,
+    quotient_invariants,
 )
-from .homology import abelian_invariants, invariants_from_cyclic_orders
+from .homology import invariants_from_cyclic_orders
 from .weakcomm import mirror_names, mirror_word
 from .words import Presentation, Word, commutator, conjugate
 
@@ -178,9 +179,7 @@ class TensorSquare:
         ker = self.to_base.kernel()
         if not self.delta.elements <= ker.elements:
             raise RuntimeError("diagonal subgroup escapes the commutator kernel")
-        kg = ker.as_group()
-        d = Subgroup(kg, self.delta.elements, self.delta.gens)
-        return abelian_invariants(quotient(kg, d))
+        return quotient_invariants(ker, self.delta)
 
     def orders(self) -> dict[str, int]:
         return {
@@ -295,9 +294,7 @@ class NuBundle:
         ker = intersection(self.alpha.kernel(), self.tensor)
         if not self.delta.elements <= ker.elements:
             raise RuntimeError("diagonal subgroup escapes the fold kernel")
-        kg = ker.as_group()
-        d = Subgroup(kg, self.delta.elements, self.delta.gens)
-        return abelian_invariants(quotient(kg, d))
+        return quotient_invariants(ker, self.delta)
 
     def delta_is_central(self) -> bool:
         z = center(self.group)

@@ -35,10 +35,9 @@ from .groups import (
     commutator_subgroup,
     direct_product,
     group_from_presentation,
-    quotient,
+    quotient_invariants,
     subgroup_closure,
 )
-from .homology import abelian_invariants
 from .words import Presentation, Word, commutator
 
 
@@ -118,9 +117,7 @@ class XPBundle:
     def h2_invariants(self) -> list[int]:
         """Invariant factors of W/R (the multiplier reading of this
         construction)."""
-        Wg = self.W.as_group()
-        r = Subgroup(Wg, self.R.elements, self.R.gens)
-        return abelian_invariants(quotient(Wg, r))
+        return quotient_invariants(self.W, self.R)
 
     def orders(self) -> dict[str, int]:
         return {

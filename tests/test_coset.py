@@ -217,3 +217,33 @@ def test_forced_hlt_defines_as_before(kind, name):
     table = enumerate_cosets(pres, strategy="hlt")
     assert table.stats["strategy"] == "hlt"
     assert table.stats["total_defined"] == HLT_TOTAL_DEFINED[kind, name]
+
+
+# ------------------------------------------------------------ cell budget
+
+
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+def test_cell_budget_stops_a_wide_presentation(strategy):
+    # T(D8) has 98 columns and 32 cosets; a budget of 20 rows cannot hold it
+    ncols = 2 * T_D8.ngens
+    budget = 20 * ncols
+    with pytest.raises(EnumerationError) as err:
+        enumerate_cosets(T_D8, limits=EnumerationLimits(max_cells=budget), strategy=strategy)
+    assert "cell budget" in str(err.value)
+    stats = err.value.stats
+    assert stats["strategy"] == strategy
+    assert stats["ncols"] == ncols
+    assert stats["rows"] * ncols <= budget
+    assert stats["total_defined"] == err.value.cosets_used >= stats["live"] > 0
+
+
+def test_cell_budget_relief_keeps_the_table():
+    # HLT defines 580 cosets on T(D8) unbounded; 40 rows force lookahead
+    # and compaction, and the standardized table must not change
+    free = enumerate_cosets(T_D8, strategy="hlt")
+    tight = enumerate_cosets(
+        T_D8, limits=EnumerationLimits(max_cells=40 * 2 * T_D8.ngens), strategy="hlt"
+    )
+    assert free.stats["total_defined"] > 40
+    assert tight.rows == free.rows
+    assert tight.words == free.words

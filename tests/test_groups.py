@@ -446,3 +446,91 @@ def test_subgroup_equality_and_ordering():
 def test_quotient_is_group_type():
     G = grp("D8")
     assert isinstance(quotient(G, center(G)), QuotientGroup)
+
+
+# ------------------------------------------------------------ index arrays
+
+
+@functools.lru_cache(maxsize=None)
+def xp_bundle(name):
+    return build_xp(grp(name))
+
+
+@functools.lru_cache(maxsize=None)
+def one_group_of_each_kind(kind):
+    if kind == "perm":
+        return grp("D8")
+    if kind == "tuple":
+        return direct_product(grp("C4"), grp("C2"))
+    if kind == "subgroup":
+        return xp_bundle("D8").alpha.kernel().as_group()  # L, order 32
+    M = grp("Mod27")
+    return quotient(M, derived_subgroup(M))
+
+
+@pytest.mark.parametrize("kind", ["perm", "tuple", "subgroup", "quotient"])
+def test_right_action_matches_mul(kind):
+    G = one_group_of_each_kind(kind)
+    assert G.order > 4
+    for g in G.elements:
+        want = [G.index(G.mul(x, g)) for x in G.elements]
+        assert G.right_action(g).tolist() == want
+
+
+def _word_image(f, x):
+    """The image of x as the product of generator images along its
+    canonical word."""
+    r = f.codomain.identity
+    for k in f.domain.word_of(x):
+        r = f.codomain.mul(r, f.images[k - 1])
+    return r
+
+
+@pytest.mark.parametrize("which", ["alpha", "beta", "rho", "tensor_iso"])
+def test_images_follow_the_canonical_words(which):
+    if which == "tensor_iso":
+        f = build_nu(grp("D8")).tensor_iso
+    else:
+        f = getattr(xp_bundle("Q8"), which)
+    assert all(f(x) == _word_image(f, x) for x in f.domain.elements)
+
+
+def _bad_and_good_maps(kind):
+    """(domain, codomain, bad images, good images) on a domain of the given
+    kind; none of these domains carries a presentation."""
+    C8 = grp("C8")
+    g = C8.generators[0]
+    if kind == "tuple":
+        A = direct_product(grp("C8"), grp("C8"), grp("C2"))
+        B = direct_product(C8, C8)
+        x, y = B.embed(0, g), B.embed(1, g)
+        # the C2 generator must go to an element of order dividing 2
+        return A, B, [x, y, B.mul(pow_element(B, x, 4), y)], [x, y, pow_element(B, B.mul(x, y), 4)]
+    if kind == "subgroup":
+        D8 = grp("D8")
+        A = subgroup_closure(D8, [D8.generators[0]]).as_group()  # cyclic of order 4
+        return A, C8, [g], [pow_element(C8, g, 2)]
+    M = grp("Mod27")
+    A = quotient(M, derived_subgroup(M))  # elementary abelian of order 9
+    return A, C8, [g, C8.identity], [C8.identity, C8.identity]
+
+
+@pytest.mark.parametrize("kind", ["tuple", "subgroup", "quotient"])
+def test_product_law_is_proved_on_every_domain_kind(kind):
+    A, B, bad, good = _bad_and_good_maps(kind)
+    assert A.presentation is None
+    if kind == "tuple":
+        assert A.order == 128
+    with pytest.raises(HomomorphismError, match="product law"):
+        Homomorphism(A, B, bad)
+    f = Homomorphism(A, B, good)
+    assert all(f(x) == _word_image(f, x) for x in A.elements)
+    assert f.kernel().order * f.image().order == A.order
+
+
+def test_hom_rejects_generators_that_miss_elements():
+    # a subgroup object whose generators do not generate its element set
+    G, C2 = grp("D8"), grp("C2")
+    A = Subgroup(G, G.elements, [G.generators[0]]).as_group()
+    with pytest.raises(ValueError, match="only reach 4 of 8"):
+        Homomorphism(A, C2, [C2.identity])

@@ -19,6 +19,7 @@ from xpforge.groups import (
     group_from_presentation,
     normal_closure,
     quotient,
+    trivial_subgroup,
     whole_subgroup,
 )
 from xpforge.products import (
@@ -26,6 +27,7 @@ from xpforge.products import (
     SubdirectReport,
     _projection_rows,
     antipodal_spec,
+    described_set_mismatches,
     fibre_product,
     im_rho_verify,
     s_subgroup,
@@ -212,3 +214,46 @@ def test_report_ok_flags_failures():
         index_matches_abelianization=True,
     )
     assert not rep.ok
+
+
+@functools.lru_cache(maxsize=None)
+def xp(name):
+    return build_xp(base(name))
+
+
+def test_described_set_check_fails_exhaustively_on_a_wrong_subgroup():
+    # D8' has order 2, so the trivial subgroup describes a smaller set
+    xb = xp("D8")
+    G = xb.base
+    im = xb.rho.image()
+    assert described_set_mismatches(G, derived_subgroup(G), im) == ("exhaustive", 512, 0)
+    mode, checked, mismatches = described_set_mismatches(G, trivial_subgroup(G), im)
+    assert (mode, checked) == ("exhaustive", 512)
+    # im(rho) has index 4; the wrong description has index 8
+    assert mismatches == 64
+
+
+def test_described_set_check_fails_in_both_sampled_directions():
+    # C3xC3 is abelian, so its derived subgroup is already trivial; the
+    # whole group in place of G' (and the whole cube in place of im(rho))
+    # describes too much, which each sampling direction must catch
+    xb = xp("C3xC3")
+    G = xb.base
+    im = xb.rho.image()
+    der = derived_subgroup(G)
+    assert der.order == 1
+    first = described_set_mismatches(G, der, whole_subgroup(xb.cube), samples=500, seed=1)
+    second = described_set_mismatches(G, whole_subgroup(G), im, samples=500, seed=1)
+    assert first[:2] == second[:2] == ("sampled", 1000)
+    # about 8/9 of the samples fall outside the other set
+    assert 300 < first[2] < 500
+    assert 300 < second[2] < 500
+    assert described_set_mismatches(G, der, whole_subgroup(xb.cube), samples=500, seed=1) == first
+    assert described_set_mismatches(G, whole_subgroup(G), im, samples=500, seed=1) == second
+
+
+def test_im_rho_reports_repeat_under_a_seed():
+    xb = xp("C3xC3")
+    a = im_rho_verify(xb, samples=500, seed=7).as_dict()
+    assert im_rho_verify(xb, samples=500, seed=7).as_dict() == a
+    assert a["equality"] == {"mode": "sampled", "samples_checked": 1000, "mismatches": 0}
