@@ -231,7 +231,12 @@ def _parser() -> argparse.ArgumentParser:
     def group_command(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="presentation file or catalog:NAME")
-        p.add_argument("--max-cosets", type=int, default=None)
+        p.add_argument(
+            "--max-cosets",
+            type=int,
+            default=None,
+            help="cap on live cosets; the fixed cell budget (coset.MAX_CELLS) still holds",
+        )
         p.add_argument("--strategy", choices=STRATEGIES, default="auto")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)

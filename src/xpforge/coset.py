@@ -37,9 +37,10 @@ import numpy as np
 
 from .words import Presentation, Word
 
-# Default cell budget.  Forced HLT on T(Heis27), the widest catalog
-# enumeration (1352 columns), peaks at 71 731 rows, 97.0 M cells and about
-# 1.1 GB; the list-of-lists table costs about 11.5 bytes a cell.
+# Cell budget: rows (dead ones included) times 2*ngens columns.  It is
+# fixed; max_cosets does not raise it.  Forced HLT on T(Heis27), the widest
+# catalog enumeration (1352 columns), peaks at 71 731 rows, 97.0 M cells
+# and about 1.1 GB; the list-of-lists table costs about 11.5 bytes a cell.
 MAX_CELLS = 120_000_000
 
 
@@ -47,25 +48,20 @@ MAX_CELLS = 120_000_000
 class EnumerationLimits:
     """Resource bounds for one enumeration.
 
-    max_cosets bounds *live* cosets at any instant; max_cells bounds the
-    allocated table, rows (dead ones included) times 2*ngens columns;
-    max_time is wall-clock seconds (None = unbounded).
+    max_cosets bounds *live* cosets at any instant; max_time is wall-clock
+    seconds (None = unbounded).  The table is also held to MAX_CELLS.
     """
 
     max_cosets: int = 10_000_000
-    max_cells: int = MAX_CELLS
     max_time: float | None = None
 
 
 class EnumerationError(RuntimeError):
-    """Enumeration hit a resource limit; carries the cosets used so far and
-    the enumerator's counters at that moment (strategy, total_defined,
-    live, rows, ncols)."""
+    """Enumeration hit a resource limit; carries the cosets used so far."""
 
-    def __init__(self, message: str, cosets_used: int, stats: dict | None = None):
+    def __init__(self, message: str, cosets_used: int):
         super().__init__(message)
         self.cosets_used = cosets_used
-        self.stats = dict(stats or {})
 
 
 class _CapHit(Exception):
@@ -133,7 +129,7 @@ class _Enumerator:
                 self.rel_cols.append(cols)
         self.sub_cols = [word_to_cols(w) for w in subgroup_words if w]
         self.limits = limits
-        self.max_rows = limits.max_cells // max(self.ncols, 1)
+        self.max_rows = MAX_CELLS // max(self.ncols, 1)
         self.strategy = strategy
         self.table: list[list[int]] = [[-1] * self.ncols]
         self.p = [0]
@@ -193,22 +189,13 @@ class _Enumerator:
 
     # -- defining and scanning ----------------------------------------------
 
-    def _error(self, message: str) -> EnumerationError:
-        stats = {
-            "strategy": self.strategy,
-            "total_defined": self.total_defined,
-            "live": self.live,
-            "rows": len(self.table),
-            "ncols": self.ncols,
-        }
-        return EnumerationError(message, self.total_defined, stats)
-
     def _check_deadline(self):
         """Callers probe once every 1024 definitions or deductions."""
         if self._deadline is not None and time.monotonic() > self._deadline:
-            raise self._error(
+            raise EnumerationError(
                 f"enumeration exceeded the time limit "
-                f"({self.limits.max_time}s) after defining {self.total_defined} cosets"
+                f"({self.limits.max_time}s) after defining {self.total_defined} cosets",
+                self.total_defined,
             )
 
     def _define(self, f: int, col: int) -> int:
@@ -309,17 +296,19 @@ class _Enumerator:
         alpha = self._rep(alpha)
         mapping = self._compact()
         if self.live >= self.limits.max_cosets:
-            raise self._error(
+            raise EnumerationError(
                 f"coset limit exceeded: {self.live} live cosets "
                 f"({self.total_defined} defined in total, cap {self.limits.max_cosets}); "
-                f"the index may be infinite or the limit too small"
+                f"the index may be infinite or the limit too small",
+                self.total_defined,
             )
         if self.live >= self.max_rows:
-            raise self._error(
+            raise EnumerationError(
                 f"cell budget exceeded: {self.live} live cosets x {self.ncols} columns "
-                f"leave no room in the budget of {self.limits.max_cells} cells "
-                f"({self.total_defined} defined in total); "
-                f"the index may be infinite or the budget too small"
+                f"leave no room in the fixed budget of {MAX_CELLS} cells "
+                f"({self.total_defined} defined in total), and max_cosets does not "
+                f"raise it; the index may be infinite or the presentation too wide",
+                self.total_defined,
             )
         return mapping[alpha]
 

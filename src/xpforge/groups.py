@@ -274,7 +274,16 @@ class TupleGroup(FiniteGroup):
         return Homomorphism(self, target, images)
 
 
-class SubgroupAsGroup(FiniteGroup):
+class _InsideParent(FiniteGroup):
+    """A group whose elements are elements of `parent`: element i is parent
+    element _at[i], and _own_of_parent maps a parent index to the own index
+    of that element (or of its coset).  Subclasses set both in __init__."""
+
+    def right_action(self, g) -> np.ndarray:
+        return self._own_of_parent[self.parent.right_action(g)[self._at]]
+
+
+class SubgroupAsGroup(_InsideParent):
     """A subgroup promoted to a standalone group (same element ids)."""
 
     def __init__(self, sub: "Subgroup", name=None):
@@ -282,7 +291,9 @@ class SubgroupAsGroup(FiniteGroup):
         self.subgroup = sub
         gens = list(sub.gens)
         super().__init__(sub.sorted_elements(), sub.parent.identity, gens, name=name)
-        self._maps = None  # (parent index of each element, parent index -> own)
+        self._at = np.array([self.parent.index(e) for e in self.elements], dtype=np.int64)
+        self._own_of_parent = np.full(self.parent.order, -1, dtype=np.int64)
+        self._own_of_parent[self._at] = np.arange(self.order)
         self._self_check()
 
     def _mul(self, a, b):
@@ -291,18 +302,8 @@ class SubgroupAsGroup(FiniteGroup):
     def _inv(self, a):
         return self.parent.inv(a)
 
-    def right_action(self, g) -> np.ndarray:
-        if self._maps is None:
-            P = self.parent
-            at = np.array([P.index(e) for e in self.elements], dtype=np.int64)
-            back = np.full(P.order, -1, dtype=np.int64)
-            back[at] = np.arange(self.order)
-            self._maps = at, back
-        at, back = self._maps
-        return back[self.parent.right_action(g)[at]]
 
-
-class QuotientGroup(FiniteGroup):
+class QuotientGroup(_InsideParent):
     """G/N with coset representatives as elements (first element of each
     coset in parent order).  `projection` is the canonical epimorphism."""
 
@@ -329,7 +330,9 @@ class QuotientGroup(FiniteGroup):
             [rep[g] for g in parent.generators],
             name=name,
         )
-        self._maps = None  # (parent index of each rep, parent index -> own coset)
+        self._at = np.array([parent.index(r) for r in reps], dtype=np.int64)
+        own = self._index
+        self._own_of_parent = np.array([own[rep[e]] for e in parent.elements], dtype=np.int64)
         self._self_check()
         self.projection = Homomorphism(parent, self, list(self.generators))
 
@@ -339,14 +342,6 @@ class QuotientGroup(FiniteGroup):
     def _inv(self, a):
         return self.rep_map[self.parent.inv(a)]
 
-    def right_action(self, g) -> np.ndarray:
-        if self._maps is None:
-            P, own = self.parent, self._index
-            at = np.array([P.index(r) for r in self.elements], dtype=np.int64)
-            coset = np.array([own[self.rep_map[e]] for e in P.elements], dtype=np.int64)
-            self._maps = at, coset
-        at, coset = self._maps
-        return coset[self.parent.right_action(g)[at]]
 
 
 class Subgroup:

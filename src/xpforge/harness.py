@@ -79,7 +79,7 @@ def clear_caches():
 
 
 def _entry_context(entry: CatalogEntry, exc: EnumerationError) -> EnumerationError:
-    return EnumerationError(f"{entry.name}: {exc}", exc.cosets_used, exc.stats)
+    return EnumerationError(f"{entry.name}: {exc}", exc.cosets_used)
 
 
 def base_group(entry: CatalogEntry, limits: EnumerationLimits | None = None) -> FiniteGroup:

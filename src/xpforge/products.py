@@ -169,9 +169,9 @@ def described_set_mismatches(
     inv = np.argmax(table == G.index(G.identity), axis=1)
     der_mask = np.zeros(n, dtype=bool)
     der_mask[[G.index(d) for d in der.elements]] = True
-    at = G._index
+    at = G.index
     im_mask = np.zeros(n**3, dtype=bool)
-    im_mask[[(at[a] * n + at[b]) * n + at[c] for a, b, c in im.elements]] = True
+    im_mask[[(at(a) * n + at(b)) * n + at(c) for a, b, c in im.elements]] = True
 
     def described(t):
         g1, rest = np.divmod(t, n * n)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from xpforge import coset
 from xpforge.cli import main
 
 
@@ -190,6 +191,15 @@ def test_coset_limit_exits_2(capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
         assert "enumeration limits" in err, args
+
+
+def test_cell_budget_exits_2_whatever_the_coset_cap(capsys, monkeypatch):
+    # T(D8) needs 32 rows of 98 cells; --max-cosets does not lift the budget
+    monkeypatch.setattr(coset, "MAX_CELLS", 20 * 98)
+    code, out, err = run_cli(["nu", "catalog:D8", "--max-cosets", "1000000"], capsys)
+    assert code == 2
+    assert "cell budget" in err
+    assert "max_cosets does not raise it" in err
 
 
 @pytest.mark.parametrize("strategy", ["auto", "hlt", "felsch"])

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from xpforge import coset
 from xpforge.catalog import catalog_entry
 from xpforge.coset import EnumerationError, EnumerationLimits, enumerate_cosets, resolve_strategy
 from xpforge.groups import group_from_presentation
@@ -223,27 +224,23 @@ def test_forced_hlt_defines_as_before(kind, name):
 
 
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
-def test_cell_budget_stops_a_wide_presentation(strategy):
-    # T(D8) has 98 columns and 32 cosets; a budget of 20 rows cannot hold it
-    ncols = 2 * T_D8.ngens
-    budget = 20 * ncols
+def test_cell_budget_stops_a_wide_presentation(strategy, monkeypatch):
+    # T(D8) has 98 columns and 32 cosets; a budget of 20 rows cannot hold it,
+    # and an explicit max_cosets far above it does not lift it
+    monkeypatch.setattr(coset, "MAX_CELLS", 20 * 2 * T_D8.ngens)
     with pytest.raises(EnumerationError) as err:
-        enumerate_cosets(T_D8, limits=EnumerationLimits(max_cells=budget), strategy=strategy)
+        enumerate_cosets(T_D8, limits=EnumerationLimits(max_cosets=10**6), strategy=strategy)
     assert "cell budget" in str(err.value)
-    stats = err.value.stats
-    assert stats["strategy"] == strategy
-    assert stats["ncols"] == ncols
-    assert stats["rows"] * ncols <= budget
-    assert stats["total_defined"] == err.value.cosets_used >= stats["live"] > 0
+    assert "max_cosets does not raise it" in str(err.value)
+    assert 20 <= err.value.cosets_used
 
 
-def test_cell_budget_relief_keeps_the_table():
+def test_cell_budget_relief_keeps_the_table(monkeypatch):
     # HLT defines 580 cosets on T(D8) unbounded; 40 rows force lookahead
     # and compaction, and the standardized table must not change
     free = enumerate_cosets(T_D8, strategy="hlt")
-    tight = enumerate_cosets(
-        T_D8, limits=EnumerationLimits(max_cells=40 * 2 * T_D8.ngens), strategy="hlt"
-    )
+    monkeypatch.setattr(coset, "MAX_CELLS", 40 * 2 * T_D8.ngens)
+    tight = enumerate_cosets(T_D8, strategy="hlt")
     assert free.stats["total_defined"] > 40
     assert tight.rows == free.rows
     assert tight.words == free.words
