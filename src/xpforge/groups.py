@@ -3,8 +3,9 @@
 Elements are opaque hashable ids: integers (coset numbers of the regular
 representation), tuples (direct products), or parent ids (quotient coset
 representatives, subgroups viewed as groups).  A subclass provides _mul,
-_inv and right_action (the index of x*g for every element x, as one numpy
-array); everything else is generic: canonical words (shortlex BFS over the
+_inv and their index-array forms: right_action (the index of x*g for every
+element x, as one numpy array), _products (a*b pair by pair for two index
+arrays) and _inverses; everything else is generic: canonical words (shortlex BFS over the
 positive generators), subgroup closures, normal closures, commutator
 subgroups, central/derived series, quotients, and generator-image
 homomorphisms verified at construction time.
@@ -25,9 +26,11 @@ conjugating generators, not elements: [A, B] is the normal closure in
 <A, B> of the commutators of generators (Holt-Eick-O'Brien, Handbook of
 Computational Group Theory, 2005, sections 3.3 and 4.1).
 
-All operations are deterministic: element lists have a stable order, BFS
-is used for canonical words, and the sampled associativity check at
-construction uses a fixed seed.
+Every group checks itself at construction on index arrays: the identity
+law, the inverse law for every element at once, and associativity on
+sampled triples.  All operations are deterministic: element lists have a
+stable order, BFS is used for canonical words, and the associativity
+samples come from a fixed seed.
 """
 
 from __future__ import annotations
@@ -79,6 +82,14 @@ class FiniteGroup:
 
     def right_action(self, g) -> np.ndarray:  # pragma: no cover - abstract
         """Index of x*g for every element x, in element order."""
+        raise NotImplementedError
+
+    def _products(self, A, B) -> np.ndarray:  # pragma: no cover - abstract
+        """Index of a*b for index arrays A and B, pair by pair."""
+        raise NotImplementedError
+
+    def _inverses(self, A) -> np.ndarray:  # pragma: no cover - abstract
+        """Index of the inverse of a, for an index array A."""
         raise NotImplementedError
 
     # -- generic arithmetic ---------------------------------------------------
@@ -169,18 +180,28 @@ class FiniteGroup:
     # -- construction-time sanity ----------------------------------------------
 
     def _self_check(self):
-        e = self.identity
-        if self.mul(e, e) != e:
-            raise ValueError("identity is not idempotent")
-        for a in self.elements:
-            if self.mul(a, self.inv(a)) != e:
-                raise ValueError("inverse law fails")
+        """The identity, inverse and (sampled) associative laws, on index
+        arrays: one batch of products holds e*e, x*x^-1 for every x, and
+        a*b and b*c for the sampled triples; a second holds (a*b)*c and
+        a*(b*c)."""
+        n = self.order
+        e = self.index(self.identity)
+        every = np.arange(n)
         rng = random.Random(0x5EED)
-        els = self.elements
-        for _ in range(_ASSOC_SAMPLES):
-            a, b, c = (els[rng.randrange(len(els))] for _ in range(3))
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise ValueError("associativity fails on a sampled triple")
+        a, b, c = np.array(
+            [[rng.randrange(n) for _ in range(3)] for _ in range(_ASSOC_SAMPLES)]
+        ).T
+        first = self._products(
+            np.concatenate(([e], every, a, b)), np.concatenate(([e], self._inverses(every), b, c))
+        )
+        if first[0] != e:
+            raise ValueError("identity is not idempotent")
+        if (first[1 : n + 1] != e).any():
+            raise ValueError("inverse law fails")
+        ab, bc = first[n + 1 :].reshape(2, -1)
+        left, right = self._products(np.concatenate((ab, a)), np.concatenate((c, bc))).reshape(2, -1)
+        if not np.array_equal(left, right):
+            raise ValueError("associativity fails on a sampled triple")
 
     def __repr__(self):
         label = self.name or type(self).__name__
@@ -196,16 +217,24 @@ class PermGroup(FiniteGroup):
         if table.subgroup_words:
             raise ValueError("regular representation needs a trivial-subgroup table")
         self.table = table
-        self.cols = [list(col) for col in zip(*table.rows)] if table.n else []
         n = table.n
+        arrays = table.col_arrays()
         super().__init__(
             range(n),
             0,
-            [table.rows[0][2 * i] for i in range(table.ngens)],
+            arrays[0::2, 0].tolist(),
             name=name,
             presentation=table.presentation,
         )
         self._words = list(table.words)
+        # _mul and _inv walk only the columns of letters in canonical words
+        # (each letter's column, then its inverse's): as lists sharing one
+        # int object per coset, and as the rows of _acts()
+        letters = sorted({k for w in self._words for k in w})
+        self._used = [2 * (k - 1) + s for k in letters for s in (0, 1)]
+        ints = list(range(n))
+        self.cols = {c: list(map(ints.__getitem__, arrays[c].tolist())) for c in self._used}
+        self._steps = self._word_steps(letters)
         self._self_check()
 
     def _mul(self, a, b):
@@ -225,6 +254,43 @@ class PermGroup(FiniteGroup):
         v = np.arange(self.order, dtype=np.int32)
         for k in self._words[g]:
             v = cols[2 * (k - 1)][v]
+        return v
+
+    def _word_steps(self, letters) -> np.ndarray:
+        """The index-array form of _words: at [t, x] the row of _acts() for
+        the t-th letter of the word of x, and past the end of the word the
+        identity row len(_used)."""
+        words = self._words
+        lens = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+        flat = np.fromiter(itertools.chain.from_iterable(words), dtype=np.intp)
+        row = np.zeros(max(letters, default=0) + 1, dtype=np.intp)
+        row[letters] = np.arange(0, 2 * len(letters), 2)
+        starts = np.repeat(np.cumsum(lens) - lens, lens)
+        steps = np.full((int(lens.max()), len(words)), len(self._used), dtype=np.int32)
+        steps[np.arange(flat.size) - starts, np.repeat(np.arange(len(words)), lens)] = row[flat]
+        return steps
+
+    def _acts(self) -> np.ndarray:
+        """The _used columns, then two identity rows (so that a step's row
+        ^ 1 is its inverse's, past the end of a word too)."""
+        identity = np.arange(self.order, dtype=np.int32)
+        return np.vstack((self.table.col_arrays()[self._used], identity, identity))
+
+    def _products(self, A, B) -> np.ndarray:
+        """_mul pair by pair: each a walks the word of its b."""
+        acts = self._acts()
+        v = np.asarray(A)
+        for step in self._steps[:, B]:
+            v = acts[step, v]
+        return v
+
+    def _inverses(self, A) -> np.ndarray:
+        """_inv pair by pair: the inverse columns along each reversed word,
+        from the identity."""
+        acts = self._acts()
+        v = np.zeros(len(A), dtype=np.int32)
+        for step in self._steps[::-1, A]:
+            v = acts[step ^ 1, v]
         return v
 
 
@@ -258,6 +324,28 @@ class TupleGroup(FiniteGroup):
             v = np.add.outer(v * f.order, f.right_action(x)).ravel()
         return v
 
+    def _digits(self, A) -> list[np.ndarray]:
+        """The factor indices of every index in A (mixed radix)."""
+        A = np.asarray(A, dtype=np.int64)
+        digits = []
+        for f in reversed(self.factors):
+            A, d = np.divmod(A, f.order)
+            digits.append(d)
+        return digits[::-1]
+
+    def _combine(self, digits) -> np.ndarray:
+        v = np.int64(0)
+        for f, d in zip(self.factors, digits):
+            v = v * f.order + d
+        return v
+
+    def _products(self, A, B) -> np.ndarray:
+        parts = zip(self.factors, self._digits(A), self._digits(B))
+        return self._combine(f._products(a, b) for f, a, b in parts)
+
+    def _inverses(self, A) -> np.ndarray:
+        return self._combine(f._inverses(a) for f, a in zip(self.factors, self._digits(A)))
+
     def embed(self, i: int, x):
         e = list(self.identity)
         e[i] = x
@@ -281,6 +369,12 @@ class _InsideParent(FiniteGroup):
 
     def right_action(self, g) -> np.ndarray:
         return self._own_of_parent[self.parent.right_action(g)[self._at]]
+
+    def _products(self, A, B) -> np.ndarray:
+        return self._own_of_parent[self.parent._products(self._at[A], self._at[B])]
+
+    def _inverses(self, A) -> np.ndarray:
+        return self._own_of_parent[self.parent._inverses(self._at[A])]
 
 
 class SubgroupAsGroup(_InsideParent):
@@ -705,7 +799,12 @@ class Homomorphism:
         return Subgroup(dom, els, _thin_gens(dom, els))
 
     def image(self) -> Subgroup:
-        return subgroup_closure(self.codomain, self.images)
+        """The values of the image array; the generator images (repeats
+        and the identity dropped) generate it."""
+        cod = self.codomain
+        els = [cod.elements[i] for i in np.unique(self._image).tolist()]
+        gens = [h for h in dict.fromkeys(self.images) if h != cod.identity]
+        return Subgroup(cod, els, gens)
 
     def is_surjective(self) -> bool:
         return self.image().order == self.codomain.order

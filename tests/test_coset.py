@@ -1,7 +1,10 @@
 import functools
+import itertools
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from xpforge import coset
 from xpforge.catalog import catalog_entry
@@ -9,7 +12,7 @@ from xpforge.coset import EnumerationError, EnumerationLimits, enumerate_cosets,
 from xpforge.groups import group_from_presentation
 from xpforge.tensor import tensor_square_presentation
 from xpforge.weakcomm import xp_presentation
-from xpforge.words import Word, parse_presentation
+from xpforge.words import Presentation, Word, parse_presentation
 
 C4 = parse_presentation("gens a\nrels a^4")
 KLEIN = parse_presentation("gens a, b\nrels a^2, b^2, [a,b]")
@@ -99,8 +102,13 @@ def test_subgroup_index(pres, subgens, index):
     assert table.n == index
 
 
+# X(C3xC3): one Felsch run over 3-letter and longer rotations, with
+# coincidences (255 cosets defined for 243)
+X_C3XC3 = xp_presentation(catalog_base("C3xC3"))
+
+
 @pytest.mark.parametrize(
-    "pres", [C4, KLEIN, S3, D8, Q8, A4, HEIS27, MOD27, TRIVIAL, T_D8, T_Q8, T_C3XC3]
+    "pres", [C4, KLEIN, S3, D8, Q8, A4, HEIS27, MOD27, TRIVIAL, T_D8, T_Q8, T_C3XC3, X_C3XC3]
 )
 def test_strategies_agree_after_standardization(pres):
     t1 = enumerate_cosets(pres, strategy="hlt")
@@ -120,6 +128,28 @@ def test_relators_hold_on_completed_table():
     assert table.relators_hold(D8.relators)
     # a^2 is not a relation of D8
     assert not table.relators_hold([Word([1, 1])])
+
+
+def test_relators_hold_checks_every_coset():
+    # D8 over <b> (index 4) is not regular: a word can fix coset 0 and still
+    # move another coset, so checking coset 0 alone, or gathering from the
+    # wrong column, answers wrongly on some word of 1-5 letters
+    table = enumerate_cosets(D8, subgroup_words=[Word.gen(1)])
+    assert table.n == 4
+    words = {
+        Word(letters)
+        for length in range(1, 6)
+        for letters in itertools.product((1, -1, 2, -2), repeat=length)
+    }
+    fix_zero_move_another = holds = 0
+    for w in sorted(words, key=lambda w: (len(w.letters), w.letters)):
+        moved = [c for c in range(table.n) if table.trace(c, w.letters) != c]
+        assert table.relators_hold([w]) == (not moved), w.letters
+        # one failing word among words that hold fails the whole set
+        assert table.relators_hold(D8.relators + [w]) == (not moved), w.letters
+        holds += not moved
+        fix_zero_move_another += bool(moved) and 0 not in moved
+    assert holds and fix_zero_move_another
 
 
 def test_infinite_group_hits_coset_limit():
@@ -187,37 +217,110 @@ def test_auto_enumerates_wide_presentations_without_spare_cosets(name):
 
 
 def test_felsch_honours_the_time_limit():
-    # T(Heis27) takes seconds under Felsch; the limit must stop it early,
+    # T(Heis27) takes about a second under Felsch; the limit must stop it early,
     # even though Felsch defines few cosets and the deadline is probed in
     # the deduction loop
-    limit = 0.5
+    limit = 0.25
+    pres = tensor_pres("Heis27")
     t0 = time.monotonic()
     with pytest.raises(EnumerationError) as err:
-        enumerate_cosets(
-            tensor_pres("Heis27"), limits=EnumerationLimits(max_time=limit), strategy="felsch"
-        )
+        enumerate_cosets(pres, limits=EnumerationLimits(max_time=limit), strategy="felsch")
     assert time.monotonic() - t0 < 2 * limit
     assert "time limit" in str(err.value)
 
 
-# cosets HLT defines on these presentations, frozen before Felsch became
-# the default for wide presentations: forcing "hlt" must not change them
-HLT_TOTAL_DEFINED = {
-    ("T", "D8"): 580,
-    ("T", "Q8"): 1166,
-    ("T", "C3xC3"): 1942,
-    ("X", "D8"): 695,
-    ("X", "Q8"): 349,
-    ("X", "C3xC3"): 1017,
+# cosets a forced strategy defines on these presentations, frozen: HLT's
+# before Felsch became the default for wide presentations, Felsch's before
+# its deduction scan compared 3-letter rotations by row gathers
+TOTAL_DEFINED = {
+    ("hlt", "T", "D8"): 580,
+    ("hlt", "T", "Q8"): 1166,
+    ("hlt", "T", "C3xC3"): 1942,
+    ("hlt", "X", "D8"): 695,
+    ("hlt", "X", "Q8"): 349,
+    ("hlt", "X", "C3xC3"): 1017,
+    ("felsch", "T", "D8"): 33,
+    ("felsch", "T", "Q8"): 64,
+    ("felsch", "T", "C3xC3"): 81,
+    ("felsch", "T", "Mod27"): 82,
+    ("felsch", "X", "C3xC3"): 255,
 }
 
 
-@pytest.mark.parametrize("kind,name", sorted(HLT_TOTAL_DEFINED))
-def test_forced_hlt_defines_as_before(kind, name):
+@pytest.mark.parametrize(
+    "strategy,kind,name",
+    sorted(TOTAL_DEFINED),
+    ids=[f"{k}-{n}" if s == "hlt" else f"{k}-{n}-{s}" for s, k, n in sorted(TOTAL_DEFINED)],
+)
+def test_forced_hlt_defines_as_before(strategy, kind, name):
     pres = tensor_pres(name) if kind == "T" else xp_presentation(catalog_base(name))
-    table = enumerate_cosets(pres, strategy="hlt")
-    assert table.stats["strategy"] == "hlt"
-    assert table.stats["total_defined"] == HLT_TOTAL_DEFINED[kind, name]
+    table = enumerate_cosets(pres, strategy=strategy)
+    assert table.stats["strategy"] == strategy
+    assert table.stats["total_defined"] == TOTAL_DEFINED[strategy, kind, name]
+
+
+# ------------------------------------------------- random small presentations
+
+
+def _relator(ngens):
+    letter = st.integers(1, ngens).flatmap(lambda g: st.sampled_from((g, -g)))
+    return st.lists(letter, min_size=1, max_size=5).map(Word)
+
+
+@st.composite
+def small_presentations(draw):
+    """2-3 generators and 1-5 relators of 1-5 letters (before free
+    reduction): many collapse, some are infinite."""
+    ngens = draw(st.integers(2, 3))
+    rels = draw(st.lists(_relator(ngens), min_size=1, max_size=5))
+    return Presentation(list("abc"[:ngens]), [w for w in rels if w.letters])
+
+
+class _RotationByRotationFelsch(coset._Enumerator):
+    """Felsch whose deduction scan walks every rotation on its own with
+    `_scan`: the reference for the row-gather scan of 3-letter rotations."""
+
+    def _process_deductions(self, deds, variants):
+        if not hasattr(self, "_rotations"):
+            self._rotations = [[] for _ in range(self.ncols)]
+            for w in self.rel_cols:
+                for base in (w, tuple(c ^ 1 for c in reversed(w))):
+                    for s in range(len(base)):
+                        rot = base[s:] + base[:s]
+                        if rot not in self._rotations[rot[0]]:
+                            self._rotations[rot[0]].append(rot)
+        while deds:
+            a, x = deds.pop()
+            a = self._rep(a)
+            if self.table[a][x] < 0:
+                continue
+            for w in self._rotations[x]:
+                self._scan(a, w, False, deds)
+                if self.p[a] != a:
+                    break
+
+
+def _reference_felsch(pres, limits):
+    enum = _RotationByRotationFelsch(pres, (), limits, "felsch")
+    enum.run_felsch()
+    return enum.finish()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_presentations())
+def test_strategies_agree_on_random_presentations(pres):
+    # whenever all three complete: one standardized table, and Felsch
+    # defines exactly the cosets of its rotation-by-rotation reference
+    limits = EnumerationLimits(max_cosets=200)
+    try:
+        hlt = enumerate_cosets(pres, limits=limits, strategy="hlt")
+        felsch = enumerate_cosets(pres, limits=limits, strategy="felsch")
+        reference = _reference_felsch(pres, limits)
+    except EnumerationError:
+        return
+    assert hlt.rows == felsch.rows == reference.rows
+    assert hlt.words == felsch.words == reference.words
+    assert felsch.stats["total_defined"] == reference.stats["total_defined"]
 
 
 # ------------------------------------------------------------ cell budget

@@ -7,11 +7,13 @@ subgroups, element-order multisets) frozen directly.
 
 import functools
 
+import numpy as np
 import pytest
 
 from xpforge.groups import (
     Homomorphism,
     HomomorphismError,
+    PermGroup,
     QuotientGroup,
     Subgroup,
     center,
@@ -477,6 +479,38 @@ def test_right_action_matches_mul(kind):
         assert G.right_action(g).tolist() == want
 
 
+@pytest.mark.parametrize("kind", ["perm", "tuple", "subgroup", "quotient"])
+def test_index_arithmetic_matches_mul_and_inv(kind):
+    # the self-check's array forms of _mul and _inv, on every pair
+    G = one_group_of_each_kind(kind)
+    n = G.order
+    A, B = (a.ravel() for a in np.indices((n, n)))
+    want = [G.index(G.mul(G.elements[a], G.elements[b])) for a, b in zip(A, B)]
+    assert G._products(A, B).tolist() == want
+    every = np.arange(n)
+    assert G._inverses(every).tolist() == [G.index(G.inv(x)) for x in G.elements]
+
+
+@pytest.mark.parametrize("law", ["inverse law", "associativity"])
+def test_self_check_catches_a_broken_law(law, monkeypatch):
+    products = PermGroup._products
+    if law == "inverse law":
+
+        def shifted(self, A):
+            return (np.asarray(A) + 1) % self.order
+
+        monkeypatch.setattr(PermGroup, "_inverses", shifted)
+    else:
+        # multiplying out of order on the left by element 1 (the first
+        # generator, not central in D8) keeps the identity and every inverse
+        def twisted(self, A, B):
+            return np.where(np.asarray(A) == 1, products(self, B, A), products(self, A, B))
+
+        monkeypatch.setattr(PermGroup, "_products", twisted)
+    with pytest.raises(ValueError, match=law):
+        group_from_presentation(parse_presentation(PRESENTATIONS["D8"]))
+
+
 def _word_image(f, x):
     """The image of x as the product of generator images along its
     canonical word."""
@@ -493,6 +527,10 @@ def test_images_follow_the_canonical_words(which):
     else:
         f = getattr(xp_bundle("Q8"), which)
     assert all(f(x) == _word_image(f, x) for x in f.domain.elements)
+    # the image, read off the image array, is what the generator images close to
+    im = f.image()
+    assert im == subgroup_closure(f.codomain, f.images)
+    assert subgroup_closure(f.codomain, im.gens) == im
 
 
 def _bad_and_good_maps(kind):
