@@ -28,7 +28,8 @@ standardized on one int32 array of columns: cosets are renumbered in BFS
 discovery order from coset 0, exploring positive generator columns in
 index order.  The standardized table is canonical for the (presentation,
 subgroup) pair, so HLT and Felsch agree on it, and the BFS also yields
-shortlex canonical words in the positive generators for every coset.  A
+shortlex canonical words in the positive generators for every coset.
+That BFS, shortlex_bfs, is the one every group in groups.py runs.  A
 CosetTable keeps that array; relators are certified on it with one
 gather per letter for a chunk of words at a time.
 
@@ -138,6 +139,35 @@ def _words_close(cols: np.ndarray, groups: dict[int, np.ndarray]) -> bool:
             if not (v == cols[c[:, -1] ^ 1]).all():
                 return False
     return True
+
+
+def shortlex_bfs(gen_cols: np.ndarray, source: int = 0) -> list:
+    """Breadth-first search from `source` along the rows of `gen_cols`
+    (one row per generator: the point that each point goes to), a level
+    at a time.
+
+    Returns one (found, src, gen) triple of arrays per level after the
+    source: the new points in discovery order, the point each was reached
+    from and the row that reached it.  The candidates of a level, point by
+    point and row by row, are in BFS order, and each new point's first
+    candidate finds it, so the words read off the levels are shortlex.
+    """
+    ngens = len(gen_cols)
+    seen = np.zeros(gen_cols.shape[1], dtype=bool)
+    seen[source] = True
+    level = np.array([source], dtype=np.int32)
+    levels = []
+    while True:
+        cand = gen_cols[:, level].T.ravel()
+        fresh = np.flatnonzero(~seen[cand])
+        if not fresh.size:
+            return levels
+        _, first = np.unique(cand[fresh], return_index=True)
+        hit = fresh[np.sort(first)]
+        found = cand[hit]
+        seen[found] = True
+        levels.append((found, level[hit // ngens], hit % ngens))
+        level = found
 
 
 class CosetTable:
@@ -622,30 +652,17 @@ class _Enumerator:
             if v != 0:
                 raise RuntimeError("internal: subgroup word leaves coset 0")
 
-        # BFS standardization on positive columns, a level at a time: the
-        # candidates of a level, coset by coset and generator by generator,
-        # are BFS order, and each new coset's first candidate finds it.
-        ngens = self.ngens
-        positive = cols[0::2]
-        new = np.full(n, -1, dtype=np.int32)
-        new[0] = 0
-        words: list[tuple[int, ...]] = [()]
-        order = [np.zeros(1, dtype=np.int32)]
-        level = order[0]
-        while level.size:
-            cand = positive[:, level].T.ravel()
-            fresh = np.flatnonzero(new[cand] < 0)
-            _, first = np.unique(cand[fresh], return_index=True)
-            found = fresh[np.sort(first)]
-            level = cand[found]
-            new[level] = np.arange(len(words), len(words) + level.size, dtype=np.int32)
-            sources = new[order[-1][found // ngens]].tolist()
-            for u, i in zip(sources, (found % ngens + 1).tolist()):
-                words.append(words[u] + (i,))
-            order.append(level)
-        if len(words) != n:
+        # standardization: renumber in shortlex BFS order on positive columns
+        levels = shortlex_bfs(cols[0::2])
+        order = np.concatenate([np.zeros(1, dtype=np.int32)] + [found for found, _, _ in levels])
+        if len(order) != n:
             raise RuntimeError("internal: table is not connected")
-        order = np.concatenate(order)
+        new = np.empty(n, dtype=np.int32)
+        new[order] = np.arange(n, dtype=np.int32)
+        words: list[tuple[int, ...]] = [()]
+        for _, src, gen in levels:
+            for u, i in zip(new[src].tolist(), (gen + 1).tolist()):
+                words.append(words[u] + (i,))
         std = np.empty_like(cols)
         for s in range(0, len(cols), step):
             std[s : s + step] = new[cols[s : s + step, order]]

@@ -1,22 +1,28 @@
 """Concrete finite groups and the operations the constructions need.
 
-Elements are opaque hashable ids: integers (coset numbers of the regular
-representation), tuples (direct products), or parent ids (quotient coset
-representatives, subgroups viewed as groups).  A subclass provides _mul,
-_inv and their index-array forms: right_action (the index of x*g for every
-element x, as one numpy array), _products (a*b pair by pair for two index
-arrays) and _inverses; everything else is generic: canonical words (shortlex BFS over the
-positive generators), subgroup closures, normal closures, commutator
-subgroups, central/derived series, quotients, and generator-image
-homomorphisms verified at construction time.
+Every group is held one way, by generator actions plus words (Holt-Eick-
+O'Brien, Handbook of Computational Group Theory, 2005, section 4.1): a
+stable element list and `gen_cols`, one int32 row per generator holding
+the index of x*g for every element x.  A subclass only builds those:
+PermGroup takes a coset table's positive columns, TupleGroup moves one
+mixed-radix digit per factor generator, SubgroupAsGroup restricts its
+parent's right actions, and QuotientGroup takes the orbits of the normal
+subgroup's generators as its cosets.  Element ids stay those natural to
+each: coset numbers, tuples, and parent ids.
+
+coset.shortlex_bfs, the level-at-a-time BFS that also standardizes coset
+tables, gives every element its shortlex word in the generators, held as
+an array of steps.  The arithmetic is defined once on these: right_action
+composes generator columns along one word, _products and _inverses walk
+index arrays along many, and the scalar mul and inv walk list columns (or
+read an inverse list) built on their first call.
 
 A homomorphism is held as an index array: the image of every domain
-element, filled once by a BFS over the right actions of the domain
-generators.  Its verification is exhaustive and costs O(n*d) array work:
-f(x*g) = f(x)*f(g) for every element x and every generator g, one array
-comparison per generator.  Since every element is a product of
-generators, that is a complete proof of the product law (Holt-Eick-
-O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
+element, the generator images composed along its word.  Its verification
+is exhaustive and costs O(n*d) array work: f(x*g) = f(x)*f(g) for every
+element x and every generator g, one array comparison per generator.
+Since every element is a product of generators, that is a complete proof
+of the product law.
 
 Every subgroup is grown by one incremental routine that adds a generator
 to a closed element set, multiplying the old elements by the new
@@ -42,9 +48,9 @@ from functools import reduce
 
 import numpy as np
 
-from .coset import CosetTable, EnumerationLimits, enumerate_cosets
+from .coset import CosetTable, EnumerationLimits, enumerate_cosets, shortlex_bfs
 from .homology import abelian_invariants
-from .words import Presentation, Word
+from .words import Presentation
 
 _ASSOC_SAMPLES = 64
 
@@ -54,59 +60,131 @@ class HomomorphismError(ValueError):
 
 
 class FiniteGroup:
-    """Base class: a finite group with a stable element list.
+    """A finite group with a stable element list and the index of x*g for
+    every element x and generator g.
 
-    `generators` may contain repeats or the identity; positional alignment
-    with construction data is part of the contract (generator-image maps
-    rely on it).
+    `gen_cols` holds those indices, one int32 row per generator, so that
+    gen_cols[i] is the right action of generators[i].  `generators` may
+    contain repeats or the identity; positional alignment with
+    construction data is part of the contract (generator-image maps rely
+    on it).  `words`, when given, must be the shortlex words that the
+    generator columns give.
     """
 
-    def __init__(self, elements, identity, generators, name=None, presentation=None):
+    def __init__(
+        self, elements, identity, generators, gen_cols, name=None, presentation=None, words=None
+    ):
         self.elements = list(elements)
         self.identity = identity
         self.generators = list(generators)
+        self.gen_cols = gen_cols
         self.name = name
         self.presentation = presentation
         self._index = {e: i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
+        n = len(self.elements)
+        if len(self._index) != n:
             raise ValueError("duplicate elements")
-        self._words: list[tuple[int, ...]] | None = None
-        self._inv_cache: dict = {}
+        levels = shortlex_bfs(gen_cols, self._index[identity])
+        reached = 1 + sum(len(found) for found, _, _ in levels)
+        if reached != n:
+            raise ValueError(f"generators only reach {reached} of {n} elements")
+        # _steps[t, x]: row 2*i of _acts() for the t-th letter (generator i)
+        # of the word of x, and past the end of the word the pad 2*ngens
+        pad = 2 * len(gen_cols)
+        steps = np.full((len(levels), n), pad, dtype=np.min_scalar_type(pad + 1))
+        for t, (found, src, gen) in enumerate(levels):
+            steps[:t, found] = steps[:t, src]
+            steps[t, found] = 2 * gen
+        self._steps = steps
+        # the scalar mul and inv are built on first use
+        self._words = words
+        self._cols = None
+        self._inv = None
+        self._self_check()
 
-    # subclasses provide:
-    def _mul(self, a, b):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _inv(self, a):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def right_action(self, g) -> np.ndarray:  # pragma: no cover - abstract
-        """Index of x*g for every element x, in element order."""
-        raise NotImplementedError
-
-    def _products(self, A, B) -> np.ndarray:  # pragma: no cover - abstract
-        """Index of a*b for index arrays A and B, pair by pair."""
-        raise NotImplementedError
-
-    def _inverses(self, A) -> np.ndarray:  # pragma: no cover - abstract
-        """Index of the inverse of a, for an index array A."""
-        raise NotImplementedError
-
-    # -- generic arithmetic ---------------------------------------------------
+    # -- arithmetic -------------------------------------------------------------
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def words(self) -> list[tuple[int, ...]]:
+        """Shortlex canonical words (positive 1-based letters), aligned
+        with `elements`."""
+        if self._words is None:
+            pad = 2 * len(self.gen_cols)
+            self._words = [
+                tuple(s // 2 + 1 for s in col if s < pad) for col in self._steps.T.tolist()
+            ]
+        return self._words
+
+    @property
+    def cols(self) -> dict[int, list]:
+        """The columns of the letters that the words use, as lists keyed
+        by letter, sharing one int object per element."""
+        if self._cols is None:
+            ints = list(range(self.order))
+            letters = np.unique(self._steps[self._steps < 2 * len(self.gen_cols)]) // 2
+            self._cols = {
+                int(k) + 1: list(map(ints.__getitem__, self.gen_cols[k].tolist())) for k in letters
+            }
+        return self._cols
+
     def mul(self, a, b):
-        return self._mul(a, b)
+        """a walks the word of b through the generator columns."""
+        cols = self._cols or self.cols
+        words = self._words or self.words
+        index = self._index
+        x = index[a]
+        for k in words[index[b]]:
+            x = cols[k][x]
+        return self.elements[x]
 
     def inv(self, a):
-        r = self._inv_cache.get(a)
-        if r is None:
-            r = self._inv(a)
-            self._inv_cache[a] = r
-        return r
+        if self._inv is None:
+            self._inv = self._inverses(np.arange(self.order)).tolist()
+        return self.elements[self._inv[self._index[a]]]
+
+    def right_action(self, g) -> np.ndarray:
+        """Index of x*g for every element x, in element order: the
+        generator columns composed along the word of g."""
+        pad = 2 * len(self.gen_cols)
+        v = np.arange(self.order, dtype=np.int32)
+        for s in self._steps[:, self._index[g]].tolist():
+            if s < pad:
+                v = self.gen_cols[s >> 1][v]
+        return v
+
+    def _acts(self) -> np.ndarray:
+        """Row 2*i the column of generator i, row 2*i+1 its inverse, then
+        two identity rows (so that a step's row ^ 1 is its inverse's, past
+        the end of a word too)."""
+        d, n = self.gen_cols.shape
+        identity = np.arange(n, dtype=np.int32)
+        acts = np.empty((2 * d + 2, n), dtype=np.int32)
+        acts[0 : 2 * d : 2] = self.gen_cols
+        acts[1 : 2 * d : 2][np.arange(d)[:, None], self.gen_cols] = identity
+        acts[2 * d :] = identity
+        return acts
+
+    def _products(self, A, B) -> np.ndarray:
+        """Index of a*b for index arrays A and B, pair by pair: each a
+        walks the word of its b."""
+        acts = self._acts()
+        v = np.asarray(A)
+        for step in self._steps[:, B]:
+            v = acts[step, v]
+        return v
+
+    def _inverses(self, A) -> np.ndarray:
+        """Index of the inverse of a, for an index array A: the inverse
+        columns along each reversed word, from the identity."""
+        acts = self._acts()
+        v = np.full(len(A), self.index(self.identity), dtype=np.int32)
+        for step in self._steps[::-1, A]:
+            v = acts[step ^ 1, v]
+        return v
 
     def conj(self, a, b):
         """a^b = b^-1 a b."""
@@ -135,37 +213,8 @@ class FiniteGroup:
             for h in gens[i + 1 :]
         )
 
-    # -- canonical words -------------------------------------------------------
-
-    @property
-    def words(self) -> list[tuple[int, ...]]:
-        """Shortlex-BFS canonical words (positive 1-based letters), aligned
-        with `elements`."""
-        if self._words is None:
-            self._words = self._compute_words()
-        return self._words
-
-    def _compute_words(self):
-        order = [self.identity]
-        words = {self.identity: ()}
-        for u in order:
-            wu = words[u]
-            for i, g in enumerate(self.generators):
-                v = self.mul(u, g)
-                if v not in words:
-                    words[v] = wu + (i + 1,)
-                    order.append(v)
-        if len(order) != len(self.elements):
-            raise ValueError(
-                f"generators only reach {len(order)} of {len(self.elements)} elements"
-            )
-        return [words[e] for e in self.elements]
-
     def word_of(self, e) -> tuple[int, ...]:
         return self.words[self._index[e]]
-
-    def canonical_word(self, e) -> Word:
-        return Word(self.word_of(e))
 
     def eval_letters(self, letters, images=None):
         """Evaluate a signed-letter word over `images` (default: own
@@ -210,141 +259,45 @@ class FiniteGroup:
 
 class PermGroup(FiniteGroup):
     """Regular representation read off a completed coset table over the
-    trivial subgroup: elements are coset numbers, generator action is a
-    column lookup."""
+    trivial subgroup: elements are coset numbers, and the generator
+    columns and words are the table's."""
 
     def __init__(self, table: CosetTable, name=None):
         if table.subgroup_words:
             raise ValueError("regular representation needs a trivial-subgroup table")
         self.table = table
-        n = table.n
-        arrays = table.col_arrays()
+        gen_cols = table.col_arrays()[0::2]
         super().__init__(
-            range(n),
+            range(table.n),
             0,
-            arrays[0::2, 0].tolist(),
+            gen_cols[:, 0].tolist(),
+            gen_cols,
             name=name,
             presentation=table.presentation,
+            words=table.words,
         )
-        self._words = list(table.words)
-        # _mul and _inv walk only the columns of letters in canonical words
-        # (each letter's column, then its inverse's): as lists sharing one
-        # int object per coset, and as the rows of _acts()
-        letters = sorted({k for w in self._words for k in w})
-        self._used = [2 * (k - 1) + s for k in letters for s in (0, 1)]
-        ints = list(range(n))
-        self.cols = {c: list(map(ints.__getitem__, arrays[c].tolist())) for c in self._used}
-        self._steps = self._word_steps(letters)
-        self._self_check()
-
-    def _mul(self, a, b):
-        for k in self._words[b]:
-            a = self.cols[2 * (k - 1)][a]
-        return a
-
-    def _inv(self, a):
-        x = 0
-        for k in reversed(self._words[a]):
-            x = self.cols[2 * (k - 1) + 1][x]
-        return x
-
-    def right_action(self, g) -> np.ndarray:
-        """The generator columns composed along the canonical word of g."""
-        cols = self.table.col_arrays()
-        v = np.arange(self.order, dtype=np.int32)
-        for k in self._words[g]:
-            v = cols[2 * (k - 1)][v]
-        return v
-
-    def _word_steps(self, letters) -> np.ndarray:
-        """The index-array form of _words: at [t, x] the row of _acts() for
-        the t-th letter of the word of x, and past the end of the word the
-        identity row len(_used)."""
-        words = self._words
-        lens = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-        flat = np.fromiter(itertools.chain.from_iterable(words), dtype=np.intp)
-        row = np.zeros(max(letters, default=0) + 1, dtype=np.intp)
-        row[letters] = np.arange(0, 2 * len(letters), 2)
-        starts = np.repeat(np.cumsum(lens) - lens, lens)
-        steps = np.full((int(lens.max()), len(words)), len(self._used), dtype=np.int32)
-        steps[np.arange(flat.size) - starts, np.repeat(np.arange(len(words)), lens)] = row[flat]
-        return steps
-
-    def _acts(self) -> np.ndarray:
-        """The _used columns, then two identity rows (so that a step's row
-        ^ 1 is its inverse's, past the end of a word too)."""
-        identity = np.arange(self.order, dtype=np.int32)
-        return np.vstack((self.table.col_arrays()[self._used], identity, identity))
-
-    def _products(self, A, B) -> np.ndarray:
-        """_mul pair by pair: each a walks the word of its b."""
-        acts = self._acts()
-        v = np.asarray(A)
-        for step in self._steps[:, B]:
-            v = acts[step, v]
-        return v
-
-    def _inverses(self, A) -> np.ndarray:
-        """_inv pair by pair: the inverse columns along each reversed word,
-        from the identity."""
-        acts = self._acts()
-        v = np.zeros(len(A), dtype=np.int32)
-        for step in self._steps[::-1, A]:
-            v = acts[step ^ 1, v]
-        return v
 
 
 class TupleGroup(FiniteGroup):
-    """Direct product with componentwise arithmetic; elements are tuples in
-    itertools.product order, so the index of (x1, ..., xk) is mixed radix
-    in the factor indices, the last factor varying fastest."""
+    """Direct product; elements are tuples in itertools.product order, so
+    the index of (x1, ..., xk) is mixed radix in the factor indices, the
+    last factor varying fastest, and a factor generator moves one digit."""
 
     def __init__(self, factors, name=None):
         self.factors = list(factors)
         elements = itertools.product(*(f.elements for f in self.factors))
         identity = tuple(f.identity for f in self.factors)
-        generators = []
+        orders = [f.order for f in self.factors]
+        digits = np.arange(math.prod(orders), dtype=np.int32).reshape(orders)
+        generators, gen_cols = [], []
         for i, f in enumerate(self.factors):
-            for g in f.generators:
+            for g, col in zip(f.generators, f.gen_cols):
                 emb = list(identity)
                 emb[i] = g
                 generators.append(tuple(emb))
-        super().__init__(elements, identity, generators, name=name)
-        self._self_check()
-
-    def _mul(self, a, b):
-        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def _inv(self, a):
-        return tuple(f.inv(x) for f, x in zip(self.factors, a))
-
-    def right_action(self, g) -> np.ndarray:
-        v = np.zeros(1, dtype=np.int64)
-        for f, x in zip(self.factors, g):
-            v = np.add.outer(v * f.order, f.right_action(x)).ravel()
-        return v
-
-    def _digits(self, A) -> list[np.ndarray]:
-        """The factor indices of every index in A (mixed radix)."""
-        A = np.asarray(A, dtype=np.int64)
-        digits = []
-        for f in reversed(self.factors):
-            A, d = np.divmod(A, f.order)
-            digits.append(d)
-        return digits[::-1]
-
-    def _combine(self, digits) -> np.ndarray:
-        v = np.int64(0)
-        for f, d in zip(self.factors, digits):
-            v = v * f.order + d
-        return v
-
-    def _products(self, A, B) -> np.ndarray:
-        parts = zip(self.factors, self._digits(A), self._digits(B))
-        return self._combine(f._products(a, b) for f, a, b in parts)
-
-    def _inverses(self, A) -> np.ndarray:
-        return self._combine(f._inverses(a) for f, a in zip(self.factors, self._digits(A)))
+                gen_cols.append(np.take(digits, col, axis=i).ravel())
+        gen_cols = np.array(gen_cols, dtype=np.int32).reshape(-1, digits.size)
+        super().__init__(elements, identity, generators, gen_cols, name=name)
 
     def embed(self, i: int, x):
         e = list(self.identity)
@@ -353,51 +306,28 @@ class TupleGroup(FiniteGroup):
 
     def project(self, coords) -> "Homomorphism":
         """Projection onto the sub-product of the given factor positions."""
-        target = TupleGroup([self.factors[i] for i in coords]) if len(coords) > 1 else None
-        if target is None:
+        if len(coords) == 1:
             (i,) = coords
-            images = [a[i] for a in self.generators]
-            return Homomorphism(self, self.factors[i], images)
-        images = [tuple(a[i] for i in coords) for a in self.generators]
-        return Homomorphism(self, target, images)
+            return Homomorphism(self, self.factors[i], [a[i] for a in self.generators])
+        target = TupleGroup([self.factors[i] for i in coords])
+        return Homomorphism(self, target, [tuple(a[i] for i in coords) for a in self.generators])
 
 
-class _InsideParent(FiniteGroup):
-    """A group whose elements are elements of `parent`: element i is parent
-    element _at[i], and _own_of_parent maps a parent index to the own index
-    of that element (or of its coset).  Subclasses set both in __init__."""
-
-    def right_action(self, g) -> np.ndarray:
-        return self._own_of_parent[self.parent.right_action(g)[self._at]]
-
-    def _products(self, A, B) -> np.ndarray:
-        return self._own_of_parent[self.parent._products(self._at[A], self._at[B])]
-
-    def _inverses(self, A) -> np.ndarray:
-        return self._own_of_parent[self.parent._inverses(self._at[A])]
-
-
-class SubgroupAsGroup(_InsideParent):
+class SubgroupAsGroup(FiniteGroup):
     """A subgroup promoted to a standalone group (same element ids)."""
 
     def __init__(self, sub: "Subgroup", name=None):
-        self.parent = sub.parent
+        self.parent = parent = sub.parent
         self.subgroup = sub
-        gens = list(sub.gens)
-        super().__init__(sub.sorted_elements(), sub.parent.identity, gens, name=name)
-        self._at = np.array([self.parent.index(e) for e in self.elements], dtype=np.int64)
-        self._own_of_parent = np.full(self.parent.order, -1, dtype=np.int64)
-        self._own_of_parent[self._at] = np.arange(self.order)
-        self._self_check()
-
-    def _mul(self, a, b):
-        return self.parent.mul(a, b)
-
-    def _inv(self, a):
-        return self.parent.inv(a)
+        elements = sub.sorted_elements()
+        at = np.array([parent.index(e) for e in elements], dtype=np.intp)
+        own = np.full(parent.order, -1, dtype=np.int32)
+        own[at] = np.arange(len(at))
+        gen_cols = np.array([own[parent.right_action(g)[at]] for g in sub.gens], dtype=np.int32)
+        super().__init__(elements, parent.identity, sub.gens, gen_cols.reshape(-1, len(at)), name=name)
 
 
-class QuotientGroup(_InsideParent):
+class QuotientGroup(FiniteGroup):
     """G/N with coset representatives as elements (first element of each
     coset in parent order).  `projection` is the canonical epimorphism."""
 
@@ -408,34 +338,27 @@ class QuotientGroup(_InsideParent):
             raise ValueError("cannot quotient by a non-normal subgroup")
         self.parent = parent
         self.normal = normal
-        rep: dict = {}
-        reps = []
-        nsorted = normal.sorted_elements()
-        for e in parent.elements:
-            if e in rep:
-                continue
-            reps.append(e)
-            for n in nsorted:
-                rep[parent.mul(e, n)] = e
-        self.rep_map = rep
-        super().__init__(
-            reps,
-            rep[parent.identity],
-            [rep[g] for g in parent.generators],
-            name=name,
+        # the cosets xN are the orbits of N's generators acting on the
+        # right; every x takes the least label of x and x*h until none
+        # changes, with pointer jumping (a label stays in its orbit)
+        acts = [parent.right_action(h) for h in normal.gens]
+        label = np.arange(parent.order, dtype=np.int32)
+        while True:
+            new = label
+            for act in acts:
+                new = np.minimum(new, new[act])
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        reps, own = np.unique(label, return_inverse=True)
+        elements = [parent.elements[r] for r in reps.tolist()]
+        identity, *generators = (
+            elements[own[parent.index(g)]] for g in [parent.identity] + parent.generators
         )
-        self._at = np.array([parent.index(r) for r in reps], dtype=np.int64)
-        own = self._index
-        self._own_of_parent = np.array([own[rep[e]] for e in parent.elements], dtype=np.int64)
-        self._self_check()
+        gen_cols = own[parent.gen_cols[:, reps]].astype(np.int32)
+        super().__init__(elements, identity, generators, gen_cols, name=name)
         self.projection = Homomorphism(parent, self, list(self.generators))
-
-    def _mul(self, a, b):
-        return self.rep_map[self.parent.mul(a, b)]
-
-    def _inv(self, a):
-        return self.rep_map[self.parent.inv(a)]
-
 
 
 class Subgroup:
@@ -734,11 +657,12 @@ class Homomorphism:
     """Generator-image homomorphism, verified at construction.
 
     If the domain carries a presentation, every relator is first checked to
-    map to the identity, which names the failing relator.  The image of
-    every domain element is then filled in by a BFS over the domain
-    generators' right actions, and f(x*g) = f(x)*f(g) is checked for every
-    element x and every domain generator g.  Every element is a product of
-    generators, so this proves the product law outright.
+    map to the identity on the images' right actions, which names the
+    failing relator.  The image of every domain element is then the
+    generator images composed along its word, and f(x*g) = f(x)*f(g) is
+    checked for every element x and every domain generator g.  Every
+    element is a product of generators, so this proves the product law
+    outright.
     """
 
     def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, images):
@@ -759,32 +683,28 @@ class Homomorphism:
         domain element order; raises HomomorphismError if the generator
         images do not extend to a homomorphism."""
         dom, cod = self.domain, self.codomain
+        e = cod.index(cod.identity)
+        cod_acts = [cod.right_action(h) for h in self.images]
         pres = dom.presentation
         if pres is not None:
+            # each relator traced from the identity: x*h^-1 is the point
+            # that h's action sends to x
             for k, rel in enumerate(pres.relators):
-                v = cod.eval_letters(rel.letters, self.images)
-                if v != cod.identity:
+                x = e
+                for a in rel.letters:
+                    act = cod_acts[abs(a) - 1]
+                    x = act[x] if a > 0 else (act == x).argmax()
+                if x != e:
                     raise HomomorphismError(
                         f"relator {k} ({pres.word_text(rel)}) does not map to the identity"
                     )
-        acts = [dom.right_action(g) for g in dom.generators]
-        cod_acts = [cod.right_action(h) for h in self.images]
-        image = np.full(dom.order, -1, dtype=np.int64)
-        level = np.array([dom.index(dom.identity)])
-        image[level] = cod.index(cod.identity)
-        while level.size:
-            found = [level[:0]]  # defined even without generators
-            for act, cod_act in zip(acts, cod_acts):
-                y = act[level]
-                new = image[y] < 0
-                image[y[new]] = cod_act[image[level[new]]]
-                found.append(y[new])
-            level = np.concatenate(found)
-        if (image < 0).any():
-            raise ValueError(
-                f"generators only reach {int((image >= 0).sum())} of {dom.order} elements"
-            )
-        for act, cod_act in zip(acts, cod_acts):
+        # the images along each domain word, from the identity; a step
+        # past the end of a word (2*ngens) lands on the identity row
+        acts = np.array(cod_acts + [np.arange(cod.order)], dtype=np.int32)
+        image = np.full(dom.order, e, dtype=np.int32)
+        for step in dom._steps:
+            image = acts[step >> 1, image]
+        for act, cod_act in zip(dom.gen_cols, cod_acts):
             if not np.array_equal(image[act], cod_act[image]):
                 raise HomomorphismError("product law fails")
         return image

@@ -5,9 +5,12 @@ Rows are sorted by entry name, all randomness is seeded, and timing
 lives in a single "seconds" field per row -- two runs differ at most
 there.  A row's status is "pass", "fail", or "gated" (the check needs a
 nu group whose predicted order exceeds the size gate, so it is out of
-scope by construction rather than failed).  Enumeration-limit blowups
-are not check failures either; they propagate as EnumerationError with
-the entry name attached, for the caller to report as a resource problem.
+scope by construction rather than failed).  Any other error a check
+raises fails that row alone, with its message as the detail: an
+enumeration limit (EnumerationError, a RuntimeError, with the entry name
+attached), a map that is not a homomorphism, or an order that is not a
+prime power (ValueErrors).  The schur suite leaves the bar route out for
+groups above its bound, as it leaves out a gated nu route.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .groups import (
     p_group_data,
     quotient,
 )
-from .homology import abelian_invariants, schur_multiplier_bar
+from .homology import BAR_DEFAULT_MAX_ORDER, abelian_invariants, schur_multiplier_bar
 from .products import FibreSpec, fibre_product, im_rho_verify, s_subgroup
 from .tensor import (
     SizeGateError,
@@ -102,8 +105,9 @@ def base_group(entry: CatalogEntry, limits: EnumerationLimits | None = None) -> 
 
 def xp_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
     if entry not in _xp_cache:
+        G = base_group(entry, limits)
         try:
-            _xp_cache[entry] = build_xp(base_group(entry, limits), limits=limits)
+            _xp_cache[entry] = build_xp(G, limits=limits)
         except EnumerationError as exc:
             raise _entry_context(entry, exc) from exc
     return _xp_cache[entry]
@@ -111,8 +115,9 @@ def xp_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
 
 def tensor_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
     if entry not in _tensor_cache:
+        G = base_group(entry, limits)
         try:
-            _tensor_cache[entry] = build_tensor_square(base_group(entry, limits), limits=limits)
+            _tensor_cache[entry] = build_tensor_square(G, limits=limits)
         except EnumerationError as exc:
             raise _entry_context(entry, exc) from exc
     return _tensor_cache[entry]
@@ -120,10 +125,9 @@ def tensor_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
 
 def nu_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
     if entry not in _nu_cache:
+        G, T = base_group(entry, limits), tensor_of(entry, limits)
         try:
-            _nu_cache[entry] = build_nu(
-                base_group(entry, limits), tensor=tensor_of(entry, limits), limits=limits
-            )
+            _nu_cache[entry] = build_nu(G, tensor=T, limits=limits)
         except SizeGateError as exc:
             _nu_cache[entry] = exc
         except EnumerationError as exc:
@@ -178,7 +182,7 @@ def _row(suite: str, entry: str, check: str, fn) -> dict:
     except SizeGateError as exc:
         status = "gated"
         detail = {"predicted_order": exc.predicted, "gate": exc.gate}
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         status = "fail"
         detail = {"error": str(exc)}
     return {
@@ -295,14 +299,17 @@ def _schur_rows(entries, limits):
             routes = {
                 "doubling": xp_of(e, limits).h2_invariants(),
                 "pairing": tensor_of(e, limits).h2_invariants(),
-                "bar": schur_multiplier_bar(G),
             }
+            if G.order <= BAR_DEFAULT_MAX_ORDER:
+                routes["bar"] = schur_multiplier_bar(G)
             try:
                 routes["nu"] = nu_of(e, limits).h2_invariants()
             except SizeGateError:
                 pass
             ok, facts = route_agreement(routes, e)
             detail = {k: facts[k] for k in ("routes", "expected") if k in facts}
+            if "bar" not in routes:
+                detail["bar_bound"] = BAR_DEFAULT_MAX_ORDER
             return ok, detail
 
         rows.append(_row("schur", e.name, "three-route-multiplier", fn))

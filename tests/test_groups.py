@@ -491,6 +491,28 @@ def test_index_arithmetic_matches_mul_and_inv(kind):
     assert G._inverses(every).tolist() == [G.index(G.inv(x)) for x in G.elements]
 
 
+@pytest.mark.parametrize("kind", ["perm", "tuple", "subgroup", "quotient"])
+def test_words_and_generator_columns_on_every_kind(kind):
+    G = one_group_of_each_kind(kind)
+    for x in G.elements:
+        assert G.eval_letters(G.word_of(x)) == x
+    for col, g in zip(G.gen_cols, G.generators):
+        assert col.tolist() == G.right_action(g).tolist()
+
+
+@pytest.mark.parametrize("name,normal", [("D8", center), ("Mod27", derived_subgroup)])
+def test_quotient_elements_are_the_first_of_each_coset(name, normal):
+    G = grp(name)
+    N = normal(G)
+    firsts = []
+    covered = set()
+    for x in G.elements:
+        if x not in covered:
+            firsts.append(x)
+            covered.update(G.mul(x, m) for m in N.elements)
+    assert quotient(G, N).elements == firsts
+
+
 @pytest.mark.parametrize("law", ["inverse law", "associativity"])
 def test_self_check_catches_a_broken_law(law, monkeypatch):
     products = PermGroup._products
@@ -569,6 +591,6 @@ def test_product_law_is_proved_on_every_domain_kind(kind):
 def test_hom_rejects_generators_that_miss_elements():
     # a subgroup object whose generators do not generate its element set
     G, C2 = grp("D8"), grp("C2")
-    A = Subgroup(G, G.elements, [G.generators[0]]).as_group()
     with pytest.raises(ValueError, match="only reach 4 of 8"):
+        A = Subgroup(G, G.elements, [G.generators[0]]).as_group()
         Homomorphism(A, C2, [C2.identity])

@@ -6,6 +6,7 @@ import pytest
 
 from xpforge import harness
 from xpforge.catalog import builtin_catalog, catalog_entry, load_catalog_dir
+from xpforge.cli import main
 from xpforge.coset import EnumerationError, EnumerationLimits, resolve_strategy
 from xpforge.harness import (
     SCHEMA_VERSION,
@@ -122,6 +123,35 @@ def test_limits_reach_the_base_group(build):
     finally:
         harness.clear_caches()
     assert str(exc.value).startswith("D8: ")
+
+
+def test_limit_errors_become_fail_rows():
+    harness.clear_caches()  # a cached D8 would never hit the limit
+    try:
+        rep = run_suite("orders", [catalog_entry("D8")], EnumerationLimits(max_cosets=3))
+    finally:
+        harness.clear_caches()
+    assert [r["status"] for r in rep.rows] == ["fail"]
+    assert rep.rows[0]["detail"]["error"].startswith("D8: coset limit exceeded")
+
+
+def test_a_group_that_is_not_a_p_group_fails_its_rows(tmp_path):
+    (tmp_path / "s3.pres").write_text("gens a, b\nrels a^3, b^2, (a*b)^2\n")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "schur", "--catalog", str(tmp_path), "--out", str(out)]) == 1
+    (row,) = json.loads(out.read_text())["results"]
+    assert row["status"] == "fail"
+    assert row["detail"] == {"error": "order 6 is not a prime power"}
+
+
+def test_schur_leaves_the_bar_route_out_above_its_bound(monkeypatch):
+    # C64 is over the real bound of 32; lowering the bound shows the same
+    # row on a group whose other routes are cheap
+    monkeypatch.setattr(harness, "BAR_DEFAULT_MAX_ORDER", 4)
+    (row,) = run_suite("schur", [catalog_entry("C8")]).rows
+    assert row["status"] == "pass"
+    assert set(row["detail"]["routes"]) == {"doubling", "pairing", "nu"}
+    assert row["detail"]["bar_bound"] == 4
 
 
 @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
