@@ -25,12 +25,11 @@ from .harness import (
     SCHEMA_VERSION,
     SUITES,
     fibre_law,
+    multiplier_routes,
     nu_order_law,
-    route_agreement,
     run_suite,
     xp_order_law,
 )
-from .homology import schur_multiplier_bar
 from .products import im_rho_verify
 from .tensor import SizeGateError, build_nu, build_tensor_square, predicted_nu_order
 from .weakcomm import build_xp
@@ -138,12 +137,7 @@ def _cmd_schur(args) -> int:
     label, G, entry = _load_group(args.input, _limits(args), args.strategy)
     xb = build_xp(G, limits=_limits(args), strategy=args.strategy)
     T = build_tensor_square(G, limits=_limits(args), strategy=args.strategy)
-    routes = {
-        "doubling": xb.h2_invariants(),
-        "pairing": T.h2_invariants(),
-        "bar": schur_multiplier_bar(G),
-    }
-    ok, facts = route_agreement(routes, entry)
+    ok, facts = multiplier_routes(xb, T, entry=entry)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "schur",

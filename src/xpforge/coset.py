@@ -59,7 +59,7 @@ from .words import Presentation, Word
 MAX_CELLS = 120_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnumerationLimits:
     """Resource bounds for one enumeration.
 

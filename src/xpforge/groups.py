@@ -1,14 +1,19 @@
 """Concrete finite groups and the operations the constructions need.
 
 Every group is held one way, by generator actions plus words (Holt-Eick-
-O'Brien, Handbook of Computational Group Theory, 2005, section 4.1): a
-stable element list and `gen_cols`, one int32 row per generator holding
-the index of x*g for every element x.  A subclass only builds those:
-PermGroup takes a coset table's positive columns, TupleGroup moves one
-mixed-radix digit per factor generator, SubgroupAsGroup restricts its
-parent's right actions, and QuotientGroup takes the orbits of the normal
-subgroup's generators as its cosets.  Element ids stay those natural to
-each: coset numbers, tuples, and parent ids.
+O'Brien, Handbook of Computational Group Theory, 2005, section 4.1): its
+elements are the indices 0..n-1, the identity is 0, and `gen_cols` holds
+one int32 row per generator with the index of x*g for every element x.
+A subclass only builds the generators and those rows: PermGroup takes a
+coset table's positive columns, TupleGroup moves one mixed-radix digit
+per factor generator, SubgroupAsGroup restricts its parent's right
+actions, and QuotientGroup takes the orbits of the normal subgroup's
+generators as its cosets.  Each puts the identity first: coset 0, the
+all-zero digits, the least parent index.  A codec is kept only where
+coordinates mean something: TupleGroup packs and unpacks factor
+coordinates, SubgroupAsGroup maps its indices to the parent's and back
+(`at`, `own`), and QuotientGroup keeps the least parent index of each
+coset (`reps`).
 
 coset.shortlex_bfs, the level-at-a-time BFS that also standardizes coset
 tables, gives every element its shortlex word in the generators, held as
@@ -34,14 +39,13 @@ Computational Group Theory, 2005, sections 3.3 and 4.1).
 
 Every group checks itself at construction on index arrays: the identity
 law, the inverse law for every element at once, and associativity on
-sampled triples.  All operations are deterministic: element lists have a
-stable order, BFS is used for canonical words, and the associativity
-samples come from a fixed seed.
+sampled triples.  All operations are deterministic: elements are ordered
+by index, BFS is used for canonical words, and the associativity samples
+come from a fixed seed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from functools import reduce
@@ -60,31 +64,27 @@ class HomomorphismError(ValueError):
 
 
 class FiniteGroup:
-    """A finite group with a stable element list and the index of x*g for
-    every element x and generator g.
+    """A finite group on the elements 0..n-1, identity 0, with the index of
+    x*g for every element x and generator g.
 
     `gen_cols` holds those indices, one int32 row per generator, so that
-    gen_cols[i] is the right action of generators[i].  `generators` may
-    contain repeats or the identity; positional alignment with
-    construction data is part of the contract (generator-image maps rely
-    on it).  `words`, when given, must be the shortlex words that the
-    generator columns give.
+    gen_cols[i] is the right action of generators[i]; n is its row
+    length.  `generators` may contain repeats or the identity; positional
+    alignment with construction data is part of the contract
+    (generator-image maps rely on it).  `words`, when given, must be the
+    shortlex words that the generator columns give.
     """
 
-    def __init__(
-        self, elements, identity, generators, gen_cols, name=None, presentation=None, words=None
-    ):
-        self.elements = list(elements)
-        self.identity = identity
+    identity = 0
+
+    def __init__(self, generators, gen_cols, name=None, presentation=None, words=None):
+        n = gen_cols.shape[1]
+        self.elements = range(n)
         self.generators = list(generators)
         self.gen_cols = gen_cols
         self.name = name
         self.presentation = presentation
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        if len(self._index) != n:
-            raise ValueError("duplicate elements")
-        levels = shortlex_bfs(gen_cols, self._index[identity])
+        levels = shortlex_bfs(gen_cols, 0)
         reached = 1 + sum(len(found) for found, _, _ in levels)
         if reached != n:
             raise ValueError(f"generators only reach {reached} of {n} elements")
@@ -110,8 +110,8 @@ class FiniteGroup:
 
     @property
     def words(self) -> list[tuple[int, ...]]:
-        """Shortlex canonical words (positive 1-based letters), aligned
-        with `elements`."""
+        """Shortlex canonical words (positive 1-based letters), one per
+        element index."""
         if self._words is None:
             pad = 2 * len(self.gen_cols)
             self._words = [
@@ -134,24 +134,22 @@ class FiniteGroup:
     def mul(self, a, b):
         """a walks the word of b through the generator columns."""
         cols = self._cols or self.cols
-        words = self._words or self.words
-        index = self._index
-        x = index[a]
-        for k in words[index[b]]:
+        x = a
+        for k in (self._words or self.words)[b]:
             x = cols[k][x]
-        return self.elements[x]
+        return x
 
     def inv(self, a):
         if self._inv is None:
             self._inv = self._inverses(np.arange(self.order)).tolist()
-        return self.elements[self._inv[self._index[a]]]
+        return self._inv[a]
 
     def right_action(self, g) -> np.ndarray:
-        """Index of x*g for every element x, in element order: the
-        generator columns composed along the word of g."""
+        """Index of x*g for every element x: the generator columns
+        composed along the word of g."""
         pad = 2 * len(self.gen_cols)
         v = np.arange(self.order, dtype=np.int32)
-        for s in self._steps[:, self._index[g]].tolist():
+        for s in self._steps[:, g].tolist():
             if s < pad:
                 v = self.gen_cols[s >> 1][v]
         return v
@@ -181,7 +179,7 @@ class FiniteGroup:
         """Index of the inverse of a, for an index array A: the inverse
         columns along each reversed word, from the identity."""
         acts = self._acts()
-        v = np.full(len(A), self.index(self.identity), dtype=np.int32)
+        v = np.zeros(len(A), dtype=np.int32)
         for step in self._steps[::-1, A]:
             v = acts[step ^ 1, v]
         return v
@@ -193,9 +191,6 @@ class FiniteGroup:
     def comm(self, a, b):
         """[a, b] = a^-1 b^-1 a b."""
         return self.mul(self.inv(self.mul(b, a)), self.mul(a, b))
-
-    def index(self, e) -> int:
-        return self._index[e]
 
     def element_order(self, a) -> int:
         k = 1
@@ -214,7 +209,7 @@ class FiniteGroup:
         )
 
     def word_of(self, e) -> tuple[int, ...]:
-        return self.words[self._index[e]]
+        return self.words[e]
 
     def eval_letters(self, letters, images=None):
         """Evaluate a signed-letter word over `images` (default: own
@@ -234,18 +229,17 @@ class FiniteGroup:
         a*b and b*c for the sampled triples; a second holds (a*b)*c and
         a*(b*c)."""
         n = self.order
-        e = self.index(self.identity)
         every = np.arange(n)
         rng = random.Random(0x5EED)
         a, b, c = np.array(
             [[rng.randrange(n) for _ in range(3)] for _ in range(_ASSOC_SAMPLES)]
         ).T
         first = self._products(
-            np.concatenate(([e], every, a, b)), np.concatenate(([e], self._inverses(every), b, c))
+            np.concatenate(([0], every, a, b)), np.concatenate(([0], self._inverses(every), b, c))
         )
-        if first[0] != e:
+        if first[0] != 0:
             raise ValueError("identity is not idempotent")
-        if (first[1 : n + 1] != e).any():
+        if first[1 : n + 1].any():
             raise ValueError("inverse law fails")
         ab, bc = first[n + 1 :].reshape(2, -1)
         left, right = self._products(np.concatenate((ab, a)), np.concatenate((c, bc))).reshape(2, -1)
@@ -268,8 +262,6 @@ class PermGroup(FiniteGroup):
         self.table = table
         gen_cols = table.col_arrays()[0::2]
         super().__init__(
-            range(table.n),
-            0,
             gen_cols[:, 0].tolist(),
             gen_cols,
             name=name,
@@ -279,57 +271,66 @@ class PermGroup(FiniteGroup):
 
 
 class TupleGroup(FiniteGroup):
-    """Direct product; elements are tuples in itertools.product order, so
-    the index of (x1, ..., xk) is mixed radix in the factor indices, the
-    last factor varying fastest, and a factor generator moves one digit."""
+    """Direct product.  The index of the element with factor coordinates
+    (x1, ..., xk) is mixed radix in them, the last factor varying fastest
+    (`pack` and `coords` convert), and a factor generator moves one
+    digit."""
 
     def __init__(self, factors, name=None):
         self.factors = list(factors)
-        elements = itertools.product(*(f.elements for f in self.factors))
-        identity = tuple(f.identity for f in self.factors)
-        orders = [f.order for f in self.factors]
-        digits = np.arange(math.prod(orders), dtype=np.int32).reshape(orders)
+        self.shape = tuple(f.order for f in self.factors)
+        digits = np.arange(math.prod(self.shape), dtype=np.int32).reshape(self.shape)
         generators, gen_cols = [], []
         for i, f in enumerate(self.factors):
             for g, col in zip(f.generators, f.gen_cols):
-                emb = list(identity)
-                emb[i] = g
-                generators.append(tuple(emb))
+                generators.append(self.embed(i, g))
                 gen_cols.append(np.take(digits, col, axis=i).ravel())
         gen_cols = np.array(gen_cols, dtype=np.int32).reshape(-1, digits.size)
-        super().__init__(elements, identity, generators, gen_cols, name=name)
+        super().__init__(generators, gen_cols, name=name)
 
-    def embed(self, i: int, x):
-        e = list(self.identity)
-        e[i] = x
-        return tuple(e)
+    def pack(self, coords) -> int:
+        """The index of the element with the given factor coordinates."""
+        return int(np.ravel_multi_index(tuple(coords), self.shape))
 
-    def project(self, coords) -> "Homomorphism":
+    def coords(self, x) -> tuple[int, ...]:
+        """The factor coordinates of element x."""
+        return tuple(map(int, np.unravel_index(x, self.shape)))
+
+    def embed(self, i: int, x) -> int:
+        coords = [0] * len(self.shape)
+        coords[i] = x
+        return self.pack(coords)
+
+    def project(self, positions) -> "Homomorphism":
         """Projection onto the sub-product of the given factor positions."""
-        if len(coords) == 1:
-            (i,) = coords
-            return Homomorphism(self, self.factors[i], [a[i] for a in self.generators])
-        target = TupleGroup([self.factors[i] for i in coords])
-        return Homomorphism(self, target, [tuple(a[i] for i in coords) for a in self.generators])
+        digits = [self.coords(a) for a in self.generators]
+        if len(positions) == 1:
+            (i,) = positions
+            return Homomorphism(self, self.factors[i], [c[i] for c in digits])
+        target = TupleGroup([self.factors[i] for i in positions])
+        return Homomorphism(self, target, [target.pack([c[i] for i in positions]) for c in digits])
 
 
 class SubgroupAsGroup(FiniteGroup):
-    """A subgroup promoted to a standalone group (same element ids)."""
+    """A subgroup promoted to a standalone group.  Its elements are the
+    subgroup's in parent order: `at` maps them to parent indices, and
+    `own` maps parent indices back (-1 outside the subgroup)."""
 
     def __init__(self, sub: "Subgroup", name=None):
         self.parent = parent = sub.parent
         self.subgroup = sub
-        elements = sub.sorted_elements()
-        at = np.array([parent.index(e) for e in elements], dtype=np.intp)
-        own = np.full(parent.order, -1, dtype=np.int32)
+        self.at = at = np.array(sorted(sub.elements), dtype=np.intp)
+        self.own = own = np.full(parent.order, -1, dtype=np.int32)
         own[at] = np.arange(len(at))
         gen_cols = np.array([own[parent.right_action(g)[at]] for g in sub.gens], dtype=np.int32)
-        super().__init__(elements, parent.identity, sub.gens, gen_cols.reshape(-1, len(at)), name=name)
+        generators = own[list(sub.gens)].tolist()
+        super().__init__(generators, gen_cols.reshape(-1, len(at)), name=name)
 
 
 class QuotientGroup(FiniteGroup):
-    """G/N with coset representatives as elements (first element of each
-    coset in parent order).  `projection` is the canonical epimorphism."""
+    """G/N, one element per coset, numbered in the order of `reps`, the
+    least parent index in each coset.  `projection` is the canonical
+    epimorphism."""
 
     def __init__(self, parent: FiniteGroup, normal: "Subgroup", name=None):
         if normal.parent is not parent:
@@ -351,13 +352,9 @@ class QuotientGroup(FiniteGroup):
             if np.array_equal(new, label):
                 break
             label = new
-        reps, own = np.unique(label, return_inverse=True)
-        elements = [parent.elements[r] for r in reps.tolist()]
-        identity, *generators = (
-            elements[own[parent.index(g)]] for g in [parent.identity] + parent.generators
-        )
-        gen_cols = own[parent.gen_cols[:, reps]].astype(np.int32)
-        super().__init__(elements, identity, generators, gen_cols, name=name)
+        self.reps, own = np.unique(label, return_inverse=True)
+        gen_cols = own[parent.gen_cols[:, self.reps]].astype(np.int32)
+        super().__init__(own[parent.generators].tolist(), gen_cols, name=name)
         self.projection = Homomorphism(parent, self, list(self.generators))
 
 
@@ -369,7 +366,6 @@ class Subgroup:
         self.parent = parent
         self.elements = frozenset(elements)
         self.gens = tuple(gens)
-        self._sorted = None
 
     @property
     def order(self) -> int:
@@ -390,12 +386,6 @@ class Subgroup:
 
     def __hash__(self):
         return hash((id(self.parent), self.elements))
-
-    def sorted_elements(self) -> list:
-        if self._sorted is None:
-            idx = self.parent._index
-            self._sorted = sorted(self.elements, key=idx.__getitem__)
-        return self._sorted
 
     def is_normal(self) -> bool:
         G = self.parent
@@ -501,9 +491,7 @@ def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
     if A.parent is not B.parent:
         raise ValueError("subgroups of different parents")
     els = A.elements & B.elements
-    G = A.parent
-    idx = G._index
-    return Subgroup(G, els, _thin_gens(G, sorted(els, key=idx.__getitem__)))
+    return Subgroup(A.parent, els, _thin_gens(A.parent, sorted(els)))
 
 
 def _as_subgroup(X) -> Subgroup:
@@ -525,10 +513,10 @@ def commutator_subgroup(A, B, method: str = "generated") -> Subgroup:
     G = A.parent
     if method == "elementwise":
         seen = set()
-        for a in A.sorted_elements():
-            for b in B.sorted_elements():
+        for a in sorted(A.elements):
+            for b in sorted(B.elements):
                 seen.add(G.comm(a, b))
-        return subgroup_closure(G, sorted(seen, key=G._index.__getitem__))
+        return subgroup_closure(G, sorted(seen))
     if method != "generated":
         raise ValueError(f"unknown method {method!r}")
     gens, have = _generate(G, [G.comm(a, b) for a in A.gens for b in B.gens])
@@ -588,15 +576,18 @@ def quotient(G: FiniteGroup, N: Subgroup, name=None) -> QuotientGroup:
 def quotient_invariants(N: Subgroup, M: Subgroup) -> list[int]:
     """Invariant factors of the abelian section N/M, for subgroups M <= N
     of one group with M normal in N: N becomes a group of its own, M is
-    re-homed in it, and the quotient is read by abelian_invariants."""
+    moved into its indices, and the quotient is read by
+    abelian_invariants."""
     NG = N.as_group()
-    return abelian_invariants(quotient(NG, Subgroup(NG, M.elements, M.gens)))
+    own = NG.own
+    M_own = Subgroup(NG, own[list(M.elements)].tolist(), own[list(M.gens)].tolist())
+    return abelian_invariants(quotient(NG, M_own))
 
 
 def power_subgroup(G: FiniteGroup, k: int) -> Subgroup:
     """The subgroup generated by all k-th powers."""
     pows = {pow_element(G, x, k) for x in G.elements}
-    return subgroup_closure(G, sorted(pows, key=G._index.__getitem__))
+    return subgroup_closure(G, sorted(pows))
 
 
 def pow_element(G: FiniteGroup, x, k: int):
@@ -671,19 +662,18 @@ class Homomorphism:
                 f"{len(images)} images for {len(domain.generators)} generators"
             )
         for im in images:
-            if im not in codomain._index:
+            if not (isinstance(im, (int, np.integer)) and 0 <= im < codomain.order):
                 raise HomomorphismError("image outside the codomain")
         self.domain = domain
         self.codomain = codomain
-        self.images = list(images)
+        self.images = [int(im) for im in images]
         self._image = self._verify()
 
     def _verify(self) -> np.ndarray:
-        """The codomain index of the image of every domain element, in
-        domain element order; raises HomomorphismError if the generator
-        images do not extend to a homomorphism."""
+        """The image of every domain element; raises HomomorphismError if
+        the generator images do not extend to a homomorphism."""
         dom, cod = self.domain, self.codomain
-        e = cod.index(cod.identity)
+        e = cod.identity
         cod_acts = [cod.right_action(h) for h in self.images]
         pres = dom.presentation
         if pres is not None:
@@ -710,21 +700,19 @@ class Homomorphism:
         return image
 
     def __call__(self, x):
-        return self.codomain.elements[self._image[self.domain.index(x)]]
+        return int(self._image[x])
 
     def kernel(self) -> Subgroup:
         dom = self.domain
-        e = self.codomain.index(self.codomain.identity)
-        els = [dom.elements[i] for i in np.flatnonzero(self._image == e)]
+        els = np.flatnonzero(self._image == 0).tolist()
         return Subgroup(dom, els, _thin_gens(dom, els))
 
     def image(self) -> Subgroup:
         """The values of the image array; the generator images (repeats
         and the identity dropped) generate it."""
-        cod = self.codomain
-        els = [cod.elements[i] for i in np.unique(self._image).tolist()]
-        gens = [h for h in dict.fromkeys(self.images) if h != cod.identity]
-        return Subgroup(cod, els, gens)
+        els = np.unique(self._image).tolist()
+        gens = [h for h in dict.fromkeys(self.images) if h != 0]
+        return Subgroup(self.codomain, els, gens)
 
     def is_surjective(self) -> bool:
         return self.image().order == self.codomain.order

@@ -70,10 +70,12 @@ SUITES = (
 
 _FIBRE_SEED = 0xF1B7E
 
-_base_cache: dict[CatalogEntry, FiniteGroup] = {}
-_xp_cache: dict[CatalogEntry, object] = {}
-_tensor_cache: dict[CatalogEntry, object] = {}
-_nu_cache: dict[CatalogEntry, object] = {}
+# every build is cached under (entry, limits): a build made without limits
+# must not answer for one made under a cap it would not have met
+_base_cache: dict[tuple, FiniteGroup] = {}
+_xp_cache: dict[tuple, object] = {}
+_tensor_cache: dict[tuple, object] = {}
+_nu_cache: dict[tuple, object] = {}
 
 
 def clear_caches():
@@ -85,12 +87,21 @@ def _entry_context(entry: CatalogEntry, exc: EnumerationError) -> EnumerationErr
     return EnumerationError(f"{entry.name}: {exc}", exc.cosets_used)
 
 
-def base_group(entry: CatalogEntry, limits: EnumerationLimits | None = None) -> FiniteGroup:
-    if entry not in _base_cache:
+def _cached(cache: dict, entry: CatalogEntry, limits, build):
+    """cache[entry, limits], made by build() on the first call; an
+    enumeration limit error is raised with the entry's name."""
+    key = entry, limits
+    if key not in cache:
         try:
-            G = group_from_presentation(entry.presentation(), limits=limits, name=entry.name)
+            cache[key] = build()
         except EnumerationError as exc:
             raise _entry_context(entry, exc) from exc
+    return cache[key]
+
+
+def base_group(entry: CatalogEntry, limits: EnumerationLimits | None = None) -> FiniteGroup:
+    def build():
+        G = group_from_presentation(entry.presentation(), limits=limits, name=entry.name)
         if entry.expected_order is not None and G.order != entry.expected_order:
             raise RuntimeError(
                 f"{entry.name}: presentation enumerates to {G.order}, "
@@ -99,40 +110,31 @@ def base_group(entry: CatalogEntry, limits: EnumerationLimits | None = None) -> 
         p, _ = p_group_data(G)
         if entry.p and p != entry.p:
             raise RuntimeError(f"{entry.name}: order {G.order} is not a power of {entry.p}")
-        _base_cache[entry] = G
-    return _base_cache[entry]
+        return G
+
+    return _cached(_base_cache, entry, limits, build)
 
 
 def xp_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
-    if entry not in _xp_cache:
-        G = base_group(entry, limits)
-        try:
-            _xp_cache[entry] = build_xp(G, limits=limits)
-        except EnumerationError as exc:
-            raise _entry_context(entry, exc) from exc
-    return _xp_cache[entry]
+    G = base_group(entry, limits)
+    return _cached(_xp_cache, entry, limits, lambda: build_xp(G, limits=limits))
 
 
 def tensor_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
-    if entry not in _tensor_cache:
-        G = base_group(entry, limits)
-        try:
-            _tensor_cache[entry] = build_tensor_square(G, limits=limits)
-        except EnumerationError as exc:
-            raise _entry_context(entry, exc) from exc
-    return _tensor_cache[entry]
+    G = base_group(entry, limits)
+    return _cached(_tensor_cache, entry, limits, lambda: build_tensor_square(G, limits=limits))
 
 
 def nu_of(entry: CatalogEntry, limits: EnumerationLimits | None = None):
-    if entry not in _nu_cache:
-        G, T = base_group(entry, limits), tensor_of(entry, limits)
+    G, T = base_group(entry, limits), tensor_of(entry, limits)
+
+    def build():
         try:
-            _nu_cache[entry] = build_nu(G, tensor=T, limits=limits)
+            return build_nu(G, tensor=T, limits=limits)
         except SizeGateError as exc:
-            _nu_cache[entry] = exc
-        except EnumerationError as exc:
-            raise _entry_context(entry, exc) from exc
-    out = _nu_cache[entry]
+            return exc  # a gated entry stays gated
+
+    out = _cached(_nu_cache, entry, limits, build)
     if isinstance(out, SizeGateError):
         raise out
     return out
@@ -238,6 +240,23 @@ def route_agreement(routes: dict, entry: CatalogEntry | None) -> tuple[bool, dic
     return ok, facts
 
 
+def multiplier_routes(xb, T, nb=None, entry: CatalogEntry | None = None) -> tuple[bool, dict]:
+    """route_agreement over the multiplier of the base G read from X(G),
+    from T(G), from the bar complex when |G| is at most
+    BAR_DEFAULT_MAX_ORDER, and from nu(G) when it was built.  Above the
+    bound the facts name `bar_bound` instead of a bar route."""
+    G = xb.base
+    routes = {"doubling": xb.h2_invariants(), "pairing": T.h2_invariants()}
+    if G.order <= BAR_DEFAULT_MAX_ORDER:
+        routes["bar"] = schur_multiplier_bar(G)
+    if nb is not None:
+        routes["nu"] = nb.h2_invariants()
+    ok, facts = route_agreement(routes, entry)
+    if "bar" not in routes:
+        facts["bar_bound"] = BAR_DEFAULT_MAX_ORDER
+    return ok, facts
+
+
 def fibre_law(G: FiniteGroup) -> tuple[bool, dict]:
     """|S| * |G^ab| = |G|^2 for the antidiagonal subgroup S of G x G;
     s_subgroup raises RuntimeError when S is not the antipodal fibre
@@ -295,21 +314,13 @@ def _schur_rows(entries, limits):
     rows = []
     for e in entries:
         def fn(e=e):
-            G = base_group(e, limits)
-            routes = {
-                "doubling": xp_of(e, limits).h2_invariants(),
-                "pairing": tensor_of(e, limits).h2_invariants(),
-            }
-            if G.order <= BAR_DEFAULT_MAX_ORDER:
-                routes["bar"] = schur_multiplier_bar(G)
+            xb, T = xp_of(e, limits), tensor_of(e, limits)
             try:
-                routes["nu"] = nu_of(e, limits).h2_invariants()
+                nb = nu_of(e, limits)
             except SizeGateError:
-                pass
-            ok, facts = route_agreement(routes, e)
-            detail = {k: facts[k] for k in ("routes", "expected") if k in facts}
-            if "bar" not in routes:
-                detail["bar_bound"] = BAR_DEFAULT_MAX_ORDER
+                nb = None
+            ok, facts = multiplier_routes(xb, T, nb, e)
+            detail = {k: facts[k] for k in ("routes", "expected", "bar_bound") if k in facts}
             return ok, detail
 
         rows.append(_row("schur", e.name, "three-route-multiplier", fn))

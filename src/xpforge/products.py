@@ -23,6 +23,7 @@ all onto.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,8 @@ def fibre_product(spec: FibreSpec, ambient: TupleGroup | None = None) -> Subgrou
         ambient = direct_product(G1, G2)
     elif ambient.factors != [G1, G2]:
         raise ValueError("ambient product does not match the spec domains")
-    els = [x for x in ambient.elements if spec.p1(x[0]) == spec.p2(x[1])]
+    g1, g2 = np.divmod(np.arange(ambient.order), G2.order)
+    els = np.flatnonzero(spec.p1._image[g1] == spec.p2._image[g2]).tolist()
     sub = Subgroup(ambient, els, _thin_gens(ambient, els))
     if sub.order * spec.p1.codomain.order != G1.order * G2.order:
         raise RuntimeError("fibre product violates the order law")
@@ -85,7 +87,7 @@ def s_subgroup(H: FiniteGroup, ambient: TupleGroup | None = None) -> Subgroup:
     to equal the antipodal fibre product."""
     if ambient is None:
         ambient = direct_product(H, H)
-    sub = subgroup_closure(ambient, [(h, H.inv(h)) for h in H.elements])
+    sub = subgroup_closure(ambient, [ambient.pack((h, H.inv(h))) for h in H.elements])
     if sub != fibre_product(antipodal_spec(H), ambient=ambient):
         raise RuntimeError("antidiagonal closure differs from the fibre product")
     return sub
@@ -96,21 +98,20 @@ def _projection_rows(sub: Subgroup) -> dict[str, dict]:
     if not isinstance(amb, TupleGroup):
         raise ValueError("subdirect diagnostics need a product ambient")
     k = len(amb.factors)
+    digits = np.stack(np.unravel_index(list(sub.elements), amb.shape))
     rows: dict[str, dict] = {}
     singles = [(i,) for i in range(k)]
     pairs = list(itertools.combinations(range(k), 2)) if k > 2 else []
     for coords in singles + pairs:
-        shadow = {tuple(x[i] for i in coords) for x in sub.elements}
-        full = 1
-        for i in coords:
-            full *= amb.factors[i].order
+        shadow = np.unique(digits[list(coords)], axis=1).shape[1]
+        full = math.prod(amb.shape[i] for i in coords)
         key = "p" + "".join(str(i + 1) for i in coords)
         rows[key] = {
-            "image_order": len(shadow),
-            "index": full // len(shadow),
-            "surjective": len(shadow) == full,
+            "image_order": shadow,
+            "index": full // shadow,
+            "surjective": shadow == full,
         }
-        if full % len(shadow):
+        if full % shadow:
             raise RuntimeError(f"projection {key} order does not divide the ambient")
     return rows
 
@@ -166,12 +167,12 @@ def described_set_mismatches(
     """
     n = G.order
     table = np.stack([G.right_action(b) for b in G.elements], axis=1)
-    inv = np.argmax(table == G.index(G.identity), axis=1)
+    inv = np.argmax(table == G.identity, axis=1)
     der_mask = np.zeros(n, dtype=bool)
-    der_mask[[G.index(d) for d in der.elements]] = True
-    at = G.index
+    der_mask[list(der.elements)] = True
+    # the cube index of (g1, g2, g3) is (g1*n + g2)*n + g3
     im_mask = np.zeros(n**3, dtype=bool)
-    im_mask[[(at(a) * n + at(b)) * n + at(c) for a, b, c in im.elements]] = True
+    im_mask[list(im.elements)] = True
 
     def described(t):
         g1, rest = np.divmod(t, n * n)

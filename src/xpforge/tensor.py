@@ -94,9 +94,14 @@ def tensor_square_abelian_invariants(invariants) -> list[int]:
 
 
 def _tensor_symbols(base: FiniteGroup) -> list[tuple]:
-    e = base.identity
-    els = [g for g in base.elements if g != e]
+    """The pairs (g, h) of nontrivial elements, in _symbol_number order."""
+    els = base.elements[1:]
     return [(g, h) for g in els for h in els]
+
+
+def _symbol_number(n: int, g: int, h: int) -> int:
+    """The 0-based generator number of s(g, h) over a base of order n."""
+    return (g - 1) * (n - 1) + h - 1
 
 
 def tensor_relators(base: FiniteGroup, scope: str) -> list[Word]:
@@ -110,10 +115,10 @@ def tensor_relators(base: FiniteGroup, scope: str) -> list[Word]:
         movers = els
     else:
         raise ValueError(f"unknown scope {scope!r}")
-    index = {pair: k + 1 for k, pair in enumerate(_tensor_symbols(base))}
+    n = base.order
 
     def letter(g, h):
-        return index[g, h] if g != e and h != e else None
+        return _symbol_number(n, g, h) + 1 if g != e and h != e else None
 
     rels = []
     seen = set()
@@ -143,7 +148,7 @@ def tensor_relators(base: FiniteGroup, scope: str) -> list[Word]:
 
 
 def tensor_square_presentation(base: FiniteGroup) -> Presentation:
-    names = [f"s{base.index(g)}_{base.index(h)}" for g, h in _tensor_symbols(base)]
+    names = [f"s{g}_{h}" for g, h in _tensor_symbols(base)]
     label = base.presentation.name if base.presentation else base.name
     return Presentation(
         names,
@@ -165,10 +170,7 @@ class TensorSquare:
     def symbol(self, g, h):
         if g == self.base.identity or h == self.base.identity:
             return self.group.identity
-        return self.group.generators[self._index[g, h]]
-
-    def __post_init__(self):
-        self._index = {pair: k for k, pair in enumerate(self.symbols)}
+        return self.group.generators[_symbol_number(self.base.order, g, h)]
 
     @property
     def exterior_order(self) -> int:
@@ -235,7 +237,7 @@ def nu_relators(base: FiniteGroup, scope: str) -> list[Word]:
     else:
         raise ValueError(f"unknown scope {scope!r}")
     n = base.presentation.ngens
-    word = {g: Word(base.word_of(g)) for g in base.elements}
+    word = [Word(w) for w in base.words]
     rels = []
     seen = set()
 

@@ -158,7 +158,8 @@ def build_xp(
     rho = Homomorphism(
         X,
         cube,
-        [(g, g, e) for g in base.generators] + [(e, g, g) for g in base.generators],
+        [cube.pack((g, g, e)) for g in base.generators]
+        + [cube.pack((e, g, g)) for g in base.generators],
     )
 
     left_copy = subgroup_closure(X, left_images)

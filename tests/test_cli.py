@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from xpforge import coset
+from xpforge import coset, harness
 from xpforge.cli import main
 
 
@@ -83,6 +83,17 @@ def test_schur_on_plain_file_has_no_expected_block(tmp_path, capsys):
     assert code == 0
     assert "expected" not in d
     assert d["routes"]["bar"] == []
+
+
+def test_schur_leaves_the_bar_route_out_above_its_bound(capsys, monkeypatch):
+    # the command shares the harness's route helper and its bound; C8 over
+    # a lowered bound stands in for a group over the real one
+    monkeypatch.setattr(harness, "BAR_DEFAULT_MAX_ORDER", 4)
+    code, d = run_json(["schur", "catalog:C8"], capsys)
+    assert code == 0
+    assert set(d["routes"]) == {"doubling", "pairing"}
+    assert d["bar_bound"] == 4
+    assert d["agree"] is True and d["matches_expected"] is True
 
 
 # ---------------------------------------------------------------- imrho / fibre

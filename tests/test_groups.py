@@ -6,6 +6,7 @@ subgroups, element-order multisets) frozen directly.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -369,7 +370,23 @@ def test_direct_product_basics():
     assert center(G).order == 4
     x = G.embed(0, grp("C4").generators[0])
     y = G.embed(1, grp("S3").generators[0])
-    assert G.mul(x, y) == (grp("C4").generators[0], grp("S3").generators[0])
+    assert G.coords(G.mul(x, y)) == (grp("C4").generators[0], grp("S3").generators[0])
+
+
+def test_tuple_codec_round_trips_and_multiplies_by_coordinates():
+    C4, S3 = grp("C4"), grp("S3")
+    G = direct_product(C4, S3)
+    assert G.shape == (4, 6)
+    # the last factor varies fastest, as in itertools.product
+    every = list(itertools.product(range(4), range(6)))
+    assert [G.pack(c) for c in every] == list(G.elements)
+    assert all(G.coords(G.pack(c)) == c for c in every)
+    assert all(G.pack(G.coords(x)) == x for x in G.elements)
+    assert all(G.embed(0, a) == G.pack((a, 0)) for a in C4.elements)
+    assert all(G.embed(1, b) == G.pack((0, b)) for b in S3.elements)
+    for x, y in itertools.product(G.elements, repeat=2):
+        (a, b), (c, d) = G.coords(x), G.coords(y)
+        assert G.coords(G.mul(x, y)) == (C4.mul(a, c), S3.mul(b, d))
 
 
 def test_direct_product_projections():
@@ -403,6 +420,16 @@ def test_hom_rejects_wrong_arity_and_foreign_images():
         Homomorphism(G, C2, [C2.identity])
     with pytest.raises(HomomorphismError, match="outside"):
         Homomorphism(G, C2, ["nope", C2.identity])
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_hom_rejects_images_that_are_not_codomain_indices(bad):
+    # -1 would index the image arrays from the end and wrap silently; a
+    # non-integer image ("nope") is the test above
+    G, C2 = grp("D8"), grp("C2")
+    assert C2.order == 2
+    with pytest.raises(HomomorphismError, match="outside"):
+        Homomorphism(G, C2, [C2.identity, bad])
 
 
 def test_hom_product_law_check_without_presentation():
@@ -475,7 +502,7 @@ def test_right_action_matches_mul(kind):
     G = one_group_of_each_kind(kind)
     assert G.order > 4
     for g in G.elements:
-        want = [G.index(G.mul(x, g)) for x in G.elements]
+        want = [G.mul(x, g) for x in G.elements]
         assert G.right_action(g).tolist() == want
 
 
@@ -485,15 +512,17 @@ def test_index_arithmetic_matches_mul_and_inv(kind):
     G = one_group_of_each_kind(kind)
     n = G.order
     A, B = (a.ravel() for a in np.indices((n, n)))
-    want = [G.index(G.mul(G.elements[a], G.elements[b])) for a, b in zip(A, B)]
+    want = [G.mul(a, b) for a, b in zip(A.tolist(), B.tolist())]
     assert G._products(A, B).tolist() == want
     every = np.arange(n)
-    assert G._inverses(every).tolist() == [G.index(G.inv(x)) for x in G.elements]
+    assert G._inverses(every).tolist() == [G.inv(x) for x in G.elements]
 
 
 @pytest.mark.parametrize("kind", ["perm", "tuple", "subgroup", "quotient"])
 def test_words_and_generator_columns_on_every_kind(kind):
     G = one_group_of_each_kind(kind)
+    assert G.identity == 0
+    assert G.elements == range(G.order)
     for x in G.elements:
         assert G.eval_letters(G.word_of(x)) == x
     for col, g in zip(G.gen_cols, G.generators):
@@ -510,7 +539,18 @@ def test_quotient_elements_are_the_first_of_each_coset(name, normal):
         if x not in covered:
             firsts.append(x)
             covered.update(G.mul(x, m) for m in N.elements)
-    assert quotient(G, N).elements == firsts
+    assert quotient(G, N).reps.tolist() == firsts
+
+
+def test_subgroup_codec_maps_indices_both_ways():
+    L = xp_bundle("D8").alpha.kernel()
+    H = L.as_group()
+    G = L.parent
+    assert np.array_equal(H.own[H.at], np.arange(H.order))
+    assert H.at.tolist() == sorted(L.elements)
+    assert (H.own >= 0).sum() == H.order
+    for x, y in itertools.product(range(0, H.order, 3), H.elements):
+        assert H.at[H.mul(x, y)] == G.mul(int(H.at[x]), int(H.at[y]))
 
 
 @pytest.mark.parametrize("law", ["inverse law", "associativity"])

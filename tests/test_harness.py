@@ -119,7 +119,7 @@ def test_limits_reach_the_base_group(build):
     try:
         with pytest.raises(EnumerationError) as exc:
             build(entry, EnumerationLimits(max_cosets=3))
-        assert entry not in harness._base_cache
+        assert not harness._base_cache
     finally:
         harness.clear_caches()
     assert str(exc.value).startswith("D8: ")
@@ -133,6 +133,19 @@ def test_limit_errors_become_fail_rows():
         harness.clear_caches()
     assert [r["status"] for r in rep.rows] == ["fail"]
     assert rep.rows[0]["detail"]["error"].startswith("D8: coset limit exceeded")
+
+
+def test_caches_keep_builds_under_different_limits_apart():
+    # a D8 built without limits must not answer for a capped run
+    D8, capped = [catalog_entry("D8")], EnumerationLimits(max_cosets=3)
+    harness.clear_caches()
+    try:
+        statuses = [
+            run_suite("orders", D8, limits).rows[0]["status"] for limits in (capped, None, capped)
+        ]
+    finally:
+        harness.clear_caches()
+    assert statuses == ["fail", "pass", "fail"]
 
 
 def test_a_group_that_is_not_a_p_group_fails_its_rows(tmp_path):

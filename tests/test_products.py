@@ -80,7 +80,18 @@ def test_fibre_of_identities_is_the_diagonal():
     ident = Homomorphism(G, G, G.generators)
     sub = fibre_product(FibreSpec(ident, ident))
     assert sub.order == G.order
-    assert sub.elements == {(g, g) for g in G.elements}
+    assert {sub.parent.coords(x) for x in sub.elements} == {(g, g) for g in G.elements}
+
+
+def test_fibre_of_different_domains_pairs_coordinates():
+    # C8 x C4 over C2: the ambient index is a*4 + b, not a*8 + b
+    C8, C4 = base("C8"), base("C4")
+    p2 = reduction_mod_square(C4)
+    p1 = Homomorphism(C8, p2.codomain, [p2(C4.generators[0])])
+    sub = fibre_product(FibreSpec(p1, p2))
+    assert sub.order == 16
+    want = {(a, b) for a in C8.elements for b in C4.elements if p1(a) == p2(b)}
+    assert {sub.parent.coords(x) for x in sub.elements} == want
 
 
 def test_fibre_spec_rejects_bad_maps():
@@ -134,14 +145,14 @@ def test_antidiagonal_subgroup_frozen(name, order):
 def test_antidiagonal_of_c4_is_the_antidiagonal_set():
     H = base("C4")
     sub = s_subgroup(H)
-    assert sub.elements == {(h, H.inv(h)) for h in H.elements}
+    assert {sub.parent.coords(x) for x in sub.elements} == {(h, H.inv(h)) for h in H.elements}
 
 
 def test_antidiagonal_contains_the_derived_square():
     H = base("D8")
     sub = s_subgroup(H)
     der = derived_subgroup(H).elements
-    assert {(x, y) for x in der for y in der} <= sub.elements
+    assert {sub.parent.pack((x, y)) for x in der for y in der} <= sub.elements
 
 
 def test_antidiagonal_respects_shared_ambient():

@@ -149,6 +149,24 @@ def test_symbols_biadditive_for_abelian_base():
                 assert right == T.group.mul(T.symbol(h, g1), T.symbol(h, g2))
 
 
+def test_symbols_are_numbered_generators_with_the_defining_relations():
+    # a nonabelian base whose commutators have order 3, so that s(g, h)
+    # and s(h, g) cannot stand in for each other
+    G = base("Mod27")
+    T = tensor("Mod27")
+    names = T.group.presentation.generators
+    for k, (g, h) in enumerate(T.symbols):
+        assert T.symbol(g, h) == T.group.generators[k]
+        assert names[k] == f"s{g}_{h}"
+        assert T.to_base(T.symbol(g, h)) == G.comm(g, h)
+    mul, conj = T.group.mul, G.conj
+    for g1 in G.elements:
+        for g in G.elements:
+            for h in G.elements:
+                left = T.symbol(G.mul(g1, g), h)
+                assert left == mul(T.symbol(conj(g1, g), conj(h, g)), T.symbol(g, h))
+
+
 def test_symbol_identity_coordinate_is_trivial():
     G = base("D8")
     T = tensor("D8")

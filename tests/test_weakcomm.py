@@ -123,10 +123,10 @@ def test_embeddings_and_fold():
     for g in G.elements:
         assert b.alpha(b.embed_left(g)) == g
         assert b.alpha(b.embed_right(g)) == g
-        assert b.beta(b.embed_left(g)) == (g, G.identity)
-        assert b.beta(b.embed_right(g)) == (G.identity, g)
-        assert b.rho(b.embed_left(g)) == (g, g, G.identity)
-        assert b.rho(b.embed_right(g)) == (G.identity, g, g)
+        assert b.square.coords(b.beta(b.embed_left(g))) == (g, G.identity)
+        assert b.square.coords(b.beta(b.embed_right(g))) == (G.identity, g)
+        assert b.cube.coords(b.rho(b.embed_left(g))) == (g, g, G.identity)
+        assert b.cube.coords(b.rho(b.embed_right(g))) == (G.identity, g, g)
 
 
 def test_alpha_beta_surjectivity():
