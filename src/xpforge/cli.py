@@ -7,7 +7,8 @@
 
 Exit codes: 0 everything checked out, 1 a verification check failed,
 2 usage or resource errors (bad arguments, unreadable input, enumeration
-limits exceeded).  All JSON payloads carry "schema": 1.
+limits exceeded) or a build whose own certification failed.  All JSON
+payloads carry "schema": 1.
 """
 
 from __future__ import annotations
@@ -271,6 +272,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except EnumerationError as exc:
         print(f"error: enumeration limits: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:  # a build's own check; after its subclass EnumerationError
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:
         print(f"error: bad presentation: {exc}", file=sys.stderr)

@@ -5,7 +5,22 @@ build the group X on two copies of P's generators -- the originals and a
 mirrored set -- subject to the base relators in both copies plus one
 commutation relator [w_g, mirror(w_g)] for every nontrivial element g,
 with w_g the canonical word of g.  Any representing word would do, since
-the base relators already identify them.
+the base relators already identify them.  This is the weak commutativity
+construction of Sidki (On weak permutability between groups, J. Algebra
+63, 1980), in the p-group setting of Bridson and Kochloukova (Weak
+commutativity and finiteness properties of groups, Bull. LMS 51, 2019).
+
+That full family has |P| - 1 commutation relators, but a finitely
+presented P gives a finitely presented X, so far fewer relators present
+the same group.  build_xp enumerates a short family -- [w, mirror(w)] for
+the canonical words w of at most 2 letters and the ordered products of
+three or more distinct generators -- and then checks every relator of
+the full family on the finished table.  The short relators follow from
+the full ones, so the short family presents a group X' mapping onto X;
+the full relators holding in X' give a map back, and both are finite,
+so X' = X.  A short family that presented a larger
+group would fail that check, and the build raises instead of returning
+the wrong group.
 
 The bundle keeps the structural maps this construction is studied through:
 
@@ -25,6 +40,7 @@ and the verification harness rather than re-proved at build time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .coset import EnumerationLimits
 from .groups import (
@@ -59,13 +75,35 @@ def mirror_names(names) -> list[str]:
     return out
 
 
+def _short_words(base: FiniteGroup) -> list[Word]:
+    """The words w whose relators [w, mirror(w)] make the short family:
+    every canonical word of at most 2 letters, then the ordered product
+    of every set of k >= 3 distinct base generators."""
+    words = [Word(w) for w in base.words if 0 < len(w) <= 2]
+    n = base.presentation.ngens
+    for k in range(3, n + 1):
+        words += [Word(i + 1 for i in subset) for subset in combinations(range(n), k)]
+    return words
+
+
 def xp_presentation(base: FiniteGroup, elements: str = "all") -> Presentation:
     """Presentation of X on two copies of the base generators.
 
-    `elements="all"` adds one commutation relator per nontrivial base
-    element (the construction proper); `elements="gens"` keeps only the
-    generator relators, which presents a group that can be strictly
-    larger -- exposed for comparison experiments.
+    Every mode has the base relators and their mirrors; they differ in the
+    commutation relators [w, mirror(w)]:
+
+    * `"all"`: one per nontrivial base element, w its canonical word --
+      the construction proper;
+    * `"short"`: w ranges over the canonical words of at most 2 letters
+      and the ordered products of k >= 3 distinct generators.  This is
+      the family `build_xp` enumerates; it presents a group that maps
+      onto X, and `build_xp` certifies that it is X;
+    * `"gens"`: one per generator, which presents a group that can be
+      strictly larger (infinite for K4) -- exposed for comparison.
+
+    Words of length <= 2 alone do not suffice: for E8 = C2^3 that family
+    does not close within 3 M cosets, while adding the product abc of
+    the three generators closes at the 1024 cosets of X.
     """
     pres = base.presentation
     if pres is None:
@@ -73,6 +111,8 @@ def xp_presentation(base: FiniteGroup, elements: str = "all") -> Presentation:
     n = pres.ngens
     if elements == "all":
         sources = [Word(base.word_of(g)) for g in base.elements if g != base.identity]
+    elif elements == "short":
+        sources = _short_words(base)
     elif elements == "gens":
         sources = [Word.gen(i) for i in range(n)]
     else:
@@ -133,12 +173,29 @@ class XPBundle:
 
 def build_xp(
     base: FiniteGroup,
-    elements: str = "all",
     limits: EnumerationLimits | None = None,
     strategy: str = "auto",
 ) -> XPBundle:
-    pres = xp_presentation(base, elements=elements)
+    """Enumerate X from the short commutation family, then certify the
+    full family on the finished table.
+
+    Every short relator follows from the full family: a word and the
+    canonical word of its element differ by base relators, in both
+    copies.  So the group X' the short family presents maps onto X (the
+    identity on generators).  Once every full relator holds on the table
+    of X', X maps onto X' as well; both are finite, so X' = X.
+    `build_tensor_square` certifies T by the same argument.  A failed
+    certification raises RuntimeError naming the first relator that
+    fails; there is no fallback.
+    """
+    pres = xp_presentation(base, elements="short")
     X = group_from_presentation(pres, limits=limits, strategy=strategy, name=pres.name)
+    full = xp_presentation(base)
+    if not X.table.relators_hold(full.relators):
+        bad = next(r for r in full.relators if not X.table.relators_hold([r]))
+        raise RuntimeError(
+            f"short commutation family of X fails the full family at relator {full.word_text(bad)}"
+        )
     n = base.presentation.ngens
     left_images = X.generators[:n]
     right_images = X.generators[n:]

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from xpforge import coset, harness
+from xpforge import coset, harness, weakcomm
+from xpforge.catalog import catalog_entry
 from xpforge.cli import main
+from xpforge.words import Word
 
 
 def run_cli(args, capsys):
@@ -211,6 +213,33 @@ def test_cell_budget_exits_2_whatever_the_coset_cap(capsys, monkeypatch):
     assert code == 2
     assert "cell budget" in err
     assert "max_cosets does not raise it" in err
+
+
+def test_failed_x_certification_is_one_line_exit_2(capsys, monkeypatch):
+    # a full family with a relator that fails on X(D8): build_xp names it,
+    # the CLI prints one line and exits 2, and the orders row fails
+    real = weakcomm.xp_presentation
+
+    def with_a_false_relator(base, elements="all"):
+        pres = real(base, elements)
+        if elements == "all":
+            pres.relators.append(Word((1, 1)))
+        return pres
+
+    monkeypatch.setattr(weakcomm, "xp_presentation", with_a_false_relator)
+    with pytest.raises(RuntimeError, match=r"full family at relator a\^2$"):
+        weakcomm.build_xp(harness.base_group(catalog_entry("D8")))
+    code, out, err = run_cli(["xp", "catalog:D8"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "a^2" in err
+    harness.clear_caches()  # a cached X(D8) would never be rebuilt
+    try:
+        report = harness.run_suite("orders", [catalog_entry("D8")])
+    finally:
+        harness.clear_caches()
+    assert [r["status"] for r in report.rows] == ["fail"]
+    assert "a^2" in report.rows[0]["detail"]["error"]
 
 
 @pytest.mark.parametrize("strategy", ["auto", "hlt", "felsch"])

@@ -11,7 +11,8 @@ import functools
 
 import pytest
 
-from xpforge.coset import EnumerationError, EnumerationLimits
+from xpforge.catalog import builtin_catalog, catalog_entry
+from xpforge.coset import EnumerationError, EnumerationLimits, enumerate_cosets
 from xpforge.groups import (
     commutator_subgroup,
     derived_subgroup,
@@ -194,13 +195,59 @@ def test_generator_only_pairing_can_present_an_infinite_group():
     p = xp_presentation(base("K4"), elements="gens")
     assert len(p.relators) == 3 + 3 + 2
     with pytest.raises(EnumerationError):
-        build_xp(base("K4"), elements="gens", limits=EnumerationLimits(max_cosets=20_000))
+        group_from_presentation(p, limits=EnumerationLimits(max_cosets=20_000))
 
 
 def test_generator_only_pairing_suffices_for_cyclic():
-    b = build_xp(base("C4"), elements="gens")
-    assert b.group.order == 16
-    assert b.group.order == bundle("C4").group.order
+    G = group_from_presentation(xp_presentation(base("C4"), "gens"))
+    assert G.order == 16
+    assert G.order == bundle("C4").group.order
+
+
+# bases beyond the catalog on which the short commutation family is held
+# to the full one; each full X enumerates in a fraction of a second
+SHORT_FAMILY_BASES = {
+    "E8": PRESENTATIONS["E8"],  # words of <= 2 letters alone do not close here
+    "C2xC2xC4": "gens a, b, c\nrels a^2, b^2, c^4, [a,b], [a,c], [b,c]",
+    "A4": "gens a, b\nrels a^2, b^3, (a*b)^3",
+    "D16": "gens a, b\nrels a^8, b^2, (a*b)^2",
+    "Q16": "gens a, b\nrels a^8, a^4*b^-2, b^-1*a*b*a",
+    "C4xC4": "gens a, b\nrels a^4, b^4, [a,b]",
+    "C3xC9": "gens a, b\nrels a^3, b^9, [a,b]",
+    "D10": "gens a, b\nrels a^5, b^2, (a*b)^2",
+}
+
+
+def _short_family_cases():
+    small = [e for e in builtin_catalog() if e.expected_order <= 9]
+    return [pytest.param(e.presentation(), id=e.name) for e in small] + [
+        pytest.param(parse_presentation(text), id=name) for name, text in SHORT_FAMILY_BASES.items()
+    ]
+
+
+@pytest.mark.parametrize("pres", _short_family_cases())
+def test_short_family_presents_the_same_group(pres):
+    G = group_from_presentation(pres)
+    # every short table here defines under 14 000 cosets; the cap makes a
+    # family that does not close (E8 on words of <= 2 letters) fail fast
+    short = enumerate_cosets(xp_presentation(G, "short"), limits=EnumerationLimits(max_cosets=50_000))
+    full = enumerate_cosets(xp_presentation(G))
+    assert short.rows == full.rows
+
+
+def test_build_enumerates_the_short_family():
+    assert bundle("D8").group.presentation == xp_presentation(base("D8"), "short")
+    assert bundle("D8").group.presentation != xp_presentation(base("D8"))
+
+
+def test_short_family_words():
+    # Heis27: its ten canonical words of 1 and 2 letters, then abc
+    G = group_from_presentation(catalog_entry("Heis27").presentation())
+    p = xp_presentation(G, "short")
+    assert len(p.relators) == 6 + 6 + 11
+    # [w, mirror(w)] = w^-1 mirror(w)^-1 w mirror(w): w is its third quarter
+    sources = [r.letters[len(r) // 2 : 3 * len(r) // 4] for r in p.relators[12:]]
+    assert sources == [(1,), (2,), (3,), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 3), (1, 2, 3)]
 
 
 def test_induced_map_surjective():
