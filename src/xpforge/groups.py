@@ -29,13 +29,16 @@ element x and every generator g, one array comparison per generator.
 Since every element is a product of generators, that is a complete proof
 of the product law.
 
-Every subgroup is grown by one incremental routine that adds a generator
-to a closed element set, multiplying the old elements by the new
-generator only and the new elements by all generators.  Normal closures
-and commutator subgroups add one helper that closes under conjugation by
-conjugating generators, not elements: [A, B] is the normal closure in
-<A, B> of the commutators of generators (Holt-Eick-O'Brien, Handbook of
-Computational Group Theory, 2005, sections 3.3 and 4.1).
+Every subgroup is a boolean mask over its parent's indices plus a small
+generating set, and every closure is the BFS that builds the groups:
+<gens> is the set that coset.shortlex_bfs reaches from the identity
+along the generators' right actions.  Generators are chosen greedily and
+order-stably: a candidate joins them only when it lies outside the mask.
+Normal closures and commutator subgroups add one helper that closes
+under conjugation by conjugating generators, not elements: [A, B] is the
+normal closure in <A, B> of the commutators of generators (Holt-Eick-
+O'Brien, Handbook of Computational Group Theory, 2005, sections 3.3 and
+4.1).
 
 Every group checks itself at construction on index arrays: the identity
 law, the inverse law for every element at once, and associativity on
@@ -151,7 +154,7 @@ class FiniteGroup:
         v = np.arange(self.order, dtype=np.int32)
         for s in self._steps[:, g].tolist():
             if s < pad:
-                v = self.gen_cols[s >> 1][v]
+                v = self.gen_cols[s >> 1].take(v)
         return v
 
     def _acts(self) -> np.ndarray:
@@ -319,7 +322,7 @@ class SubgroupAsGroup(FiniteGroup):
     def __init__(self, sub: "Subgroup", name=None):
         self.parent = parent = sub.parent
         self.subgroup = sub
-        self.at = at = np.array(sorted(sub.elements), dtype=np.intp)
+        self.at = at = np.flatnonzero(sub.mask)
         self.own = own = np.full(parent.order, -1, dtype=np.int32)
         own[at] = np.arange(len(at))
         gen_cols = np.array([own[parent.right_action(g)[at]] for g in sub.gens], dtype=np.int32)
@@ -359,41 +362,36 @@ class QuotientGroup(FiniteGroup):
 
 
 class Subgroup:
-    """A subgroup given by its explicit element set plus a small generating
-    set; hangs off a parent FiniteGroup."""
+    """A subgroup of a parent FiniteGroup: a boolean mask over the
+    parent's indices plus a small generating set."""
 
-    def __init__(self, parent: FiniteGroup, elements, gens):
+    def __init__(self, parent: FiniteGroup, mask, gens):
         self.parent = parent
-        self.elements = frozenset(elements)
+        self.mask = np.asarray(mask, dtype=bool)
         self.gens = tuple(gens)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return int(np.count_nonzero(self.mask))
 
     def __contains__(self, e):
-        return e in self.elements
+        return bool(self.mask[e])
 
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
             and self.parent is other.parent
-            and self.elements == other.elements
+            and np.array_equal(self.mask, other.mask)
         )
 
     def __le__(self, other):
-        return self.elements <= other.elements
-
-    def __hash__(self):
-        return hash((id(self.parent), self.elements))
+        if self.parent is not other.parent:
+            raise ValueError("subgroups of different parents")
+        return not (self.mask & ~other.mask).any()
 
     def is_normal(self) -> bool:
         G = self.parent
-        return all(
-            G.conj(h, g) in self.elements
-            for h in self.gens
-            for g in G.generators
-        )
+        return all(G.conj(h, g) in self for h in self.gens for g in G.generators)
 
     def is_abelian(self) -> bool:
         G = self.parent
@@ -411,43 +409,38 @@ class Subgroup:
         return f"<Subgroup of order {self.order} in {self.parent!r}>"
 
 
-def _extend(G: FiniteGroup, gens: list, have: set, g) -> None:
-    """Add `g` to `gens` and grow `have`, the subgroup they generate, in
-    place; nothing changes when g already lies in it.
+def _extend(G: FiniteGroup, gens: dict, mask: np.ndarray, g) -> None:
+    """Add `g` to `gens`, which maps each generator to its right action,
+    and grow `mask`, the subgroup they generate, in place; nothing
+    changes when mask[g] is already set.
 
-    `have` is closed under right multiplication by `gens` on entry, so the
-    old elements need multiplying by g only and the new ones by every
-    generator (finite group: positive products suffice).
+    <gens> is the set that shortlex_bfs reaches from the identity along
+    the generators' right actions (finite group: positive products
+    suffice).
     """
-    if g in have:
+    if mask[g]:
         return
-    gens.append(g)
-    frontier = []
-    for x in list(have):
-        y = G.mul(x, g)
-        if y not in have:
-            have.add(y)
-            frontier.append(y)
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = G.mul(x, s)
-            if y not in have:
-                have.add(y)
-                frontier.append(y)
+    gens[int(g)] = G.right_action(g)
+    for found, _, _ in shortlex_bfs(np.array(list(gens.values())), 0):
+        mask[found] = True
 
 
-def _generate(G: FiniteGroup, candidates) -> tuple[list, set]:
+def _generate(G: FiniteGroup, candidates) -> tuple[dict, np.ndarray]:
     """Greedy generating set drawn from `candidates` (order-stable) and
-    the subgroup it generates."""
-    gens: list = []
-    have = {G.identity}
-    for x in candidates:
-        _extend(G, gens, have, x)
-    return gens, have
+    the mask of the subgroup it generates: the next generator is the
+    first candidate outside the mask."""
+    gens: dict = {}
+    mask = np.zeros(G.order, dtype=bool)
+    mask[G.identity] = True
+    rest = np.asarray(candidates, dtype=np.intp)
+    while True:
+        rest = rest[~mask[rest]]
+        if not rest.size:
+            return gens, mask
+        _extend(G, gens, mask, rest[0])
 
 
-def _close_under_conjugation(G: FiniteGroup, gens: list, have: set, conjugators) -> None:
+def _close_under_conjugation(G: FiniteGroup, gens: dict, mask: np.ndarray, conjugators) -> None:
     """Grow <gens> in place until the conjugators normalize it.
 
     H^c lies in H exactly when every generator of H does, so only the
@@ -455,43 +448,43 @@ def _close_under_conjugation(G: FiniteGroup, gens: list, have: set, conjugators)
     """
     i = 0
     while i < len(gens):
-        h = gens[i]
+        h = list(gens)[i]
         for c in conjugators:
-            _extend(G, gens, have, G.conj(h, c))
+            _extend(G, gens, mask, G.conj(h, c))
         i += 1
 
 
-def _thin_gens(G: FiniteGroup, candidates) -> list:
-    """Greedy small generating set drawn from `candidates` (order-stable)."""
-    return _generate(G, candidates)[0]
+def _masked(G: FiniteGroup, mask: np.ndarray) -> Subgroup:
+    """The subgroup with the given mask, generated greedily by its
+    elements in index order."""
+    return Subgroup(G, mask, _generate(G, np.flatnonzero(mask))[0])
 
 
 def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:
     """The subgroup generated by `seeds`."""
-    gens, have = _generate(G, dict.fromkeys(seeds))
-    return Subgroup(G, have, gens)
+    gens, mask = _generate(G, seeds)
+    return Subgroup(G, mask, gens)
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, [G.identity], ())
+    return Subgroup(G, np.arange(G.order) == G.identity, ())
 
 
 def whole_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, G.elements, tuple(_thin_gens(G, G.generators)))
+    return Subgroup(G, np.ones(G.order, dtype=bool), _generate(G, G.generators)[0])
 
 
 def normal_closure(G: FiniteGroup, seeds) -> Subgroup:
     """Smallest normal subgroup of G containing `seeds`."""
-    gens, have = _generate(G, dict.fromkeys(seeds))
-    _close_under_conjugation(G, gens, have, G.generators)
-    return Subgroup(G, have, gens)
+    gens, mask = _generate(G, seeds)
+    _close_under_conjugation(G, gens, mask, G.generators)
+    return Subgroup(G, mask, gens)
 
 
 def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
     if A.parent is not B.parent:
         raise ValueError("subgroups of different parents")
-    els = A.elements & B.elements
-    return Subgroup(A.parent, els, _thin_gens(A.parent, sorted(els)))
+    return _masked(A.parent, A.mask & B.mask)
 
 
 def _as_subgroup(X) -> Subgroup:
@@ -512,26 +505,23 @@ def commutator_subgroup(A, B, method: str = "generated") -> Subgroup:
         raise ValueError("subgroups of different parents")
     G = A.parent
     if method == "elementwise":
-        seen = set()
-        for a in sorted(A.elements):
-            for b in sorted(B.elements):
-                seen.add(G.comm(a, b))
-        return subgroup_closure(G, sorted(seen))
+        a, b = (x.ravel() for x in np.meshgrid(np.flatnonzero(A.mask), np.flatnonzero(B.mask)))
+        comms = G._products(G._inverses(G._products(b, a)), G._products(a, b))
+        return subgroup_closure(G, np.unique(comms))
     if method != "generated":
         raise ValueError(f"unknown method {method!r}")
-    gens, have = _generate(G, [G.comm(a, b) for a in A.gens for b in B.gens])
-    _close_under_conjugation(G, gens, have, dict.fromkeys(A.gens + B.gens))
-    return Subgroup(G, have, gens)
+    gens, mask = _generate(G, [G.comm(a, b) for a in A.gens for b in B.gens])
+    _close_under_conjugation(G, gens, mask, dict.fromkeys(A.gens + B.gens))
+    return Subgroup(G, mask, gens)
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    gens = G.generators
-    els = [
-        x
-        for x in G.elements
-        if all(G.mul(x, g) == G.mul(g, x) for g in gens)
-    ]
-    return Subgroup(G, els, _thin_gens(G, els))
+    """The elements x with x*g = g*x for every generator g: the generator
+    columns against g*x, all generators in one batch of products."""
+    n = G.order
+    gens = np.array(G.generators, dtype=np.intp)
+    left = G._products(np.repeat(gens, n), np.tile(np.arange(n), len(gens)))
+    return _masked(G, (G.gen_cols == left.reshape(-1, n)).all(axis=0))
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
@@ -579,15 +569,18 @@ def quotient_invariants(N: Subgroup, M: Subgroup) -> list[int]:
     moved into its indices, and the quotient is read by
     abelian_invariants."""
     NG = N.as_group()
-    own = NG.own
-    M_own = Subgroup(NG, own[list(M.elements)].tolist(), own[list(M.gens)].tolist())
+    M_own = Subgroup(NG, M.mask[NG.at], NG.own[list(M.gens)].tolist())
     return abelian_invariants(quotient(NG, M_own))
 
 
 def power_subgroup(G: FiniteGroup, k: int) -> Subgroup:
-    """The subgroup generated by all k-th powers."""
-    pows = {pow_element(G, x, k) for x in G.elements}
-    return subgroup_closure(G, sorted(pows))
+    """The subgroup generated by all k-th powers (the (-k)-th powers
+    are the same set)."""
+    every = np.arange(G.order)
+    pows = np.zeros(G.order, dtype=np.int32)
+    for _ in range(abs(k)):
+        pows = G._products(pows, every)
+    return subgroup_closure(G, np.unique(pows))
 
 
 def pow_element(G: FiniteGroup, x, k: int):
@@ -641,7 +634,7 @@ def is_powerful(G: FiniteGroup) -> bool:
     p, _ = p_group_data(G)
     der = derived_subgroup(G)
     target = power_subgroup(G, p if p != 2 else 4)
-    return der.elements <= target.elements
+    return der <= target
 
 
 class Homomorphism:
@@ -703,16 +696,15 @@ class Homomorphism:
         return int(self._image[x])
 
     def kernel(self) -> Subgroup:
-        dom = self.domain
-        els = np.flatnonzero(self._image == 0).tolist()
-        return Subgroup(dom, els, _thin_gens(dom, els))
+        return _masked(self.domain, self._image == 0)
 
     def image(self) -> Subgroup:
         """The values of the image array; the generator images (repeats
         and the identity dropped) generate it."""
-        els = np.unique(self._image).tolist()
+        mask = np.zeros(self.codomain.order, dtype=bool)
+        mask[self._image] = True
         gens = [h for h in dict.fromkeys(self.images) if h != 0]
-        return Subgroup(self.codomain, els, gens)
+        return Subgroup(self.codomain, mask, gens)
 
     def is_surjective(self) -> bool:
         return self.image().order == self.codomain.order

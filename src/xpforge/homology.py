@@ -167,7 +167,7 @@ def _dense_invariants(a: list[list[int]]) -> list[int]:
     return res
 
 
-def _as_rows(entries, shape=None):
+def _as_rows(entries):
     if isinstance(entries, dict):
         rows: dict[int, dict[int, int]] = defaultdict(dict)
         for (i, j), v in entries.items():
@@ -182,14 +182,13 @@ def _as_rows(entries, shape=None):
     return rows
 
 
-def invariant_factors(entries, shape=None) -> list[int]:
+def invariant_factors(entries) -> list[int]:
     """Invariant factors of an integer matrix.
 
     `entries` is either a list of rows or a sparse {(i, j): value} dict
-    (`shape` is then ignored; zero rows/columns never matter for the
-    result).
+    (zero rows/columns never matter for the result).
     """
-    rows = _as_rows(entries, shape)
+    rows = _as_rows(entries)
     units = _sparse_unit_eliminate(rows)
     factors = [1] * units
     if rows:
@@ -204,8 +203,8 @@ def invariant_factors(entries, shape=None) -> list[int]:
     return factors
 
 
-def matrix_rank(entries, shape=None) -> int:
-    return len(invariant_factors(entries, shape))
+def matrix_rank(entries) -> int:
+    return len(invariant_factors(entries))
 
 
 def torsion_factors(factors: list[int]) -> list[int]:

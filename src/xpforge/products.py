@@ -33,7 +33,7 @@ from .groups import (
     Homomorphism,
     Subgroup,
     TupleGroup,
-    _thin_gens,
+    _masked,
     derived_subgroup,
     direct_product,
     quotient,
@@ -67,8 +67,7 @@ def fibre_product(spec: FibreSpec, ambient: TupleGroup | None = None) -> Subgrou
     elif ambient.factors != [G1, G2]:
         raise ValueError("ambient product does not match the spec domains")
     g1, g2 = np.divmod(np.arange(ambient.order), G2.order)
-    els = np.flatnonzero(spec.p1._image[g1] == spec.p2._image[g2]).tolist()
-    sub = Subgroup(ambient, els, _thin_gens(ambient, els))
+    sub = _masked(ambient, spec.p1._image[g1] == spec.p2._image[g2])
     if sub.order * spec.p1.codomain.order != G1.order * G2.order:
         raise RuntimeError("fibre product violates the order law")
     return sub
@@ -98,7 +97,7 @@ def _projection_rows(sub: Subgroup) -> dict[str, dict]:
     if not isinstance(amb, TupleGroup):
         raise ValueError("subdirect diagnostics need a product ambient")
     k = len(amb.factors)
-    digits = np.stack(np.unravel_index(list(sub.elements), amb.shape))
+    digits = np.stack(np.unravel_index(np.flatnonzero(sub.mask), amb.shape))
     rows: dict[str, dict] = {}
     singles = [(i,) for i in range(k)]
     pairs = list(itertools.combinations(range(k), 2)) if k > 2 else []
@@ -168,29 +167,25 @@ def described_set_mismatches(
     n = G.order
     table = np.stack([G.right_action(b) for b in G.elements], axis=1)
     inv = np.argmax(table == G.identity, axis=1)
-    der_mask = np.zeros(n, dtype=bool)
-    der_mask[list(der.elements)] = True
-    # the cube index of (g1, g2, g3) is (g1*n + g2)*n + g3
-    im_mask = np.zeros(n**3, dtype=bool)
-    im_mask[list(im.elements)] = True
 
+    # the cube index of (g1, g2, g3) is (g1*n + g2)*n + g3
     def described(t):
         g1, rest = np.divmod(t, n * n)
         g2, g3 = np.divmod(rest, n)
-        return der_mask[table[table[g1, inv[g2]], g3]]
+        return der.mask[table[table[g1, inv[g2]], g3]]
 
     if n <= EXHAUSTIVE_BASE_ORDER:
-        mismatches = np.count_nonzero(described(np.arange(n**3)) != im_mask)
+        mismatches = np.count_nonzero(described(np.arange(n**3)) != im.mask)
         return "exhaustive", n**3, int(mismatches)
     rng = np.random.default_rng(seed)
-    in_im = np.flatnonzero(im_mask)
+    in_im = np.flatnonzero(im.mask)
     mismatches = np.count_nonzero(~described(in_im[rng.integers(in_im.size, size=samples)]))
     g1 = rng.integers(n, size=samples)
     g2 = rng.integers(n, size=samples)
-    in_der = np.flatnonzero(der_mask)
+    in_der = np.flatnonzero(der.mask)
     d = in_der[rng.integers(in_der.size, size=samples)]
     g3 = table[inv[table[g1, inv[g2]]], d]
-    mismatches += np.count_nonzero(~im_mask[(g1 * n + g2) * n + g3])
+    mismatches += np.count_nonzero(~im.mask[(g1 * n + g2) * n + g3])
     return "sampled", 2 * samples, int(mismatches)
 
 

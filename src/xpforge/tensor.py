@@ -179,7 +179,7 @@ class TensorSquare:
     def h2_invariants(self) -> list[int]:
         """Invariants of (ker to_base)/delta."""
         ker = self.to_base.kernel()
-        if not self.delta.elements <= ker.elements:
+        if not self.delta <= ker:
             raise RuntimeError("diagonal subgroup escapes the commutator kernel")
         return quotient_invariants(ker, self.delta)
 
@@ -294,16 +294,16 @@ class NuBundle:
     def h2_invariants(self) -> list[int]:
         """Invariants of (ker alpha cap tensor)/delta."""
         ker = intersection(self.alpha.kernel(), self.tensor)
-        if not self.delta.elements <= ker.elements:
+        if not self.delta <= ker:
             raise RuntimeError("diagonal subgroup escapes the fold kernel")
         return quotient_invariants(ker, self.delta)
 
     def delta_is_central(self) -> bool:
         z = center(self.group)
-        return self.delta.elements <= z.elements
+        return self.delta <= z
 
     def delta_in_derived(self) -> bool:
-        return self.delta.elements <= derived_subgroup(self.group).elements
+        return self.delta <= derived_subgroup(self.group)
 
     def orders(self) -> dict[str, int]:
         return {

@@ -287,8 +287,6 @@ def z_set(bundle: XPBundle, generating_set=None) -> list:
             raise ValueError("generating set contains the identity")
         if any(base.inv(g) not in sym for g in sym):
             raise ValueError("generating set is not symmetric")
-        from .groups import subgroup_closure
-
         if subgroup_closure(base, sym).order != base.order:
             raise ValueError("set does not generate the base group")
     il, ir = bundle.embed_left, bundle.embed_right

@@ -518,6 +518,70 @@ def test_index_arithmetic_matches_mul_and_inv(kind):
     assert G._inverses(every).tolist() == [G.inv(x) for x in G.elements]
 
 
+def _members(S):
+    return {x for x in S.parent.elements if x in S}
+
+
+def _closure_by_mul(G, seeds):
+    """The subgroup generated by `seeds`, multiplied out on scalar mul
+    until no product is new."""
+    have = {G.identity, *seeds}
+    while True:
+        grown = have | {G.mul(a, b) for a in have for b in have}
+        if grown == have:
+            return have
+        have = grown
+
+
+def _greedy(G, candidates):
+    """Each candidate in turn that the earlier picks do not generate."""
+    picks = []
+    for x in candidates:
+        if x not in _closure_by_mul(G, picks):
+            picks.append(x)
+    return picks
+
+
+@pytest.mark.parametrize("kind", ["perm", "tuple", "subgroup", "quotient"])
+def test_subgroup_masks_match_scalar_definitions(kind):
+    # each subgroup: (it, its elements by scalar mul, the candidates its
+    # generators are greedily drawn from, None where they are not)
+    G = one_group_of_each_kind(kind)
+    every = list(G.elements)
+    brute_center = {x for x in every if all(G.mul(x, y) == G.mul(y, x) for y in every)}
+    subs = {"center": (center(G), brute_center, sorted(brute_center))}
+    for k in (2, 3):
+        pows = sorted({pow_element(G, x, k) for x in every})
+        subs[f"power {k}"] = (power_subgroup(G, k), _closure_by_mul(G, pows), pows)
+    seeds = [x for x in every if x % 5 == 3][:2]
+    C = subgroup_closure(G, seeds)
+    subs["closure"] = (C, _closure_by_mul(G, seeds), seeds)
+    N = normal_closure(G, [G.generators[0]])
+    meet = _closure_by_mul(G, seeds) & _members(N)
+    subs["intersection"] = (intersection(C, N), meet, sorted(meet))
+    # G -> Q x Q, x -> (xN, xN): kernel N, image the diagonal
+    Q = quotient(G, N)
+    P = direct_product(Q, Q)
+    f = Homomorphism(G, P, [P.pack((Q.projection(g),) * 2) for g in G.generators])
+    ker = {x for x in every if _word_image(f, x) == 0}
+    subs["kernel"] = (f.kernel(), ker, sorted(ker))
+    subs["image"] = (f.image(), {_word_image(f, x) for x in every}, None)
+    assert f.image().order == Q.order < P.order
+    for what, (S, want, candidates) in subs.items():
+        assert _members(S) == want, what
+        assert S.order == len(want), what
+        assert subgroup_closure(S.parent, S.gens) == S, what
+        if candidates is not None:
+            assert list(S.gens) == _greedy(S.parent, candidates), what
+
+
+def test_subgroups_of_different_parents_do_not_compare():
+    D8, Q8 = grp("D8"), grp("Q8")
+    with pytest.raises(ValueError, match="different parents"):
+        subgroup_closure(D8, [D8.generators[0]]) <= whole_subgroup(Q8)
+    assert subgroup_closure(D8, [D8.generators[0]]) != whole_subgroup(Q8)
+
+
 @pytest.mark.parametrize("kind", ["perm", "tuple", "subgroup", "quotient"])
 def test_words_and_generator_columns_on_every_kind(kind):
     G = one_group_of_each_kind(kind)
@@ -538,7 +602,7 @@ def test_quotient_elements_are_the_first_of_each_coset(name, normal):
     for x in G.elements:
         if x not in covered:
             firsts.append(x)
-            covered.update(G.mul(x, m) for m in N.elements)
+            covered.update(G.mul(x, m) for m in G.elements if m in N)
     assert quotient(G, N).reps.tolist() == firsts
 
 
@@ -547,7 +611,7 @@ def test_subgroup_codec_maps_indices_both_ways():
     H = L.as_group()
     G = L.parent
     assert np.array_equal(H.own[H.at], np.arange(H.order))
-    assert H.at.tolist() == sorted(L.elements)
+    assert H.at.tolist() == [x for x in G.elements if x in L]
     assert (H.own >= 0).sum() == H.order
     for x, y in itertools.product(range(0, H.order, 3), H.elements):
         assert H.at[H.mul(x, y)] == G.mul(int(H.at[x]), int(H.at[y]))
@@ -632,5 +696,5 @@ def test_hom_rejects_generators_that_miss_elements():
     # a subgroup object whose generators do not generate its element set
     G, C2 = grp("D8"), grp("C2")
     with pytest.raises(ValueError, match="only reach 4 of 8"):
-        A = Subgroup(G, G.elements, [G.generators[0]]).as_group()
+        A = Subgroup(G, np.ones(G.order, dtype=bool), [G.generators[0]]).as_group()
         Homomorphism(A, C2, [C2.identity])

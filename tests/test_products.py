@@ -80,7 +80,8 @@ def test_fibre_of_identities_is_the_diagonal():
     ident = Homomorphism(G, G, G.generators)
     sub = fibre_product(FibreSpec(ident, ident))
     assert sub.order == G.order
-    assert {sub.parent.coords(x) for x in sub.elements} == {(g, g) for g in G.elements}
+    got = {sub.parent.coords(x) for x in sub.parent.elements if x in sub}
+    assert got == {(g, g) for g in G.elements}
 
 
 def test_fibre_of_different_domains_pairs_coordinates():
@@ -91,7 +92,7 @@ def test_fibre_of_different_domains_pairs_coordinates():
     sub = fibre_product(FibreSpec(p1, p2))
     assert sub.order == 16
     want = {(a, b) for a in C8.elements for b in C4.elements if p1(a) == p2(b)}
-    assert {sub.parent.coords(x) for x in sub.elements} == want
+    assert {sub.parent.coords(x) for x in sub.parent.elements if x in sub} == want
 
 
 def test_fibre_spec_rejects_bad_maps():
@@ -145,14 +146,15 @@ def test_antidiagonal_subgroup_frozen(name, order):
 def test_antidiagonal_of_c4_is_the_antidiagonal_set():
     H = base("C4")
     sub = s_subgroup(H)
-    assert {sub.parent.coords(x) for x in sub.elements} == {(h, H.inv(h)) for h in H.elements}
+    got = {sub.parent.coords(x) for x in sub.parent.elements if x in sub}
+    assert got == {(h, H.inv(h)) for h in H.elements}
 
 
 def test_antidiagonal_contains_the_derived_square():
     H = base("D8")
     sub = s_subgroup(H)
-    der = derived_subgroup(H).elements
-    assert {sub.parent.pack((x, y)) for x in der for y in der} <= sub.elements
+    der = [x for x in H.elements if x in derived_subgroup(H)]
+    assert all(sub.parent.pack((x, y)) in sub for x in der for y in der)
 
 
 def test_antidiagonal_respects_shared_ambient():

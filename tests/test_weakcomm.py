@@ -142,7 +142,7 @@ def test_structural_invariants(name):
     b = bundle(name)
     assert b.W == intersection(b.L, b.D)
     assert b.W.is_abelian()
-    assert b.R.elements <= b.W.elements
+    assert b.R <= b.W
     assert b.R.is_normal()
     assert b.L.is_normal() and b.D.is_normal() and b.W.is_normal()
     assert commutator_subgroup(b.L, b.D).order == 1
@@ -163,7 +163,7 @@ def test_fold_differences_generate_l(name):
 def test_generator_scope_differences_fall_short(name, gens_order):
     b = bundle(name)
     part = subgroup_closure(b.group, fold_difference_generators(b, scope="gens"))
-    assert part.elements <= b.L.elements
+    assert part <= b.L
     assert part.order == gens_order
     assert part.order < b.L.order
 
