@@ -9,8 +9,9 @@ scope by construction rather than failed).  Any other error a check
 raises fails that row alone, with its message as the detail: an
 enumeration limit (EnumerationError, a RuntimeError, with the entry name
 attached), a map that is not a homomorphism, or an order that is not a
-prime power (ValueErrors).  The schur suite leaves the bar route out for
-groups above its bound, as it leaves out a gated nu route.
+prime power (ValueErrors).  The schur suite leaves out a gated nu route;
+its third route, the relation module of the Cayley graph, runs at every
+order.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .groups import (
     p_group_data,
     quotient,
 )
-from .homology import BAR_DEFAULT_MAX_ORDER, abelian_invariants, schur_multiplier_bar
+from .homology import abelian_invariants, schur_multiplier
 from .products import FibreSpec, fibre_product, im_rho_verify, s_subgroup
 from .tensor import (
     SizeGateError,
@@ -242,19 +243,18 @@ def route_agreement(routes: dict, entry: CatalogEntry | None) -> tuple[bool, dic
 
 def multiplier_routes(xb, T, nb=None, entry: CatalogEntry | None = None) -> tuple[bool, dict]:
     """route_agreement over the multiplier of the base G read from X(G),
-    from T(G), from the bar complex when |G| is at most
-    BAR_DEFAULT_MAX_ORDER, and from nu(G) when it was built.  Above the
-    bound the facts name `bar_bound` instead of a bar route."""
-    G = xb.base
-    routes = {"doubling": xb.h2_invariants(), "pairing": T.h2_invariants()}
-    if G.order <= BAR_DEFAULT_MAX_ORDER:
-        routes["bar"] = schur_multiplier_bar(G)
+    from T(G), from the relation module of G's Cayley graph, and from
+    nu(G) when it was built.  The third route reports under "bar", the key
+    of the bar-complex route whose values it gives, so reports keep their
+    bytes."""
+    routes = {
+        "doubling": xb.h2_invariants(),
+        "pairing": T.h2_invariants(),
+        "bar": schur_multiplier(xb.base),
+    }
     if nb is not None:
         routes["nu"] = nb.h2_invariants()
-    ok, facts = route_agreement(routes, entry)
-    if "bar" not in routes:
-        facts["bar_bound"] = BAR_DEFAULT_MAX_ORDER
-    return ok, facts
+    return route_agreement(routes, entry)
 
 
 def fibre_law(G: FiniteGroup) -> tuple[bool, dict]:
@@ -320,7 +320,7 @@ def _schur_rows(entries, limits):
             except SizeGateError:
                 nb = None
             ok, facts = multiplier_routes(xb, T, nb, e)
-            detail = {k: facts[k] for k in ("routes", "expected", "bar_bound") if k in facts}
+            detail = {k: facts[k] for k in ("routes", "expected") if k in facts}
             return ok, detail
 
         rows.append(_row("schur", e.name, "three-route-multiplier", fn))

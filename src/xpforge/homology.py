@@ -10,12 +10,17 @@ redundant boundary matrices built here), then an exact textbook reduction
 on the small dense remainder.  Everything is plain Python int arithmetic,
 so there is no overflow to worry about.
 
-The second homology of a finite group is read off the normalized bar
-complex: with C_k free on k-tuples of non-identity elements, the image of
-d2 inside C_1 has finite cokernel isomorphic to the abelianization (a
-built-in cross-check), and H_2 is exactly the torsion of coker(d3)
-because ker(d2) is a pure sublattice of C_2.  Both facts are asserted at
-run time.
+The second homology of a finite group G on d generators (repeats and
+the identity count) is read off the relation module of its Cayley graph:
+Hopf's formula (R & F')/[F, R] through Gruenberg's resolution
+0 -> R_ab -> ZG^d -> I_G -> 0 (Brown, Cohomology of Groups, GTM 87,
+section II.5).  H_1 of the graph is R_ab, spanned by one loop per edge
+around the shortlex BFS tree, and the edges modulo I_G*R_ab make
+Z^(|G|+d-1) + H_2, so H_2 is the torsion of that cokernel and the rank
+of I_G*R_ab is checked at run time.  The cost is the Smith form of about
+d^2*|G| short rows.  The normalized bar complex stays as an independent
+oracle: H_2 is the torsion of coker(d3) because ker(d2) is a pure
+sublattice of C_2, and it costs |G|^3.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ import itertools
 from collections import Counter, defaultdict
 from math import gcd
 
-BAR_DEFAULT_MAX_ORDER = 32
+import numpy as np
+
+from .coset import shortlex_bfs
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -273,15 +280,7 @@ def abelian_invariants(G) -> list[int]:
         exps = [sum(1 for f in fks if f > i) for i in range(fks[0])] if fks else []
         if exps:
             primary[p] = exps
-    orders = []
-    width = max(len(v) for v in primary.values())
-    for i in range(width):
-        d = 1
-        for p, exps in primary.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        orders.append(d)
-    return orders[::-1]
+    return invariants_from_cyclic_orders(p**e for p, exps in primary.items() for e in exps)
 
 
 def _divides_prime_power(o: int, p: int, k: int) -> bool:
@@ -314,8 +313,50 @@ def is_quotient_invariants(quot: list[int], of: list[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bar-resolution homology
+# Second homology
 # ---------------------------------------------------------------------------
+
+
+def schur_multiplier(G) -> list[int]:
+    """H_2(G, Z) as a list of invariant factors, read off the relation
+    module of the Cayley graph.
+
+    Edge (x, i) joins x to x*g_i and is column x*d + i.  With P(x) the
+    path of tree edges from the identity to x, each edge gives the loop
+    s = P(x) + (x, i) - P(x*g_i), zero on tree edges.  The rows y*s - s,
+    for every generator y acting by (x, i) -> (y*x, i), span I_G*R_ab,
+    whose cokernel is Z^(n+d-1) + H_2; any other rank raises
+    RuntimeError."""
+    n, d = G.order, len(G.generators)
+    path = [()] * n
+    for found, src, gen in shortlex_bfs(G.gen_cols):
+        for x, s, i in zip(found.tolist(), src.tolist(), gen.tolist()):
+            path[x] = path[s] + (s * d + i,)
+    right = G.gen_cols.tolist()
+    left = [G._products(np.full(n, y), np.arange(n)).tolist() for y in G.generators]
+    rows: dict[tuple[int, int], int] = {}
+    r = 0
+    for x in range(n):
+        for i in range(d):
+            loop = Counter(path[x])
+            loop[x * d + i] += 1
+            loop.subtract(path[right[i][x]])
+            loop = {e: v for e, v in loop.items() if v}
+            for y in left:
+                row = Counter()
+                for e, v in loop.items():
+                    row[y[e // d] * d + e % d] += v
+                    row[e] -= v
+                for e, v in row.items():
+                    if v:
+                        rows[r, e] = v
+                r += 1
+    factors = invariant_factors(rows)
+    if len(factors) != (n - 1) * (d - 1):
+        raise RuntimeError(
+            f"relation-module rank {len(factors)} is not (n-1)(d-1) = {(n - 1) * (d - 1)}"
+        )
+    return torsion_factors(factors)
 
 
 def bar_boundaries(G):
@@ -355,13 +396,10 @@ def bar_boundaries(G):
     return d2, d3, len(els)
 
 
-def schur_multiplier_bar(G, max_order: int = BAR_DEFAULT_MAX_ORDER) -> list[int]:
+def schur_multiplier_bar(G) -> list[int]:
     """H_2(G, Z) as a list of invariant factors, computed from the
-    normalized bar complex.  Cubic in |G|, so gated by `max_order`."""
-    n = G.order
-    if n > max_order:
-        raise ValueError(f"order {n} exceeds the bar-resolution bound {max_order}")
-    if n == 1:
+    normalized bar complex; cubic in |G|."""
+    if G.order == 1:
         return []
     d2, d3, m1 = bar_boundaries(G)
     f2 = invariant_factors(d2)
@@ -373,10 +411,3 @@ def schur_multiplier_bar(G, max_order: int = BAR_DEFAULT_MAX_ORDER) -> list[int]
         raise RuntimeError("d2 is not of full column rank")
     return torsion_factors(f3)
 
-
-def bar_h1(G) -> list[int]:
-    """Abelianization invariants read from coker(d2); cross-check route."""
-    if G.order == 1:
-        return []
-    d2, _, _ = bar_boundaries(G)
-    return torsion_factors(invariant_factors(d2))

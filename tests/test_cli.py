@@ -87,14 +87,13 @@ def test_schur_on_plain_file_has_no_expected_block(tmp_path, capsys):
     assert d["routes"]["bar"] == []
 
 
-def test_schur_leaves_the_bar_route_out_above_its_bound(capsys, monkeypatch):
-    # the command shares the harness's route helper and its bound; C8 over
-    # a lowered bound stands in for a group over the real one
-    monkeypatch.setattr(harness, "BAR_DEFAULT_MAX_ORDER", 4)
+def test_schur_runs_the_third_route_at_every_order(capsys):
+    # the command shares the harness's route helper, which has no order
+    # bound: the relation-module route reports under "bar"
     code, d = run_json(["schur", "catalog:C8"], capsys)
     assert code == 0
-    assert set(d["routes"]) == {"doubling", "pairing"}
-    assert d["bar_bound"] == 4
+    assert list(d["routes"]) == ["doubling", "pairing", "bar"]
+    assert "bar_bound" not in d
     assert d["agree"] is True and d["matches_expected"] is True
 
 

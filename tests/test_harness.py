@@ -157,14 +157,12 @@ def test_a_group_that_is_not_a_p_group_fails_its_rows(tmp_path):
     assert row["detail"] == {"error": "order 6 is not a prime power"}
 
 
-def test_schur_leaves_the_bar_route_out_above_its_bound(monkeypatch):
-    # C64 is over the real bound of 32; lowering the bound shows the same
-    # row on a group whose other routes are cheap
-    monkeypatch.setattr(harness, "BAR_DEFAULT_MAX_ORDER", 4)
+def test_schur_runs_the_third_route_at_every_order():
+    # the relation-module route has no order bound and reports under "bar"
     (row,) = run_suite("schur", [catalog_entry("C8")]).rows
     assert row["status"] == "pass"
-    assert set(row["detail"]["routes"]) == {"doubling", "pairing", "nu"}
-    assert row["detail"]["bar_bound"] == 4
+    assert list(row["detail"]["routes"]) == ["doubling", "pairing", "bar", "nu"]
+    assert "bar_bound" not in row["detail"]
 
 
 @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)

@@ -1,8 +1,9 @@
-"""Integer Smith form, abelian invariants, and bar-resolution homology.
+"""Integer Smith form, abelian invariants, and second homology.
 
 Matrix expectations were worked out by hand (gcd of entries, determinant
 products); group expectations are classical multiplier values, with the
-abelian ones cross-checked against the exterior-square closed form.
+abelian ones cross-checked against the exterior-square closed form.  The
+relation-module route is held to the bar-resolution oracle.
 """
 
 import functools
@@ -10,21 +11,25 @@ import random
 from math import gcd, prod
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from xpforge.groups import group_from_presentation
+from xpforge import homology
+from xpforge.catalog import builtin_catalog
+from xpforge.groups import TupleGroup, derived_subgroup, group_from_presentation, quotient
 from xpforge.homology import (
     _dense_invariants,
     abelian_invariants,
-    bar_h1,
     exterior_square_invariants,
     invariant_factors,
     invariants_from_cyclic_orders,
     is_quotient_invariants,
     matrix_rank,
+    schur_multiplier,
     schur_multiplier_bar,
     torsion_factors,
 )
-from xpforge.words import parse_presentation
+from xpforge.words import Presentation, Word, parse_presentation
 
 PRESENTATIONS = {
     "C1": "gens a\nrels a",
@@ -47,8 +52,18 @@ PRESENTATIONS = {
 
 
 @functools.lru_cache(maxsize=None)
+def group_of(text):
+    return group_from_presentation(parse_presentation(text))
+
+
 def grp(name):
-    return group_from_presentation(parse_presentation(PRESENTATIONS[name]), name=name)
+    return group_of(PRESENTATIONS[name])
+
+
+@functools.lru_cache(maxsize=None)
+def bar_of(text):
+    # the catalog shares Heis27's and Mod27's texts, and their bar values
+    return schur_multiplier_bar(group_of(text))
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -285,24 +300,100 @@ def test_bar_agrees_with_exterior_square_for_abelian(name):
 
 @pytest.mark.parametrize("name,h2", [("Heis27", [3, 3]), ("Mod27", [])])
 def test_schur_multiplier_bar_order_27(name, h2):
-    assert schur_multiplier_bar(grp(name), max_order=27) == h2
+    assert bar_of(PRESENTATIONS[name]) == h2
 
 
-def test_bar_h1_reads_abelianization():
-    assert bar_h1(grp("D8")) == [2, 2]
-    assert bar_h1(grp("Q8")) == [2, 2]
-    assert bar_h1(grp("S3")) == [2]
-    assert bar_h1(grp("A4")) == [3]
-    assert bar_h1(grp("C12")) == [12]
+def test_h1_reads_abelianization():
+    def h1(name):
+        G = grp(name)
+        return abelian_invariants(quotient(G, derived_subgroup(G)))
 
-
-def test_bar_order_gate():
-    with pytest.raises(ValueError, match="exceeds"):
-        schur_multiplier_bar(grp("Heis27"), max_order=16)
-    with pytest.raises(ValueError, match="exceeds"):
-        schur_multiplier_bar(grp("C2"), max_order=1)
+    assert h1("D8") == [2, 2]
+    assert h1("Q8") == [2, 2]
+    assert h1("S3") == [2]
+    assert h1("A4") == [3]
+    assert h1("C12") == [12]
 
 
 def test_trivial_group_h2():
     assert schur_multiplier_bar(grp("C1")) == []
-    assert bar_h1(grp("C1")) == []
+    assert schur_multiplier(grp("C1")) == []
+
+
+# -- the relation module of the Cayley graph -----------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_relation_module_route_matches_bar(name):
+    assert schur_multiplier(grp(name)) == bar_of(PRESENTATIONS[name])
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+def test_relation_module_route_on_the_catalog(entry):
+    h2 = schur_multiplier(group_of(entry.presentation_text))
+    assert h2 == bar_of(entry.presentation_text) == list(entry.expected_h2)
+
+
+@pytest.mark.parametrize(
+    "text,h2",
+    [
+        ("gens a, b, c\nrels a^4, b^4, c^4, [a,b], [a,c], [b,c]", [4, 4, 4]),
+        (
+            "gens a, b, c, d, e\nrels a^2, b^2, c^2, d^2, e^2, [a,b], [a,c], [a,d], "
+            "[a,e], [b,c], [b,d], [b,e], [c,d], [c,e], [d,e]",
+            [2] * 10,
+        ),
+    ],
+    ids=["C4^3", "C2^5"],
+)
+def test_relation_module_route_above_the_bar_range(text, h2):
+    # orders 64 and 32: the exterior square of the abelian group
+    G = group_of(text)
+    assert schur_multiplier(G) == h2 == exterior_square_invariants(abelian_invariants(G))
+
+
+@pytest.mark.parametrize(
+    "text", ["gens a, b\nrels a^2, b", "gens a, b\nrels a^4, a*b^-1"], ids=["identity", "repeat"]
+)
+def test_relation_module_route_on_redundant_generators(text):
+    # an identity generator and a repeated one: each adds a free summand
+    # to the cokernel, which the rank check accounts for
+    G = group_of(text)
+    assert schur_multiplier(G) == schur_multiplier_bar(G) == []
+
+
+def test_relation_module_route_on_products_and_quotients():
+    C2xC4 = TupleGroup([grp("C2"), grp("C4")])
+    assert schur_multiplier(C2xC4) == schur_multiplier_bar(C2xC4) == [2]
+    D8 = grp("D8")
+    K4 = quotient(D8, derived_subgroup(D8))
+    assert schur_multiplier(K4) == schur_multiplier_bar(K4) == [2]
+
+
+def test_relation_module_route_checks_its_rank(monkeypatch):
+    # a lattice of the wrong rank means the loops or the action are wrong
+    monkeypatch.setattr(homology, "invariant_factors", lambda rows: [])
+    with pytest.raises(RuntimeError, match="rank"):
+        schur_multiplier(grp("D8"))
+
+
+def _relator(ngens):
+    letter = st.integers(1, ngens).flatmap(lambda g: st.sampled_from((g, -g)))
+    return st.lists(letter, min_size=1, max_size=6).map(Word)
+
+
+@st.composite
+def catalog_quotients(draw):
+    """A catalog presentation plus one random relator of 1-6 letters: a
+    quotient of a finite group, so finite."""
+    pres = draw(st.sampled_from(builtin_catalog())).presentation()
+    extra = draw(_relator(len(pres.generators)))
+    return Presentation(pres.generators, pres.relators + [extra])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(catalog_quotients())
+def test_relation_module_route_on_random_quotients(pres):
+    G = group_from_presentation(pres)
+    if G.order <= 16:
+        assert schur_multiplier(G) == schur_multiplier_bar(G)
