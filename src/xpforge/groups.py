@@ -27,7 +27,10 @@ element, the generator images composed along its word.  Its verification
 is exhaustive and costs O(n*d) array work: f(x*g) = f(x)*f(g) for every
 element x and every generator g, one array comparison per generator.
 Since every element is a product of generators, that is a complete proof
-of the product law.
+of the product law; the domain's relators are traced only after it
+fails, to name the one that breaks.  The constructions prove their
+relator families on element images the same way, in one batch of
+_products or _commutators.
 
 Every subgroup is a boolean mask over its parent's indices plus a small
 generating set, and every closure is the BFS that builds the groups:
@@ -186,6 +189,15 @@ class FiniteGroup:
         for step in self._steps[::-1, A]:
             v = acts[step ^ 1, v]
         return v
+
+    def _commutators(self, A, B) -> np.ndarray:
+        """Index of [a, b] = (b*a)^-1 * (a*b) for index arrays A and B,
+        pair by pair."""
+        return self._products(self._inverses(self._products(B, A)), self._products(A, B))
+
+    def multiplication_table(self) -> np.ndarray:
+        """The n x n array of x*y, row x and column y."""
+        return np.stack([self.right_action(y) for y in self.elements], axis=1)
 
     def conj(self, a, b):
         """a^b = b^-1 a b."""
@@ -506,8 +518,7 @@ def commutator_subgroup(A, B, method: str = "generated") -> Subgroup:
     G = A.parent
     if method == "elementwise":
         a, b = (x.ravel() for x in np.meshgrid(np.flatnonzero(A.mask), np.flatnonzero(B.mask)))
-        comms = G._products(G._inverses(G._products(b, a)), G._products(a, b))
-        return subgroup_closure(G, np.unique(comms))
+        return subgroup_closure(G, np.unique(G._commutators(a, b)))
     if method != "generated":
         raise ValueError(f"unknown method {method!r}")
     gens, mask = _generate(G, [G.comm(a, b) for a in A.gens for b in B.gens])
@@ -640,13 +651,13 @@ def is_powerful(G: FiniteGroup) -> bool:
 class Homomorphism:
     """Generator-image homomorphism, verified at construction.
 
-    If the domain carries a presentation, every relator is first checked to
-    map to the identity on the images' right actions, which names the
-    failing relator.  The image of every domain element is then the
-    generator images composed along its word, and f(x*g) = f(x)*f(g) is
-    checked for every element x and every domain generator g.  Every
-    element is a product of generators, so this proves the product law
-    outright.
+    The image of every domain element is the generator images composed
+    along its word, and f(x*g) = f(x)*f(g) is checked for every element
+    x and every domain generator g.  Every element is a product of
+    generators, so this proves the product law outright.  Only when it
+    fails, and the domain carries a presentation, is each relator traced
+    on the images' right actions, to name the first one that does not
+    map to the identity.
     """
 
     def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, images):
@@ -668,29 +679,28 @@ class Homomorphism:
         dom, cod = self.domain, self.codomain
         e = cod.identity
         cod_acts = [cod.right_action(h) for h in self.images]
-        pres = dom.presentation
-        if pres is not None:
-            # each relator traced from the identity: x*h^-1 is the point
-            # that h's action sends to x
-            for k, rel in enumerate(pres.relators):
-                x = e
-                for a in rel.letters:
-                    act = cod_acts[abs(a) - 1]
-                    x = act[x] if a > 0 else (act == x).argmax()
-                if x != e:
-                    raise HomomorphismError(
-                        f"relator {k} ({pres.word_text(rel)}) does not map to the identity"
-                    )
         # the images along each domain word, from the identity; a step
         # past the end of a word (2*ngens) lands on the identity row
         acts = np.array(cod_acts + [np.arange(cod.order)], dtype=np.int32)
         image = np.full(dom.order, e, dtype=np.int32)
         for step in dom._steps:
             image = acts[step >> 1, image]
-        for act, cod_act in zip(dom.gen_cols, cod_acts):
-            if not np.array_equal(image[act], cod_act[image]):
-                raise HomomorphismError("product law fails")
-        return image
+        law = zip(dom.gen_cols, cod_acts)
+        if all(np.array_equal(image[act], cod_act[image]) for act, cod_act in law):
+            return image
+        pres = dom.presentation
+        for k, rel in enumerate(pres.relators if pres is not None else ()):
+            # each relator traced from the identity: x*h^-1 is the point
+            # that h's action sends to x
+            x = e
+            for a in rel.letters:
+                act = cod_acts[abs(a) - 1]
+                x = act[x] if a > 0 else (act == x).argmax()
+            if x != e:
+                raise HomomorphismError(
+                    f"relator {k} ({pres.word_text(rel)}) does not map to the identity"
+                )
+        raise HomomorphismError("product law fails")
 
     def __call__(self, x):
         return int(self._image[x])

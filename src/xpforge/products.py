@@ -165,7 +165,7 @@ def described_set_mismatches(
     then `samples` described triples checked for membership in `im`.
     """
     n = G.order
-    table = np.stack([G.right_action(b) for b in G.elements], axis=1)
+    table = G.multiplication_table()
     inv = np.argmax(table == G.identity, axis=1)
 
     # the cube index of (g1, g2, g3) is (g1*n + g2)*n + g3

@@ -7,12 +7,15 @@ g, h in P, with the two expansion families
     s(g1*g, h)  = s(g1^g, h^g) * s(g, h)
     s(g, h1*h)  = s(g, h) * s(g^h, h1^h)
 
-where any symbol with an identity coordinate is dropped.  Enumeration
-runs once, with the expansion element (g resp. h) restricted to the base
-generators; the full family is then certified against the finished
-table.  The restricted group always maps onto the fully-related one, so
-a passing certification proves the two coincide.  It is the only proof
-of T for the bases too large for nu, so it stays at build time: an
+where any symbol with an identity coordinate is dropped.  Both families
+are defined once, as an index array of rows (-a, b, c) of symbol letters
+read off P's multiplication and conjugation tables (_expansion_rows).
+Enumeration runs once, on the words of the rows whose expansion element
+(g resp. h) is a base generator; the full family is then certified on
+the symbol images, img[a] == img[b] * img[c] for every row in one batch
+of products.  The restricted group always maps onto the fully-related
+one, so a passing certification proves the two coincide.  It is the only
+proof of T for the bases too large for nu, so it stays at build time: an
 enumeration limit propagates and a failed certification raises.
 
 nu(P) doubles P like the weak-commutativity construction, but with
@@ -41,6 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 from .coset import EnumerationLimits
 from .groups import (
@@ -104,47 +109,47 @@ def _symbol_number(n: int, g: int, h: int) -> int:
     return (g - 1) * (n - 1) + h - 1
 
 
-def tensor_relators(base: FiniteGroup, scope: str) -> list[Word]:
-    """Expansion relators; `scope` fixes the range of the expansion
-    element ("gens" or "full")."""
-    e = base.identity
-    els = [g for g in base.elements if g != e]
-    if scope == "gens":
-        movers = [g for g in dict.fromkeys(base.generators) if g != e]
-    elif scope == "full":
-        movers = els
-    else:
-        raise ValueError(f"unknown scope {scope!r}")
+def _expansion_rows(base: FiniteGroup, movers) -> np.ndarray:
+    """Both expansion families with the expansion element in `movers`,
+    as rows (-a, b, c) of 1-based symbol letters, 0 for a symbol with an
+    identity coordinate: s(g1*g, h) = s(g1^g, h^g) * s(g, h) for every
+    g1, g, h (g1 outermost, h innermost), then s(g, h1*h) = s(g, h) *
+    s(g^h, h1^h) for every h1, h, g, with g1, h1 and the unmoved slot
+    over the nontrivial elements."""
     n = base.order
+    mul = base.multiplication_table()
+    inv = np.argmax(mul == base.identity, axis=1)
+    conj = mul[inv[None, :], mul]  # conj[x, y] = x^y
+    letter = np.zeros((n, n), dtype=np.int64)
+    letter[1:, 1:] = np.arange(1, (n - 1) ** 2 + 1).reshape(n - 1, n - 1)
+    x = np.arange(1, n)[:, None, None]
+    m = np.asarray(movers, dtype=np.intp)[None, :, None]
+    y = np.arange(1, n)[None, None, :]
+    first = (-letter[mul[x, m], y], letter[conj[x, m], conj[y, m]], letter[m, y])
+    second = (-letter[y, mul[x, m]], letter[y, m], letter[conj[y, m], conj[x, m]])
+    return np.concatenate(
+        [np.stack(np.broadcast_arrays(*f), axis=-1).reshape(-1, 3) for f in (first, second)]
+    )
 
-    def letter(g, h):
-        return _symbol_number(n, g, h) + 1 if g != e and h != e else None
 
+def tensor_relators(base: FiniteGroup) -> list[Word]:
+    """The expansion relators with the expansion element over the base
+    generators, zero letters dropped, first occurrences kept."""
+    movers = [g for g in dict.fromkeys(base.generators) if g != base.identity]
     rels = []
     seen = set()
-
-    def emit(letters):
-        w = Word(tuple(a for a in letters if a is not None))
+    for row in _expansion_rows(base, movers).tolist():
+        w = Word(tuple(a for a in row if a))
         if w.letters and w.letters not in seen:
             seen.add(w.letters)
             rels.append(w)
-
-    mul, conj = base.mul, base.conj
-    for g1 in els:
-        for g in movers:
-            g1g = mul(g1, g)
-            g1c = conj(g1, g)
-            for h in els:
-                a = letter(g1g, h)
-                emit([-a if a else None, letter(g1c, conj(h, g)), letter(g, h)])
-    for h1 in els:
-        for h in movers:
-            h1h = mul(h1, h)
-            h1c = conj(h1, h)
-            for g in els:
-                a = letter(g, h1h)
-                emit([-a if a else None, letter(g, h), letter(conj(g, h), h1c)])
     return rels
+
+
+def _rows_hold(group: FiniteGroup, rows: np.ndarray, img: np.ndarray) -> bool:
+    """Whether img[a] == img[b] * img[c] in `group` for every row (-a, b,
+    c): the relators the rows spell, evaluated on the symbol images."""
+    return np.array_equal(group._products(img[rows[:, 1]], img[rows[:, 2]]), img[-rows[:, 0]])
 
 
 def tensor_square_presentation(base: FiniteGroup) -> Presentation:
@@ -152,7 +157,7 @@ def tensor_square_presentation(base: FiniteGroup) -> Presentation:
     label = base.presentation.name if base.presentation else base.name
     return Presentation(
         names,
-        tensor_relators(base, "gens"),
+        tensor_relators(base),
         name=f"ts_{label}" if label else None,
     )
 
@@ -205,7 +210,8 @@ def build_tensor_square(
     lim = limits or EnumerationLimits(max_cosets=TENSOR_COSET_CAP)
     pres = tensor_square_presentation(base)
     T = group_from_presentation(pres, limits=lim, strategy=strategy, name=pres.name)
-    if not T.table.relators_hold(tensor_relators(base, "full")):
+    img = np.array([T.identity] + T.generators)
+    if not _rows_hold(T, _expansion_rows(base, base.elements[1:]), img):
         raise RuntimeError("generator-scope tensor relators fail the full expansion family")
 
     to_base = Homomorphism(T, base, [base.comm(g, h) for g, h in symbols])

@@ -14,13 +14,15 @@ That full family has |P| - 1 commutation relators, but a finitely
 presented P gives a finitely presented X, so far fewer relators present
 the same group.  build_xp enumerates a short family -- [w, mirror(w)] for
 the canonical words w of at most 2 letters and the ordered products of
-three or more distinct generators -- and then checks every relator of
-the full family on the finished table.  The short relators follow from
-the full ones, so the short family presents a group X' mapping onto X;
-the full relators holding in X' give a map back, and both are finite,
-so X' = X.  A short family that presented a larger
-group would fail that check, and the build raises instead of returning
-the wrong group.
+three or more distinct generators -- and then proves the full family on
+element images: the two embeddings of P give, for every g, the elements
+that w_g and mirror(w_g) spell, and one batch of commutators checks that
+each pair commutes.  The short relators follow from the full ones, so
+the short family presents a group X' mapping onto X; the full relators
+holding in X' give a map back, and both are finite, so X' = X.  A short
+family that presented a larger group would fail that check, and the
+build raises instead of returning the wrong group.  The full family as
+words (`xp_presentation(base)`) remains only as the tests' oracle.
 
 The bundle keeps the structural maps this construction is studied through:
 
@@ -41,6 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .coset import EnumerationLimits
 from .groups import (
@@ -93,7 +97,8 @@ def xp_presentation(base: FiniteGroup, elements: str = "all") -> Presentation:
     commutation relators [w, mirror(w)]:
 
     * `"all"`: one per nontrivial base element, w its canonical word --
-      the construction proper;
+      the construction proper, which `build_xp` proves on element images
+      and the tests check as words;
     * `"short"`: w ranges over the canonical words of at most 2 letters
       and the ordered products of k >= 3 distinct generators.  This is
       the family `build_xp` enumerates; it presents a group that maps
@@ -177,31 +182,34 @@ def build_xp(
     strategy: str = "auto",
 ) -> XPBundle:
     """Enumerate X from the short commutation family, then certify the
-    full family on the finished table.
+    full family on the images of the two embeddings.
 
     Every short relator follows from the full family: a word and the
     canonical word of its element differ by base relators, in both
     copies.  So the group X' the short family presents maps onto X (the
-    identity on generators).  Once every full relator holds on the table
-    of X', X maps onto X' as well; both are finite, so X' = X.
-    `build_tensor_square` certifies T by the same argument.  A failed
-    certification raises RuntimeError naming the first relator that
-    fails; there is no fallback.
+    identity on generators).  The full relator [w_g, mirror(w_g)] holds
+    in X' exactly when the images of g under the two embeddings, which
+    spell w_g on the left generators and mirror(w_g) on the right ones,
+    commute; once they do for every g, X maps onto X' as well, and both
+    are finite, so X' = X.  `build_tensor_square` certifies T by the
+    same argument.  A failed certification raises RuntimeError naming
+    the canonical word of the first element g that fails; there is no
+    fallback.
     """
     pres = xp_presentation(base, elements="short")
     X = group_from_presentation(pres, limits=limits, strategy=strategy, name=pres.name)
-    full = xp_presentation(base)
-    if not X.table.relators_hold(full.relators):
-        bad = next(r for r in full.relators if not X.table.relators_hold([r]))
-        raise RuntimeError(
-            f"short commutation family of X fails the full family at relator {full.word_text(bad)}"
-        )
     n = base.presentation.ngens
     left_images = X.generators[:n]
     right_images = X.generators[n:]
 
     embed_left = Homomorphism(base, X, left_images)
     embed_right = Homomorphism(base, X, right_images)
+    bad = np.flatnonzero(X._commutators(embed_left._image, embed_right._image))
+    if bad.size:
+        word = base.presentation.word_text(Word(base.words[bad[0]]))
+        raise RuntimeError(
+            f"short commutation family of X fails the full family at the element {word}"
+        )
     alpha = Homomorphism(X, base, base.generators + base.generators)
     square = direct_product(base, base, name="basexbase")
     beta = Homomorphism(
@@ -301,14 +309,11 @@ def z_set(bundle: XPBundle, generating_set=None) -> list:
 
 def swap_pairing_holds(bundle: XPBundle) -> bool:
     """[x, mirror(y)] == [mirror(x), y] for all base elements x, y."""
-    base, X = bundle.base, bundle.group
-    il, ir = bundle.embed_left, bundle.embed_right
-    left = [il(x) for x in base.elements]
-    right = [ir(x) for x in base.elements]
-    return all(
-        X.comm(left[i], right[j]) == X.comm(right[i], left[j])
-        for i in range(len(left))
-        for j in range(len(left))
+    X = bundle.group
+    left, right = bundle.embed_left._image, bundle.embed_right._image
+    i, j = (x.ravel() for x in np.indices((len(left), len(left))))
+    return np.array_equal(
+        X._commutators(left[i], right[j]), X._commutators(right[i], left[j])
     )
 
 

@@ -16,7 +16,7 @@ reduced; run-length compression like ``a^3`` exists only in the text format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def free_reduce(letters) -> tuple[int, ...]:
@@ -114,12 +114,6 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
-    name: str
-    index: int
-
-
 @dataclass
 class Presentation:
     """A finite presentation: named generators plus freely reduced relators.
@@ -131,7 +125,6 @@ class Presentation:
     generators: list[str]
     relators: list[Word]
     name: str | None = None
-    symbols: list[GeneratorSymbol] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.generators:
@@ -150,7 +143,6 @@ class Presentation:
                     f"relator {w!r} mentions generator index {w.max_index()}, "
                     f"but only {ng} generators are declared"
                 )
-        self.symbols = [GeneratorSymbol(n, i) for i, n in enumerate(self.generators)]
 
     @property
     def ngens(self) -> int:

@@ -33,7 +33,7 @@ from xpforge.harness import (
     tower_demo,
     xp_of,
 )
-from xpforge.homology import abelian_invariants, schur_multiplier, schur_multiplier_bar
+from xpforge.homology import abelian_invariants, schur_multiplier
 from xpforge.products import FibreSpec, antipodal_spec, fibre_product, s_subgroup
 from xpforge.tensor import SizeGateError, build_nu, build_tensor_square, quotient_identification
 from xpforge.weakcomm import build_xp, swap_pairing_holds, symmetrized_generators, z_set
@@ -59,7 +59,7 @@ def criterion(num, label):
     assert rec["ok"], f"criterion {num:02d} {label} failed: {rec['note']}"
 
 
-def test_criterion_01_three_route_multiplier_agreement():
+def test_criterion_01_three_route_multiplier_agreement(bar_oracle):
     # exact equality of invariant-factor lists across the doubling quotient,
     # the pairing kernel, and the Cayley graph's relation module, with the
     # bar resolution as the oracle beside them; order-27 entries each
@@ -73,7 +73,7 @@ def test_criterion_01_three_route_multiplier_agreement():
                 "doubling": xp_of(e).h2_invariants(),
                 "pairing": tensor_of(e).h2_invariants(),
                 "relation-module": schur_multiplier(base_group(e)),
-                "bar": schur_multiplier_bar(base_group(e)),
+                "bar": bar_oracle(e.presentation_text),
             }
             elapsed = time.monotonic() - t0
             expected = list(e.expected_h2)

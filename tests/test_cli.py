@@ -9,7 +9,7 @@ import pytest
 from xpforge import coset, harness, weakcomm
 from xpforge.catalog import catalog_entry
 from xpforge.cli import main
-from xpforge.words import Word
+from xpforge.groups import FiniteGroup
 
 
 def run_cli(args, capsys):
@@ -215,19 +215,21 @@ def test_cell_budget_exits_2_whatever_the_coset_cap(capsys, monkeypatch):
 
 
 def test_failed_x_certification_is_one_line_exit_2(capsys, monkeypatch):
-    # a full family with a relator that fails on X(D8): build_xp names it,
-    # the CLI prints one line and exits 2, and the orders row fails
-    real = weakcomm.xp_presentation
+    # a nonzero commutator injected into the certificate at the element of
+    # D8 whose canonical word is a^2: build_xp names that word, the CLI
+    # prints one line and exits 2, and the orders row fails
+    D8 = harness.base_group(catalog_entry("D8"))
+    a2 = D8.words.index((1, 1))
+    real = FiniteGroup._commutators
 
-    def with_a_false_relator(base, elements="all"):
-        pres = real(base, elements)
-        if elements == "all":
-            pres.relators.append(Word((1, 1)))
-        return pres
+    def with_a_false_commutator(self, A, B):
+        out = real(self, A, B).copy()
+        out[a2] = 1
+        return out
 
-    monkeypatch.setattr(weakcomm, "xp_presentation", with_a_false_relator)
-    with pytest.raises(RuntimeError, match=r"full family at relator a\^2$"):
-        weakcomm.build_xp(harness.base_group(catalog_entry("D8")))
+    monkeypatch.setattr(FiniteGroup, "_commutators", with_a_false_commutator)
+    with pytest.raises(RuntimeError, match=r"full family at the element a\^2$"):
+        weakcomm.build_xp(D8)
     code, out, err = run_cli(["xp", "catalog:D8"], capsys)
     assert code == 2
     assert out == ""

@@ -12,8 +12,13 @@ the size gate that keeps nu builds bounded.
 import functools
 import random
 
+import numpy as np
 import pytest
 
+from xpforge import harness
+from xpforge import tensor as tensor_module
+from xpforge.catalog import builtin_catalog
+from xpforge.coset import CosetTable
 from xpforge.groups import (
     Homomorphism,
     derived_subgroup,
@@ -26,6 +31,8 @@ from xpforge.homology import abelian_invariants, schur_multiplier_bar
 from xpforge.tensor import (
     NU_SIZE_GATE,
     SizeGateError,
+    _expansion_rows,
+    _rows_hold,
     build_nu,
     build_tensor_square,
     induced_nu_map,
@@ -34,10 +41,11 @@ from xpforge.tensor import (
     predicted_nu_order,
     quotient_identification,
     tensor_relators,
+    tensor_square_presentation,
     tensor_square_abelian_invariants,
 )
 from xpforge.weakcomm import build_xp, mirror_names
-from xpforge.words import parse_presentation
+from xpforge.words import Word, parse_presentation
 
 PRESENTATIONS = {
     "C2": "gens a\nrels a^2",
@@ -182,9 +190,101 @@ def test_trivial_base_rejected():
         build_tensor_square(C1)
 
 
-def test_tensor_presentation_rejects_unknown_scope():
-    with pytest.raises(ValueError):
-        tensor_relators(base("C4"), "everything")
+# -- the expansion families on element images ------------------------------
+
+
+def reference_relators(G, movers):
+    """Both expansion families as words, by scalar loops over the base's
+    mul and conj, with the expansion element over `movers`: the reference
+    that the index-array rows are held to."""
+    e = G.identity
+    els = [g for g in G.elements if g != e]
+    n = G.order
+
+    def letter(g, h):
+        return (g - 1) * (n - 1) + h if g != e and h != e else None
+
+    rels = []
+    seen = set()
+
+    def emit(letters):
+        w = Word(tuple(a for a in letters if a is not None))
+        if w.letters and w.letters not in seen:
+            seen.add(w.letters)
+            rels.append(w)
+
+    mul, conj = G.mul, G.conj
+    for g1 in els:
+        for g in movers:
+            for h in els:
+                a = letter(mul(g1, g), h)
+                emit([-a if a else None, letter(conj(g1, g), conj(h, g)), letter(g, h)])
+    for h1 in els:
+        for h in movers:
+            for g in els:
+                a = letter(g, mul(h1, h))
+                emit([-a if a else None, letter(g, h), letter(conj(g, h), conj(h1, h))])
+    return rels
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+def test_tensor_relators_match_the_scalar_reference(entry):
+    G = harness.base_group(entry)
+    movers = [g for g in dict.fromkeys(G.generators) if g != G.identity]
+    assert tensor_relators(G) == reference_relators(G, movers)
+    assert tensor_square_presentation(G).relators == tensor_relators(G)
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+def test_expansion_certificate_agrees_with_the_word_family(entry):
+    # the full rows spell the reference words, and the array certificate
+    # and the word family agree on the real symbol images (both hold) and
+    # on images with two distinct symbol images swapped (both fail); C2
+    # has a single symbol, so nothing to swap
+    G = harness.base_group(entry)
+    T = harness.tensor_of(entry).group
+    full = reference_relators(G, [g for g in G.elements if g != G.identity])
+    rows = _expansion_rows(G, G.elements[1:])
+    spelled = dict.fromkeys(Word([a for a in row if a]) for row in rows.tolist())
+    assert [w for w in spelled if w] == full
+    img = np.array([T.identity] + T.generators)
+    assert _rows_hold(T, rows, img)
+    assert T.table.relators_hold(full)
+    if len(img) == 2:
+        return
+    k = next(k for k in range(2, len(img)) if img[k] != img[1])
+    swapped = img.copy()
+    swapped[[1, k]] = img[[k, 1]]
+    assert not _rows_hold(T, rows, swapped)
+    gens = swapped[1:].tolist()
+    assert not all(T.eval_letters(w.letters, gens) == T.identity for w in full)
+
+
+def test_build_rejects_swapped_symbol_images(monkeypatch):
+    # the enumerated group with two distinct symbol images swapped: the
+    # build's certificate must refuse it
+    real = tensor_module.group_from_presentation
+
+    def swapping(*args, **kwargs):
+        T = real(*args, **kwargs)
+        gens = T.generators
+        k = next(k for k in range(1, len(gens)) if gens[k] != gens[0])
+        gens[0], gens[k] = gens[k], gens[0]
+        return T
+
+    monkeypatch.setattr(tensor_module, "group_from_presentation", swapping)
+    with pytest.raises(RuntimeError, match="full expansion family"):
+        build_tensor_square(base("D8"))
+
+
+def test_build_reads_no_word_family(monkeypatch):
+    def refuse(self, relator_words):
+        raise AssertionError("a build traced a word family")
+
+    monkeypatch.setattr(CosetTable, "relators_hold", refuse)
+    for name in ("D8", "Mod27"):
+        T = build_tensor_square(base(name))
+        assert T.group.order == TENSOR_EXPECTED[name][0]
 
 
 @pytest.mark.parametrize("name", sorted(NU_EXPECTED))

@@ -9,10 +9,12 @@ non-2-generated case with R of order 2.
 
 import functools
 
+import numpy as np
 import pytest
 
+from xpforge import harness, weakcomm
 from xpforge.catalog import builtin_catalog, catalog_entry
-from xpforge.coset import EnumerationError, EnumerationLimits, enumerate_cosets
+from xpforge.coset import CosetTable, EnumerationError, EnumerationLimits, enumerate_cosets
 from xpforge.groups import (
     commutator_subgroup,
     derived_subgroup,
@@ -238,6 +240,55 @@ def test_short_family_presents_the_same_group(pres):
 def test_build_enumerates_the_short_family():
     assert bundle("D8").group.presentation == xp_presentation(base("D8"), "short")
     assert bundle("D8").group.presentation != xp_presentation(base("D8"))
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+def test_commutation_certificate_agrees_with_the_word_family(entry):
+    # the certificate, one batch of commutators of the two embeddings'
+    # images, holds together with the full word family; moving one
+    # right-copy image to an element that does not commute with its left
+    # partner fails it at exactly that element.  X of a cyclic base is
+    # abelian, so there every image commutes and nothing can be moved.
+    G = harness.base_group(entry)
+    b = harness.xp_of(entry)
+    X = b.group
+    left, right = b.embed_left._image, b.embed_right._image
+    assert not X._commutators(left, right).any()
+    assert X.table.relators_hold(xp_presentation(G).relators)
+    if X.is_abelian():
+        assert len(G.generators) == 1
+        return
+    g, y = next(
+        (g, y) for g in G.elements for y in X.elements if X.comm(left[g], y) != X.identity
+    )
+    moved = right.copy()
+    moved[g] = y
+    assert np.flatnonzero(X._commutators(left, moved)).tolist() == [g]
+
+
+def test_build_rejects_moved_right_copy_images(monkeypatch):
+    # the enumerated X(K4) with its two right-copy generator images
+    # swapped: still an embedding of K4, but a no longer commutes with
+    # its right-copy image, and the build's certificate names it
+    real = weakcomm.group_from_presentation
+
+    def swapping(*args, **kwargs):
+        X = real(*args, **kwargs)
+        X.generators[2], X.generators[3] = X.generators[3], X.generators[2]
+        return X
+
+    monkeypatch.setattr(weakcomm, "group_from_presentation", swapping)
+    with pytest.raises(RuntimeError, match="full family at the element a$"):
+        build_xp(base("K4"))
+
+
+def test_build_reads_no_word_family(monkeypatch):
+    def refuse(self, relator_words):
+        raise AssertionError("a build traced a word family")
+
+    monkeypatch.setattr(CosetTable, "relators_hold", refuse)
+    for name in ("D8", "E8"):
+        assert build_xp(base(name)).group.order == EXPECTED[name][0]
 
 
 def test_short_family_words():
