@@ -1,10 +1,11 @@
 """Todd-Coxeter coset enumeration: HLT with lookahead and Felsch.
 
 The default strategy, "auto", reads the shape of the presentation: Felsch
-when every relator has at most 3 letters (the wide symbol presentations of
-the tensor square, where HLT fills every column of every row and defines
-hundreds of cosets per final one), HLT otherwise (the narrow doubled and
-pairing presentations, where HLT's relator-driven definitions pay off).
+when every relator has at most 3 letters (the wide presentations of the
+tensor square on every symbol, where HLT fills every column of every row
+and defines hundreds of cosets per final one), HLT otherwise (the narrow
+doubled and pairing presentations and the tensor square on its kept
+symbols, where HLT's relator-driven definitions pay off).
 Felsch pushes one deduction per new edge: the rotations that start with the
 inverse letter at the other end walk the same closed paths in reverse.
 
@@ -15,8 +16,9 @@ once, one row gather each side (operator.itemgetter over the y columns of
 f's row and the z^-1 columns of a's row, built once per enumeration); only
 the rotations where the two tuples differ are walked, each giving a
 deduction or a coincidence.  Every other rotation (1, 2 or 4+ letters) is
-walked letter by letter.  On the tensor-square presentations nearly every
-rotation has 3 letters (23 400 of the 24 024 of T(Heis27)).
+walked letter by letter.  On the tensor-square presentations on every
+symbol nearly every rotation has 3 letters (23 400 of the 24 024 of
+T(Heis27)).
 
 Table format: one row per coset, 2*ngens columns.  Column 2*i holds the
 action of generator i, column 2*i+1 that of its inverse (so a column's
@@ -53,9 +55,9 @@ import numpy as np
 from .words import Presentation, Word
 
 # Cell budget: rows (dead ones included) times 2*ngens columns.  It is
-# fixed; max_cosets does not raise it.  Forced HLT on T(Heis27), the widest
-# catalog enumeration (1352 columns), peaks at 71 731 rows, 97.0 M cells
-# and about 1.1 GB; the list-of-lists table costs about 11.5 bytes a cell.
+# fixed; max_cosets does not raise it.  Forced HLT on T(Heis27) on every
+# symbol (1352 columns) peaks at 71 731 rows, 97.0 M cells and about
+# 1.1 GB; the list-of-lists table costs about 11.5 bytes a cell.
 MAX_CELLS = 120_000_000
 
 

@@ -82,6 +82,7 @@ class FiniteGroup:
     """
 
     identity = 0
+    _acts_rows = None
 
     def __init__(self, generators, gen_cols, name=None, presentation=None, words=None):
         n = gen_cols.shape[1]
@@ -163,14 +164,17 @@ class FiniteGroup:
     def _acts(self) -> np.ndarray:
         """Row 2*i the column of generator i, row 2*i+1 its inverse, then
         two identity rows (so that a step's row ^ 1 is its inverse's, past
-        the end of a word too)."""
-        d, n = self.gen_cols.shape
-        identity = np.arange(n, dtype=np.int32)
-        acts = np.empty((2 * d + 2, n), dtype=np.int32)
-        acts[0 : 2 * d : 2] = self.gen_cols
-        acts[1 : 2 * d : 2][np.arange(d)[:, None], self.gen_cols] = identity
-        acts[2 * d :] = identity
-        return acts
+        the end of a word too).  Built on first use and kept, since
+        gen_cols never changes."""
+        if self._acts_rows is None:
+            d, n = self.gen_cols.shape
+            identity = np.arange(n, dtype=np.int32)
+            acts = np.empty((2 * d + 2, n), dtype=np.int32)
+            acts[0 : 2 * d : 2] = self.gen_cols
+            acts[1 : 2 * d : 2][np.arange(d)[:, None], self.gen_cols] = identity
+            acts[2 * d :] = identity
+            self._acts_rows = acts
+        return self._acts_rows
 
     def _products(self, A, B) -> np.ndarray:
         """Index of a*b for index arrays A and B, pair by pair: each a

@@ -1,8 +1,8 @@
 """Crossed-pairing groups: a direct presentation of the tensor square and
 the nu construction that contains it.
 
-The tensor square T(P) is presented on symbols s(g, h) for nontrivial
-g, h in P, with the two expansion families
+The tensor square T(P) is generated by symbols s(g, h) for nontrivial
+g, h in P, subject to the two expansion families
 
     s(g1*g, h)  = s(g1^g, h^g) * s(g, h)
     s(g, h1*h)  = s(g, h) * s(g^h, h1^h)
@@ -10,13 +10,33 @@ g, h in P, with the two expansion families
 where any symbol with an identity coordinate is dropped.  Both families
 are defined once, as an index array of rows (-a, b, c) of symbol letters
 read off P's multiplication and conjugation tables (_expansion_rows).
-Enumeration runs once, on the words of the rows whose expansion element
-(g resp. h) is a base generator; the full family is then certified on
-the symbol images, img[a] == img[b] * img[c] for every row in one batch
-of products.  The restricted group always maps onto the fully-related
-one, so a passing certification proves the two coincide.  It is the only
-proof of T for the bases too large for nu, so it stays at build time: an
-enumeration limit propagates and a failed certification raises.
+
+build_tensor_square presents T on few of the symbols: s(x^g, y^g) for
+base generators x, y and every g in P (37 of the 676 for Heis27).  Inside
+nu(P), conjugation by g acts on symbols diagonally, s(x, y)^g =
+s(x^g, y^g), and the commutators of generators normally generate [P, P'],
+so these symbols generate T (Ellis and Leonard, Proc. R. Irish Acad. 95A,
+1995).  Every other symbol is Tietze-eliminated: the words of the rows
+whose expansion element (g resp. h) is a base generator, tensor_relators,
+are swept until a pass defines nothing, and a word with exactly one
+unknown symbol, occurring once, defines it as a word in the known ones.
+Every word is then rewritten in the kept symbols and cyclically reduced,
+and those of at most max(8, exp(P)) letters are enumerated.  The cap is
+the exponent, not a fixed length: C9 needs k^9, and on D32 and Q32 an
+8-letter cap leaves a presentation that passes millions of cosets
+without closing.
+
+The result is exact by a certificate, not by the choice of words.  Each
+symbol's element is read off its definition (a product of at most two
+symbols defined before it, starting from T's generators, the kept
+ones), and the full families are checked on these images, img[a] == img[b] * img[c] for every row in one
+batch of products.  The enumerated group maps onto T, since its relators
+are consequences of T's and the elimination wrote every symbol in the
+kept ones; the passing certificate gives a map back, onto because the
+kept symbols' images are its generators; both groups are finite, so the
+two coincide.  It is the only proof of T for the bases too large for nu,
+so it stays at build time: an enumeration limit propagates, and a
+symbol the elimination misses or a failed certification raises.
 
 nu(P) doubles P like the weak-commutativity construction, but with
 conjugation-compatibility relators instead of the diagonal pairing:
@@ -56,6 +76,7 @@ from .groups import (
     center,
     derived_subgroup,
     direct_product,
+    exponent,
     group_from_presentation,
     intersection,
     normal_closure,
@@ -109,6 +130,13 @@ def _symbol_number(n: int, g: int, h: int) -> int:
     return (g - 1) * (n - 1) + h - 1
 
 
+def _conjugation_tables(base: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n arrays of x*y and of x^y, row x and column y."""
+    mul = base.multiplication_table()
+    inv = np.argmax(mul == base.identity, axis=1)
+    return mul, mul[inv[None, :], mul]
+
+
 def _expansion_rows(base: FiniteGroup, movers) -> np.ndarray:
     """Both expansion families with the expansion element in `movers`,
     as rows (-a, b, c) of 1-based symbol letters, 0 for a symbol with an
@@ -117,9 +145,7 @@ def _expansion_rows(base: FiniteGroup, movers) -> np.ndarray:
     s(g^h, h1^h) for every h1, h, g, with g1, h1 and the unmoved slot
     over the nontrivial elements."""
     n = base.order
-    mul = base.multiplication_table()
-    inv = np.argmax(mul == base.identity, axis=1)
-    conj = mul[inv[None, :], mul]  # conj[x, y] = x^y
+    mul, conj = _conjugation_tables(base)
     letter = np.zeros((n, n), dtype=np.int64)
     letter[1:, 1:] = np.arange(1, (n - 1) ** 2 + 1).reshape(n - 1, n - 1)
     x = np.arange(1, n)[:, None, None]
@@ -152,14 +178,121 @@ def _rows_hold(group: FiniteGroup, rows: np.ndarray, img: np.ndarray) -> bool:
     return np.array_equal(group._products(img[rows[:, 1]], img[rows[:, 2]]), img[-rows[:, 0]])
 
 
-def tensor_square_presentation(base: FiniteGroup) -> Presentation:
-    names = [f"s{g}_{h}" for g, h in _tensor_symbols(base)]
+def _label(base: FiniteGroup) -> str | None:
     label = base.presentation.name if base.presentation else base.name
-    return Presentation(
-        names,
-        tensor_relators(base),
-        name=f"ts_{label}" if label else None,
-    )
+    return f"ts_{label}" if label else None
+
+
+def tensor_square_presentation(base: FiniteGroup) -> Presentation:
+    """T on every symbol, with the generator-scope relators; the build
+    rewrites these relators in the kept symbols instead."""
+    names = [f"s{g}_{h}" for g, h in _tensor_symbols(base)]
+    return Presentation(names, tensor_relators(base), name=_label(base))
+
+
+def _kept_letters(base: FiniteGroup) -> list[int]:
+    """The letters of the symbols s(x^g, y^g) for base generators x, y
+    and every element g, ascending."""
+    n = base.order
+    _, conj = _conjugation_tables(base)
+    gens = [g for g in dict.fromkeys(base.generators) if g != base.identity]
+    moved = conj[gens]  # moved[i, g] = x_i^g
+    return np.unique((moved[:, None, :] - 1) * (n - 1) + moved[None, :, :]).tolist()
+
+
+def _inverse(runs) -> tuple:
+    return tuple((x, -e) for x, e in reversed(runs))
+
+
+def _expand(value: list, letters) -> list:
+    """A word in symbol letters rewritten through `value`, as freely
+    reduced runs (x, e): kept symbol x to the power e != 0.
+
+    Runs keep the words short where symbols are high powers: on a cyclic
+    base every symbol is one power of the single kept one, s(a^i, a^j) =
+    k^(i*j), so T(C64) would spell 4 M letters."""
+    out: list = []
+    for a in letters:
+        for x, e in value[a] if a > 0 else _inverse(value[-a]):
+            if out and out[-1][0] == x:
+                e += out.pop()[1]
+                if not e:
+                    continue
+            out.append((x, e))
+    return out
+
+
+def _eliminate(words: list[Word], kept: list[int], nsymbols: int):
+    """Every symbol as runs in the kept ones (the kept symbol kept[j] is
+    run (j + 1, 1)), indexed by symbol letter, entry 0 unused; and the
+    definitions in the order made, as pairs (a, r) with a * r = 1, r a
+    word in the symbols defined before.
+
+    Sweeps the words until a pass defines nothing.  A word with exactly
+    one unknown letter a is a * r = 1 after a rotation, so a = r^-1
+    defines that symbol in the known ones.  A symbol that no pass
+    defines stays None."""
+    value: list = [None] * (nsymbols + 1)
+    for j, a in enumerate(kept):
+        value[a] = ((j + 1, 1),)
+    definitions = []
+    pending = [w.letters for w in words]
+    defined = True
+    while defined:
+        defined = False
+        rest = []
+        for w in pending:
+            unknown = [i for i, a in enumerate(w) if value[abs(a)] is None]
+            if len(unknown) == 1:
+                (i,) = unknown
+                a, r = w[i], w[i + 1 :] + w[:i]
+                runs = _expand(value, r)
+                value[abs(a)] = _inverse(runs) if a > 0 else tuple(runs)
+                definitions.append((a, r))
+                defined = True
+            elif unknown:
+                rest.append(w)
+        pending = rest
+    return value, definitions
+
+
+def _cyclic_key(w: tuple) -> tuple:
+    """The least rotation of w or of its inverse."""
+    v = tuple(-a for a in reversed(w))
+    return min(min(w[i:] + w[:i], v[i:] + v[:i]) for i in range(len(w)))
+
+
+def _kept_relators(words: list[Word], value: list, cap: int) -> list[Word]:
+    """The words rewritten in the kept symbols and cyclically reduced:
+    those of at most `cap` letters, once per rotation and inverse,
+    shortest first (HLT scans them in this order at every coset)."""
+    rels = []
+    seen = set()
+    for w in words:
+        runs = _expand(value, w.letters)
+        while len(runs) > 1 and runs[0][0] == runs[-1][0]:
+            x, e = runs.pop()
+            e += runs[0][1]
+            runs[0:1] = [(x, e)] if e else []
+        if 0 < sum(abs(e) for _, e in runs) <= cap:
+            v = tuple(x if e > 0 else -x for x, e in runs for _ in range(abs(e)))
+            if (key := _cyclic_key(v)) not in seen:
+                seen.add(key)
+                rels.append(Word(v))
+    return sorted(rels, key=len)
+
+
+def _symbol_images(T: PermGroup, kept: list[int], definitions, nsymbols: int) -> np.ndarray:
+    """The element of every symbol, indexed by symbol letter, entry 0 the
+    identity: the kept symbols are T's generators, and each definition
+    a * r = 1 is evaluated on the images before it."""
+    img = [T.identity] * nsymbols  # letter a at index a - 1, as eval_letters reads it
+    for j, a in enumerate(kept):
+        img[a - 1] = T.generators[j]
+    for a, r in definitions:
+        x = T.eval_letters(r, img)
+        img[abs(a) - 1] = T.inv(x) if a > 0 else x
+    return np.array([T.identity] + img)
 
 
 @dataclass
@@ -168,14 +301,15 @@ class TensorSquare:
 
     base: FiniteGroup
     group: PermGroup
-    symbols: list[tuple]
+    symbols: list[tuple]  # the kept pairs (g, h), one per generator of group
+    images: np.ndarray  # the element of every symbol, by letter; 0 the identity
     to_base: Homomorphism  # s(g, h) -> [g, h]; image is the derived subgroup
     delta: Subgroup  # normal closure of the diagonal symbols
 
     def symbol(self, g, h):
         if g == self.base.identity or h == self.base.identity:
             return self.group.identity
-        return self.group.generators[_symbol_number(self.base.order, g, h)]
+        return int(self.images[1 + _symbol_number(self.base.order, g, h)])
 
     @property
     def exterior_order(self) -> int:
@@ -208,19 +342,31 @@ def build_tensor_square(
     if not symbols:
         raise ValueError("trivial base group has no pairing symbols")
     lim = limits or EnumerationLimits(max_cosets=TENSOR_COSET_CAP)
-    pres = tensor_square_presentation(base)
+    words = tensor_relators(base)
+    kept = _kept_letters(base)
+    value, definitions = _eliminate(words, kept, len(symbols))
+    if None in value[1:]:
+        g, h = symbols[value.index(None, 1) - 1]
+        raise RuntimeError(f"the kept symbols do not define s{g}_{h} by the expansion relators")
+    pairs = [symbols[a - 1] for a in kept]
+    pres = Presentation(
+        [f"s{g}_{h}" for g, h in pairs],
+        _kept_relators(words, value, max(8, exponent(base))),
+        name=_label(base),
+    )
     T = group_from_presentation(pres, limits=lim, strategy=strategy, name=pres.name)
-    img = np.array([T.identity] + T.generators)
+    img = _symbol_images(T, kept, definitions, len(symbols))
     if not _rows_hold(T, _expansion_rows(base, base.elements[1:]), img):
         raise RuntimeError("generator-scope tensor relators fail the full expansion family")
 
-    to_base = Homomorphism(T, base, [base.comm(g, h) for g, h in symbols])
-    diag = [T.generators[k] for k, (g, h) in enumerate(symbols) if g == h]
-    delta = normal_closure(T, diag)
+    to_base = Homomorphism(T, base, [base.comm(g, h) for g, h in pairs])
+    n = base.order
+    delta = normal_closure(T, [int(img[1 + _symbol_number(n, g, g)]) for g in base.elements[1:]])
     return TensorSquare(
         base=base,
         group=T,
-        symbols=symbols,
+        symbols=pairs,
+        images=img,
         to_base=to_base,
         delta=delta,
     )

@@ -206,7 +206,9 @@ def test_coset_limit_exits_2(capsys):
 
 
 def test_cell_budget_exits_2_whatever_the_coset_cap(capsys, monkeypatch):
-    # T(D8) needs 32 rows of 98 cells; --max-cosets does not lift the budget
+    # T(D8) has 12 generators, so its 32 cosets fit the 81 rows of 24 cells
+    # that this budget leaves it; nu(D8) needs 2048 rows of 8 cells and
+    # stops at 245; --max-cosets does not lift the budget
     monkeypatch.setattr(coset, "MAX_CELLS", 20 * 98)
     code, out, err = run_cli(["nu", "catalog:D8", "--max-cosets", "1000000"], capsys)
     assert code == 2

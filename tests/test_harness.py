@@ -167,9 +167,11 @@ def test_schur_runs_the_third_route_at_every_order():
 
 @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
 def test_auto_strategy_per_construction(entry):
-    # the tensor square's symbol presentation has relators of at most 3
-    # letters and gets Felsch; the doubled and pairing presentations keep HLT
-    assert harness.tensor_of(entry).group.table.stats["strategy"] == "felsch"
+    # the tensor square's kept-symbol presentation has relators longer than
+    # 3 letters and gets HLT, except C2's single relator k^2, which gets
+    # Felsch; the doubled and pairing presentations keep HLT
+    want = "felsch" if entry.name == "C2" else "hlt"
+    assert harness.tensor_of(entry).group.table.stats["strategy"] == want
     assert harness.xp_of(entry).group.table.stats["strategy"] == "hlt"
     try:
         nu_table = harness.nu_of(entry).group.table

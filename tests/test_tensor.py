@@ -17,7 +17,7 @@ import pytest
 
 from xpforge import harness
 from xpforge import tensor as tensor_module
-from xpforge.catalog import builtin_catalog
+from xpforge.catalog import builtin_catalog, catalog_entry
 from xpforge.coset import CosetTable
 from xpforge.groups import (
     Homomorphism,
@@ -27,7 +27,7 @@ from xpforge.groups import (
     is_powerful,
     nilpotency_class,
 )
-from xpforge.homology import abelian_invariants, schur_multiplier_bar
+from xpforge.homology import abelian_invariants, schur_multiplier, schur_multiplier_bar
 from xpforge.tensor import (
     NU_SIZE_GATE,
     SizeGateError,
@@ -166,6 +166,8 @@ def test_symbols_are_numbered_generators_with_the_defining_relations():
     for k, (g, h) in enumerate(T.symbols):
         assert T.symbol(g, h) == T.group.generators[k]
         assert names[k] == f"s{g}_{h}"
+    for k, (g, h) in enumerate(tensor_module._tensor_symbols(G)):
+        assert T.symbol(g, h) == T.images[k + 1]
         assert T.to_base(T.symbol(g, h)) == G.comm(g, h)
     mul, conj = T.group.mul, G.conj
     for g1 in G.elements:
@@ -173,6 +175,41 @@ def test_symbols_are_numbered_generators_with_the_defining_relations():
             for h in G.elements:
                 left = T.symbol(G.mul(g1, g), h)
                 assert left == mul(T.symbol(conj(g1, g), conj(h, g)), T.symbol(g, h))
+
+
+@pytest.mark.parametrize("name, count", [("D8", 12), ("Mod27", 24), ("Heis27", 37)])
+def test_kept_symbols_are_the_diagonal_conjugates_of_generator_pairs(name, count):
+    # the generators of T are the symbols s(x^g, y^g) for base generators
+    # x, y and every g, in symbol order
+    G = harness.base_group(catalog_entry(name))
+    T = harness.tensor_of(catalog_entry(name))
+    gens = G.generators
+    pairs = {(G.conj(x, g), G.conj(y, g)) for x in gens for y in gens for g in G.elements}
+    assert T.symbols == sorted(pairs)
+    assert len(T.symbols) == count
+
+
+# bases outside the catalog: on D32 and Q32 an 8-letter cap on the kept
+# relators does not close, and the exponent cap does; on C27 every symbol
+# is a power of one kept symbol, s(a^i, a^j) = k^(i*j)
+OUTSIDE = {
+    "C27": ("gens a\nrels a^27", 27),
+    "D16": ("gens a, b\nrels a^8, b^2, (a*b)^2", 64),
+    "Q16": ("gens a, b\nrels a^8, a^4*b^-2, b^-1*a*b*a", 64),
+    "SD16": ("gens a, b\nrels a^8, b^2, b^-1*a*b*a^-3", 64),
+    "C4:C4": ("gens a, b\nrels a^4, b^4, b^-1*a*b*a", 128),
+    "D32": ("gens a, b\nrels a^16, b^2, (a*b)^2", 128),
+    "Q32": ("gens a, b\nrels a^16, a^8*b^-2, b^-1*a*b*a", 128),
+}
+
+
+@pytest.mark.parametrize("name", list(OUTSIDE))
+def test_kept_symbols_close_on_bases_outside_the_catalog(name):
+    text, order = OUTSIDE[name]
+    G = group_from_presentation(parse_presentation(text), name=name)
+    T = build_tensor_square(G)
+    assert T.group.order == order
+    assert T.h2_invariants() == schur_multiplier(G)
 
 
 def test_symbol_identity_coordinate_is_trivial():
@@ -247,9 +284,9 @@ def test_expansion_certificate_agrees_with_the_word_family(entry):
     rows = _expansion_rows(G, G.elements[1:])
     spelled = dict.fromkeys(Word([a for a in row if a]) for row in rows.tolist())
     assert [w for w in spelled if w] == full
-    img = np.array([T.identity] + T.generators)
+    img = harness.tensor_of(entry).images
     assert _rows_hold(T, rows, img)
-    assert T.table.relators_hold(full)
+    assert all(T.eval_letters(w.letters, img[1:].tolist()) == T.identity for w in full)
     if len(img) == 2:
         return
     k = next(k for k in range(2, len(img)) if img[k] != img[1])
@@ -260,20 +297,40 @@ def test_expansion_certificate_agrees_with_the_word_family(entry):
     assert not all(T.eval_letters(w.letters, gens) == T.identity for w in full)
 
 
+def test_certificate_multiplies_in_row_order():
+    # D8 as the group itself, where ab != ba: the row (-ab, a, b) holds
+    # and (-ab, b, a) does not, so a certificate that multiplied img[c] *
+    # img[b] would read both wrongly (every catalog T is abelian)
+    G = base("D8")
+    a, b = G.generators
+    ab = G.mul(a, b)
+    assert ab != G.mul(b, a)
+    img = np.array([G.identity, a, b, ab])
+    assert _rows_hold(G, np.array([[-3, 1, 2]]), img)
+    assert not _rows_hold(G, np.array([[-3, 2, 1]]), img)
+
+
 def test_build_rejects_swapped_symbol_images(monkeypatch):
-    # the enumerated group with two distinct symbol images swapped: the
-    # build's certificate must refuse it
-    real = tensor_module.group_from_presentation
+    # the symbol images with two distinct entries swapped: the build's
+    # certificate must refuse them
+    real = tensor_module._symbol_images
 
     def swapping(*args, **kwargs):
-        T = real(*args, **kwargs)
-        gens = T.generators
-        k = next(k for k in range(1, len(gens)) if gens[k] != gens[0])
-        gens[0], gens[k] = gens[k], gens[0]
-        return T
+        img = real(*args, **kwargs)
+        k = next(k for k in range(2, len(img)) if img[k] != img[1])
+        img[[1, k]] = img[[k, 1]]
+        return img
 
-    monkeypatch.setattr(tensor_module, "group_from_presentation", swapping)
+    monkeypatch.setattr(tensor_module, "_symbol_images", swapping)
     with pytest.raises(RuntimeError, match="full expansion family"):
+        build_tensor_square(base("D8"))
+
+
+def test_build_rejects_kept_symbols_that_leave_a_symbol_undefined(monkeypatch):
+    # s(a, a) alone does not write every symbol of D8: the sweep stops
+    # short, and the build raises instead of enumerating
+    monkeypatch.setattr(tensor_module, "_kept_letters", lambda base: [1])
+    with pytest.raises(RuntimeError, match="kept symbols do not define s"):
         build_tensor_square(base("D8"))
 
 
