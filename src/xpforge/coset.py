@@ -25,21 +25,26 @@ action of generator i, column 2*i+1 that of its inverse (so a column's
 inverse column is ``col ^ 1``); -1 marks an undefined entry.  Coset 0 is
 the subgroup coset.
 
-Completed tables are compressed (dead rows removed), checked and
-standardized on one int32 array of columns: cosets are renumbered in BFS
-discovery order from coset 0, exploring positive generator columns in
-index order.  The standardized table is canonical for the (presentation,
-subgroup) pair, so HLT and Felsch agree on it, and the BFS also yields
-shortlex canonical words in the positive generators for every coset.
-That BFS, shortlex_bfs, is the one every group in groups.py runs.  A
-CosetTable keeps that array; relators are certified on it with one
-gather per letter for a chunk of words at a time.
+Completed tables are compressed (dead rows removed) onto one int32
+array of columns, then checked and standardized by one routine,
+standardize: every column must be a permutation, every relator must
+close at every coset, and the cosets are renumbered in BFS discovery
+order from coset 0, exploring positive generator columns in index order.
+The standardized table is canonical for the (presentation, subgroup)
+pair, so HLT and Felsch agree on it, and the BFS also yields shortlex
+canonical words in the positive generators for every coset.  That BFS,
+shortlex_bfs, is the one every group in groups.py runs; standardize
+also serves the regular tables that groups.group_from_fold assembles
+from a smaller enumeration.  A CosetTable keeps that array; relators
+are certified on it with one gather per letter for a chunk of words at
+a time.
 
 Enumeration either completes or raises EnumerationError (limit/time); a
 partial table is never returned.  Memory is bounded by a cell budget, rows
 times columns, as well as by the live-coset cap: a wide presentation
 (T(C64) has 7938 columns) reaches gigabytes long before it reaches a row
-cap.
+cap.  hold_to_limits states both bounds once, for the enumeration and
+for any table assembled from it.
 """
 
 from __future__ import annotations
@@ -79,6 +84,25 @@ class EnumerationError(RuntimeError):
     def __init__(self, message: str, cosets_used: int):
         super().__init__(message)
         self.cosets_used = cosets_used
+
+
+def hold_to_limits(rows: int, ncols: int, defined: int, limits: EnumerationLimits) -> None:
+    """Raise EnumerationError unless a table of `rows` rows and `ncols`
+    columns fits under the live-coset cap and the cell budget; `defined`
+    is the count of cosets defined so far, which the error carries."""
+    if rows > limits.max_cosets:
+        raise EnumerationError(
+            f"coset limit exceeded: {rows} cosets do not fit the cap of {limits.max_cosets} "
+            f"({defined} defined in total); the index may be infinite or the limit too small",
+            defined,
+        )
+    if rows * ncols > MAX_CELLS:
+        raise EnumerationError(
+            f"cell budget exceeded: {rows} cosets x {ncols} columns do not fit the fixed "
+            f"budget of {MAX_CELLS} cells ({defined} defined in total), and max_cosets does "
+            f"not raise it; the index may be infinite or the presentation too wide",
+            defined,
+        )
 
 
 class _CapHit(Exception):
@@ -170,6 +194,40 @@ def shortlex_bfs(gen_cols: np.ndarray, source: int = 0) -> list:
         seen[found] = True
         levels.append((found, level[hit // ngens], hit % ngens))
         level = found
+
+
+def standardize(cols: np.ndarray, rel_cols) -> tuple[np.ndarray, list]:
+    """Check a complete table and renumber it canonically.
+
+    `cols` holds all 2*ngens columns (ncols x n), column 2*i+1 the inverse
+    of column 2*i, and `rel_cols` the relators as column tuples.  Raises
+    RuntimeError unless every column is a permutation, every relator acts
+    as the identity, and the BFS along the positive columns from point 0
+    reaches every point.  Returns the table renumbered in that BFS order
+    and the shortlex word (positive 1-based letters) of every point.
+    """
+    n = cols.shape[1]
+    idx = np.arange(n, dtype=np.int32)
+    step = max(1, CHUNK_CELLS // max(n, 1))
+    for s in range(0, len(cols), step):
+        if not (np.sort(cols[s : s + step], axis=1) == idx).all():
+            raise RuntimeError("a table column is not a permutation")
+    if not _words_close(cols, _by_length(rel_cols)):
+        raise RuntimeError("a relator does not close on the table")
+    levels = shortlex_bfs(cols[0::2])
+    order = np.concatenate([np.zeros(1, dtype=np.int32)] + [found for found, _, _ in levels])
+    if len(order) != n:
+        raise RuntimeError("the table is not connected")
+    new = np.empty(n, dtype=np.int32)
+    new[order] = idx
+    words: list[tuple[int, ...]] = [()]
+    for _, src, gen in levels:
+        for u, i in zip(new[src].tolist(), (gen + 1).tolist()):
+            words.append(words[u] + (i,))
+    std = np.empty_like(cols)
+    for s in range(0, len(cols), step):
+        std[s : s + step] = new[cols[s : s + step, order]]
+    return std, words
 
 
 class CosetTable:
@@ -391,26 +449,13 @@ class _Enumerator:
 
     def _relieve(self, alpha: int, deds) -> int:
         """Lookahead + compact after a cap hit; returns the renumbered alpha
-        to resume from, or raises EnumerationError if still over the cap
-        or the cell budget."""
+        to resume from, or raises EnumerationError if there is still no
+        room for one more coset under the cap or the cell budget."""
         self._lookahead(deds)
         alpha = self._rep(alpha)
         mapping = self._compact()
-        if self.live >= self.limits.max_cosets:
-            raise EnumerationError(
-                f"coset limit exceeded: {self.live} live cosets "
-                f"({self.total_defined} defined in total, cap {self.limits.max_cosets}); "
-                f"the index may be infinite or the limit too small",
-                self.total_defined,
-            )
-        if self.live >= self.max_rows:
-            raise EnumerationError(
-                f"cell budget exceeded: {self.live} live cosets x {self.ncols} columns "
-                f"leave no room in the fixed budget of {MAX_CELLS} cells "
-                f"({self.total_defined} defined in total), and max_cosets does not "
-                f"raise it; the index may be infinite or the presentation too wide",
-                self.total_defined,
-            )
+        # the live cosets and the one that the cap hit was defining
+        hold_to_limits(self.live + 1, self.ncols, self.total_defined, self.limits)
         return mapping[alpha]
 
     def _maybe_compact(self, alpha: int) -> int:
@@ -622,7 +667,8 @@ class _Enumerator:
     # -- finishing ------------------------------------------------------------
 
     def finish(self) -> CosetTable:
-        """Compact, check and standardize the table on one int32 array."""
+        """Compact the table onto one int32 array, check that the subgroup
+        words fix coset 0, then check and renumber it with standardize."""
         p = np.array(self.p, dtype=np.int32)
         live = np.flatnonzero(p == np.arange(len(p)))
         n = len(live)
@@ -640,34 +686,13 @@ class _Enumerator:
             mapping = np.full(len(p), -1, dtype=np.int32)
             mapping[live] = np.arange(n, dtype=np.int32)
             cols = mapping[rep][cols]
-        idx = np.arange(n, dtype=np.int32)
-        step = max(1, CHUNK_CELLS // max(n, 1))
-        for s in range(0, len(cols), step):
-            if not (np.sort(cols[s : s + step], axis=1) == idx).all():
-                raise RuntimeError("internal: table column is not a permutation")
-        if not _words_close(cols, _by_length(self.rel_cols)):
-            raise RuntimeError("internal: relator does not close on the table")
         for w in self.sub_cols:
             v = 0
             for c in w:
                 v = cols[c, v]
             if v != 0:
                 raise RuntimeError("internal: subgroup word leaves coset 0")
-
-        # standardization: renumber in shortlex BFS order on positive columns
-        levels = shortlex_bfs(cols[0::2])
-        order = np.concatenate([np.zeros(1, dtype=np.int32)] + [found for found, _, _ in levels])
-        if len(order) != n:
-            raise RuntimeError("internal: table is not connected")
-        new = np.empty(n, dtype=np.int32)
-        new[order] = np.arange(n, dtype=np.int32)
-        words: list[tuple[int, ...]] = [()]
-        for _, src, gen in levels:
-            for u, i in zip(new[src].tolist(), (gen + 1).tolist()):
-                words.append(words[u] + (i,))
-        std = np.empty_like(cols)
-        for s in range(0, len(cols), step):
-            std[s : s + step] = new[cols[s : s + step, order]]
+        std, words = standardize(cols, self.rel_cols)
         stats = {
             "cosets": n,
             "total_defined": self.total_defined,

@@ -5,7 +5,7 @@ O'Brien, Handbook of Computational Group Theory, 2005, section 4.1): its
 elements are the indices 0..n-1, the identity is 0, and `gen_cols` holds
 one int32 row per generator with the index of x*g for every element x.
 A subclass only builds the generators and those rows: PermGroup takes a
-coset table's positive columns, TupleGroup moves one mixed-radix digit
+regular table's positive columns, TupleGroup moves one mixed-radix digit
 per factor generator, SubgroupAsGroup restricts its parent's right
 actions, and QuotientGroup takes the orbits of the normal subgroup's
 generators as its cosets.  Each puts the identity first: coset 0, the
@@ -31,6 +31,14 @@ of the product law; the domain's relators are traced only after it
 fails, to name the one that breaks.  The constructions prove their
 relator families on element images the same way, in one batch of
 _products or _commutators.
+
+A presentation is turned into a group by coset enumeration over the
+trivial subgroup (group_from_presentation), or, for a group on two
+copies of a base that folds onto it, over the first copy
+(group_from_fold): the fold and the cosets of that copy give every
+element once, so the regular table is assembled from base's columns and
+a table |base| times smaller, then checked and standardized like an
+enumerated one.
 
 Every subgroup is a boolean mask over its parent's indices plus a small
 generating set, and every closure is the BFS that builds the groups:
@@ -58,9 +66,17 @@ from functools import reduce
 
 import numpy as np
 
-from .coset import CosetTable, EnumerationLimits, enumerate_cosets, shortlex_bfs
+from .coset import (
+    CosetTable,
+    EnumerationLimits,
+    enumerate_cosets,
+    hold_to_limits,
+    shortlex_bfs,
+    standardize,
+    word_to_cols,
+)
 from .homology import abelian_invariants
-from .words import Presentation
+from .words import Presentation, Word
 
 _ASSOC_SAMPLES = 64
 
@@ -271,9 +287,10 @@ class FiniteGroup:
 
 
 class PermGroup(FiniteGroup):
-    """Regular representation read off a completed coset table over the
-    trivial subgroup: elements are coset numbers, and the generator
-    columns and words are the table's."""
+    """Regular representation read off a completed table of the regular
+    action (enumerated over the trivial subgroup, or assembled by
+    group_from_fold): elements are its points, and the generator columns
+    and words are the table's."""
 
     def __init__(self, table: CosetTable, name=None):
         if table.subgroup_words:
@@ -738,6 +755,46 @@ def group_from_presentation(
 ) -> PermGroup:
     table = enumerate_cosets(pres, limits=limits, strategy=strategy)
     return PermGroup(table, name=name or pres.name)
+
+
+def group_from_fold(
+    pres: Presentation,
+    base: FiniteGroup,
+    limits: EnumerationLimits | None = None,
+    strategy: str = "auto",
+) -> PermGroup:
+    """The group X that `pres` presents on two copies of base's
+    generators, built from the cosets of the first copy.
+
+    Generators i and n+i fold onto base generator i.  When every relator
+    folds to the identity, the fold is a retraction of X onto base, and
+    the first copy H, a quotient of base since `pres` has base's relators
+    on it, is a complement of its kernel; so x -> (fold(x), Hx) is a
+    bijection from X to base x (right cosets of H), and it respects right
+    multiplication by a generator t: (h, c) goes to (h*fold(t), c*t).
+    The table on those |base|*k points is assembled from base's generator
+    columns and the k-coset table of H, then checked and standardized
+    like any enumerated table (coset.standardize).  A relator that does
+    not fold fails the relator check.  Once every relator closes, the
+    table is a transitive action of X on |base|*k >= |H|*k = |X| points,
+    which is regular; so the result is the regular representation that
+    group_from_presentation gives, element for element.
+    """
+    n = base.presentation.ngens
+    if pres.ngens != 2 * n or not set(base.presentation.relators) <= set(pres.relators):
+        raise ValueError("presentation is not on two copies of the base, the first with its relators")
+    limits = limits or EnumerationLimits()
+    table = enumerate_cosets(pres, [Word.gen(i) for i in range(n)], limits, strategy)
+    k, m, ncols = table.n, base.order, 4 * n
+    defined = table.stats["total_defined"]
+    hold_to_limits(k * m, ncols, defined, limits)
+    # point c*m + h is (h, c); column x moves h by its folded letter, c by x
+    folded = base._acts()[[2 * (x // 2 % n) + (x & 1) for x in range(ncols)]]
+    cols = (table.col_arrays()[:, :, None] * m + folded[:, None, :]).reshape(ncols, k * m)
+    std, words = standardize(cols, [word_to_cols(w) for w in pres.relators])
+    stats = {"cosets": k * m, "total_defined": defined, "strategy": table.strategy}
+    regular = CosetTable(2 * n, std, words, pres, [], table.strategy, stats)
+    return PermGroup(regular, name=pres.name)
 
 
 def direct_product(*groups: FiniteGroup, name=None) -> TupleGroup:

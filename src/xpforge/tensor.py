@@ -55,9 +55,13 @@ much faster than the constructions around it.
 nu is enumerated once, from the relators with all three slots over the
 base generators: Ellis and Leonard (Computing Schur multipliers and
 tensor products of finite groups, Proc. R. Irish Acad. 95A, 1995) show
-that these already present nu(P).  The build checks the order against
-|P|^2 * |T| and the isomorphism from the direct tensor presentation; the
-certification against the full |P|^3 relator family lives in the tests.
+that these already present nu(P).  Every relator folds to the identity,
+so the fold is a retraction of nu onto P, and nu is built from the
+cosets of its left copy (groups.group_from_fold): |P| times fewer
+cosets than the regular representation.  The build checks the order
+against |P|^2 * |T| and the isomorphism from the direct tensor
+presentation; the certification against the full |P|^3 relator family
+lives in the tests.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ from .groups import (
     derived_subgroup,
     direct_product,
     exponent,
+    group_from_fold,
     group_from_presentation,
     intersection,
     normal_closure,
@@ -478,6 +483,16 @@ def build_nu(
     limits: EnumerationLimits | None = None,
     strategy: str = "auto",
 ) -> NuBundle:
+    """nu(base), with its embeddings, fold, tensor subgroup and Delta.
+
+    Raises SizeGateError when the predicted order |base|^2 * |T| exceeds
+    `size_gate`.  The group is built from the cosets of the left copy
+    (groups.group_from_fold), whose index is |base| * |T|; `limits` holds
+    that enumeration and the assembled |nu| rows (default: a live-coset
+    cap of max(60 000, 6 * predicted)).  Raises RuntimeError when the
+    order differs from the prediction or the direct tensor presentation
+    does not map isomorphically onto [P, P'].
+    """
     if tensor is None:
         tensor = build_tensor_square(base, strategy=strategy)
     predicted = predicted_nu_order(base, tensor)
@@ -486,7 +501,7 @@ def build_nu(
 
     pres = nu_presentation(base)
     lim = limits or EnumerationLimits(max_cosets=max(60_000, 6 * predicted))
-    X = group_from_presentation(pres, limits=lim, strategy=strategy, name=pres.name)
+    X = group_from_fold(pres, base, limits=lim, strategy=strategy)
     if X.order != predicted:
         raise RuntimeError(f"nu presentation enumerates to {X.order}, predicted {predicted}")
 

@@ -24,6 +24,13 @@ family that presented a larger group would fail that check, and the
 build raises instead of returning the wrong group.  The full family as
 words (`xp_presentation(base)`) remains only as the tests' oracle.
 
+Folding both copies onto P is a retraction of X onto P whose kernel L
+has the left copy as a complement, X = L x| P (Sidki, 1980).  So X is
+enumerated over the left copy, index |X|/|P| (729 for Heis27), and its
+regular representation is assembled from those cosets and P's own
+(groups.group_from_fold), element for element the one the trivial
+subgroup would give.
+
 The bundle keeps the structural maps this construction is studied through:
 
 * embed_left / embed_right: the two copies of P inside X (both injective);
@@ -54,7 +61,7 @@ from .groups import (
     Subgroup,
     commutator_subgroup,
     direct_product,
-    group_from_presentation,
+    group_from_fold,
     quotient_invariants,
     subgroup_closure,
 )
@@ -192,12 +199,14 @@ def build_xp(
     spell w_g on the left generators and mirror(w_g) on the right ones,
     commute; once they do for every g, X maps onto X' as well, and both
     are finite, so X' = X.  `build_tensor_square` certifies T by the
-    same argument.  A failed certification raises RuntimeError naming
-    the canonical word of the first element g that fails; there is no
-    fallback.
+    same argument.  X' itself comes from the cosets of the left copy
+    (groups.group_from_fold), and `limits` bounds both that enumeration
+    and the |X'| rows assembled from it.  A failed certification raises
+    RuntimeError naming the canonical word of the first element g that
+    fails; there is no fallback.
     """
     pres = xp_presentation(base, elements="short")
-    X = group_from_presentation(pres, limits=limits, strategy=strategy, name=pres.name)
+    X = group_from_fold(pres, base, limits=limits, strategy=strategy)
     n = base.presentation.ngens
     left_images = X.generators[:n]
     right_images = X.generators[n:]

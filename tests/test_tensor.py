@@ -439,6 +439,17 @@ def test_gate_override_builds_the_rank_three_case():
     assert phi.codomain.order == xp.group.order // xp.R.order == 512
 
 
+def test_gate_override_builds_nu_of_an_order_27_base():
+    # Mod27 is gated by default; an explicit gate above its predicted
+    # order builds nu and runs every nu check on it
+    b = build_nu(base("Mod27"), tensor=tensor("Mod27"), size_gate=60_000)
+    assert b.group.order == 59049
+    assert b.tensor.order == TENSOR_EXPECTED["Mod27"][0]
+    assert b.h2_invariants() == []
+    assert b.delta_is_central()
+    assert b.delta_in_derived()
+
+
 @pytest.mark.parametrize("name", ["C4", "Q8"])
 def test_quotient_identification_trivial_r(name):
     xp = build_xp(base(name))

@@ -19,12 +19,14 @@ from xpforge.groups import (
     commutator_subgroup,
     derived_subgroup,
     direct_product,
+    group_from_fold,
     group_from_presentation,
     intersection,
     normal_closure,
     subgroup_closure,
 )
 from xpforge.homology import schur_multiplier_bar
+from xpforge.tensor import NU_SIZE_GATE, build_tensor_square, nu_presentation, predicted_nu_order
 from xpforge.weakcomm import (
     build_xp,
     fold_difference_generators,
@@ -270,14 +272,14 @@ def test_build_rejects_moved_right_copy_images(monkeypatch):
     # the enumerated X(K4) with its two right-copy generator images
     # swapped: still an embedding of K4, but a no longer commutes with
     # its right-copy image, and the build's certificate names it
-    real = weakcomm.group_from_presentation
+    real = weakcomm.group_from_fold
 
     def swapping(*args, **kwargs):
         X = real(*args, **kwargs)
         X.generators[2], X.generators[3] = X.generators[3], X.generators[2]
         return X
 
-    monkeypatch.setattr(weakcomm, "group_from_presentation", swapping)
+    monkeypatch.setattr(weakcomm, "group_from_fold", swapping)
     with pytest.raises(RuntimeError, match="full family at the element a$"):
         build_xp(base("K4"))
 
@@ -289,6 +291,54 @@ def test_build_reads_no_word_family(monkeypatch):
     monkeypatch.setattr(CosetTable, "relators_hold", refuse)
     for name in ("D8", "E8"):
         assert build_xp(base(name)).group.order == EXPECTED[name][0]
+
+
+def _fold_cases():
+    return [pytest.param(e.presentation(), id=e.name) for e in builtin_catalog()] + [
+        pytest.param(parse_presentation(text), id=name) for name, text in SHORT_FAMILY_BASES.items()
+    ]
+
+
+@pytest.mark.parametrize("pres", _fold_cases())
+def test_fold_gives_the_regular_representation(pres):
+    # X, and nu where the default gate admits it, built from the cosets of
+    # the left copy equal the enumeration over the trivial subgroup, element
+    # for element
+    G = group_from_presentation(pres)
+    family = [xp_presentation(G, "short")]
+    if predicted_nu_order(G, build_tensor_square(G)) <= NU_SIZE_GATE:
+        family.append(nu_presentation(G))
+    for two_copies in family:
+        folded = group_from_fold(two_copies, G)
+        regular = group_from_presentation(two_copies)
+        assert np.array_equal(folded.gen_cols, regular.gen_cols)
+        assert folded.words == regular.words
+
+
+def test_fold_rejects_a_relator_that_does_not_fold():
+    # a*ap folds to a^2 in C4: the assembled table fails the relator check
+    C4 = base("C4")
+    pres = parse_presentation("gens a, ap\nrels a^4, ap^4, [a, ap], a*ap")
+    assert group_from_presentation(pres).order == 4
+    with pytest.raises(RuntimeError, match="relator does not close"):
+        group_from_fold(pres, C4)
+
+
+def test_fold_needs_the_base_relators_on_the_left_copy():
+    # without a^4 the left copy is infinite cyclic: its 4 cosets and C4
+    # would give 16 points for an infinite group
+    pres = parse_presentation("gens a, ap\nrels ap^4, [a, ap]")
+    with pytest.raises(ValueError, match="two copies of the base"):
+        group_from_fold(pres, base("C4"))
+
+
+def test_fold_holds_the_assembled_table_to_the_limits():
+    # nu(C2) has 8 elements but only 4 cosets of its left copy: the cap
+    # must hold the 8 assembled rows as well
+    pres = nu_presentation(base("C2"))
+    assert group_from_fold(pres, base("C2"), EnumerationLimits(max_cosets=8)).order == 8
+    with pytest.raises(EnumerationError, match="coset limit exceeded: 8 cosets"):
+        group_from_fold(pres, base("C2"), EnumerationLimits(max_cosets=7))
 
 
 def test_short_family_words():
