@@ -79,6 +79,14 @@ from .homology import abelian_invariants
 from .words import Presentation, Word
 
 _ASSOC_SAMPLES = 64
+# The associativity triples of _self_check, drawn in one call from a fixed
+# seed as numerators over 2**30; a group of order n scales them to indices
+# (exactly, for n below 2**33).
+# numpy.random is not used: its import costs about 13 ms and 2.5 MB of peak
+# memory in a process that needs it nowhere else.
+_ASSOC_DRAWS = np.array(
+    random.Random(0x5EED).choices(range(1 << 30), k=3 * _ASSOC_SAMPLES), dtype=np.int64
+).reshape(3, _ASSOC_SAMPLES)
 
 
 class HomomorphismError(ValueError):
@@ -265,10 +273,7 @@ class FiniteGroup:
         a*(b*c)."""
         n = self.order
         every = np.arange(n)
-        rng = random.Random(0x5EED)
-        a, b, c = np.array(
-            [[rng.randrange(n) for _ in range(3)] for _ in range(_ASSOC_SAMPLES)]
-        ).T
+        a, b, c = _ASSOC_DRAWS * n >> 30
         first = self._products(
             np.concatenate(([0], every, a, b)), np.concatenate(([0], self._inverses(every), b, c))
         )

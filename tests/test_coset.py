@@ -7,11 +7,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xpforge import coset
-from xpforge.catalog import catalog_entry
+from xpforge.catalog import builtin_catalog, catalog_entry
 from xpforge.coset import EnumerationError, EnumerationLimits, enumerate_cosets, resolve_strategy
 from xpforge.groups import group_from_presentation
-from xpforge.tensor import tensor_square_presentation
-from xpforge.weakcomm import xp_presentation
+from xpforge.tensor import build_nu, build_tensor_square, tensor_square_presentation
+from xpforge.weakcomm import build_xp, xp_presentation
 from xpforge.words import Presentation, Word, parse_presentation
 
 C4 = parse_presentation("gens a\nrels a^4")
@@ -39,6 +39,12 @@ def catalog_base(name):
 @functools.lru_cache(maxsize=None)
 def tensor_pres(name):
     return tensor_square_presentation(catalog_base(name))
+
+
+@functools.lru_cache(maxsize=None)
+def kept_tensor_pres(name):
+    """T on the kept symbols: the presentation build_tensor_square enumerates."""
+    return build_tensor_square(catalog_base(name)).group.presentation
 
 
 # Tensor-square symbol presentations: 49 to 64 generators, relators of at
@@ -248,12 +254,17 @@ TOTAL_DEFINED = {
     ("hlt", "X-short", "D8"): 620,
     ("hlt", "X-short", "Q8"): 309,
     ("hlt", "X-short", "C3xC3"): 559,
+    # the kept-symbol presentations build_tensor_square enumerates
+    ("hlt", "T-kept", "Heis27"): 12255,
+    ("hlt", "T-kept", "Mod27"): 1864,
 }
 
 
 def _frozen_presentation(kind, name):
     if kind == "T":
         return tensor_pres(name)
+    if kind == "T-kept":
+        return kept_tensor_pres(name)
     return xp_presentation(catalog_base(name), "short" if kind == "X-short" else "all")
 
 
@@ -266,6 +277,13 @@ def test_forced_hlt_defines_as_before(strategy, kind, name):
     table = enumerate_cosets(_frozen_presentation(kind, name), strategy=strategy)
     assert table.stats["strategy"] == strategy
     assert table.stats["total_defined"] == TOTAL_DEFINED[strategy, kind, name]
+
+
+def test_left_copy_enumerations_define_as_before():
+    # X and nu are enumerated over the cosets of their left copy
+    # (groups.group_from_fold); these are the counts of those enumerations
+    assert build_xp(catalog_base("Heis27")).group.table.stats["total_defined"] == 3382
+    assert build_nu(catalog_base("Q8")).group.table.stats["total_defined"] == 3236
 
 
 # ------------------------------------------------- random small presentations
@@ -315,6 +333,27 @@ def _reference_felsch(pres, limits):
     return enum.finish()
 
 
+class _ScanEveryRelatorHLT(coset._Enumerator):
+    """HLT, and its lookahead, scanning every relator at every coset with
+    `_scan`: the reference for the closure test that lets HLT skip the
+    relators already closed at a coset."""
+
+    def _open_relators(self, alpha):
+        return self.rel_cols
+
+
+def _reference_hlt(pres, subgroup_words=(), limits=EnumerationLimits()):
+    enum = _ScanEveryRelatorHLT(pres, subgroup_words, limits, "hlt")
+    enum.run_hlt()
+    return enum.finish()
+
+
+def _assert_same_decisions(table, reference):
+    assert table.rows == reference.rows
+    assert table.words == reference.words
+    assert table.stats["total_defined"] == reference.stats["total_defined"]
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_presentations())
 def test_strategies_agree_on_random_presentations(pres):
@@ -330,6 +369,58 @@ def test_strategies_agree_on_random_presentations(pres):
     assert hlt.rows == felsch.rows == reference.rows
     assert hlt.words == felsch.words == reference.words
     assert felsch.stats["total_defined"] == reference.stats["total_defined"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_presentations())
+def test_hlt_decides_as_its_scan_every_relator_reference(pres):
+    # a run that fails must fail at the same count
+    limits = EnumerationLimits(max_cosets=60)
+    try:
+        hlt = enumerate_cosets(pres, limits=limits, strategy="hlt")
+    except EnumerationError as err:
+        with pytest.raises(EnumerationError) as reference_err:
+            _reference_hlt(pres, limits=limits)
+        assert reference_err.value.cosets_used == err.cosets_used
+        return
+    _assert_same_decisions(hlt, _reference_hlt(pres, limits=limits))
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in builtin_catalog()])
+def test_hlt_decides_as_its_reference_on_the_catalog(name):
+    # T on its kept symbols, and X over the cosets of its left copy: the
+    # enumerations that build_tensor_square and build_xp run
+    base = catalog_base(name)
+    left_copy = [Word.gen(i) for i in range(base.presentation.ngens)]
+    for pres, subgroup in ((kept_tensor_pres(name), ()), (xp_presentation(base, "short"), left_copy)):
+        table = enumerate_cosets(pres, subgroup, strategy="hlt")
+        _assert_same_decisions(table, _reference_hlt(pres, subgroup))
+
+
+def test_hlt_decides_as_its_reference_through_the_lookahead(monkeypatch):
+    # a live cap of 61 on A5, and a cell budget of 40 rows on T(D8), send
+    # HLT through the lookahead, which skips closed relators too
+    limits = EnumerationLimits(max_cosets=61)
+    _assert_same_decisions(
+        enumerate_cosets(A5, limits=limits, strategy="hlt"), _reference_hlt(A5, limits=limits)
+    )
+    monkeypatch.setattr(coset, "MAX_CELLS", 40 * 2 * T_D8.ngens)
+    _assert_same_decisions(enumerate_cosets(T_D8, strategy="hlt"), _reference_hlt(T_D8))
+
+
+def test_hlt_scans_a_relator_whose_last_inverse_entry_is_open():
+    # 0 -a-> 1 -a-> 2 is defined before HLT starts.  At coset 0 the first
+    # two letters of a^3 walk to 2, but 0's a^-1 entry is open, so a^3
+    # does not close there; its scan deduces 2 -a-> 0, the only deduction
+    # at 0, and no coset is defined after the first three
+    enum = coset._Enumerator(parse_presentation("gens a\nrels a^3"), (), EnumerationLimits(), "hlt")
+    enum._define(0, 0)
+    enum._define(1, 0)
+    assert list(enum._open_relators(0)) == [(0, 0, 0)]
+    enum.run_hlt()
+    assert enum.total_defined == 3
+    assert enum.table[2][0] == 0 and enum.table[0][1] == 2
+    assert list(enum._open_relators(0)) == []
 
 
 # ------------------------------------------------------------ cell budget
