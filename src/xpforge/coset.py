@@ -6,19 +6,13 @@ tensor square on every symbol, where HLT fills every column of every row
 and defines hundreds of cosets per final one), HLT otherwise (the narrow
 doubled and pairing presentations and the tensor square on its kept
 symbols, where HLT's relator-driven definitions pay off).
-Felsch pushes one deduction per new edge: the rotations that start with the
-inverse letter at the other end walk the same closed paths in reverse.
 
-Felsch's deduction scan splits the rotations that start with a column x
-into two kinds.  A 3-letter rotation (x, y, z) closes at a deduced edge
-a -x-> f exactly when f*y equals a*z^-1, so all of them are compared at
-once, one row gather each side (operator.itemgetter over the y columns of
-f's row and the z^-1 columns of a's row, built once per enumeration); only
-the rotations where the two tuples differ are walked, each giving a
-deduction or a coincidence.  Every other rotation (1, 2 or 4+ letters) is
-walked letter by letter.  On the tensor-square presentations on every
-symbol nearly every rotation has 3 letters (23 400 of the 24 024 of
-T(Heis27)).
+Felsch pushes one deduction per new edge a -x->, and scans at a, with
+_scan and without defining, every distinct rotation of a relator or its
+inverse that starts with x, until a dies; the rotations that start with
+the inverse letter at the other end walk the same closed paths in
+reverse.  HLT, its lookahead and Felsch scan by that one routine, so
+_scan is the only code that writes a relator's deductions to the table.
 
 HLT tests each relator at a coset before it scans it there: the relator
 c1 ... cL closes at alpha when its first L-1 letters walk alpha to the
@@ -27,8 +21,7 @@ inverse entry (table[f][c] == alpha exactly when table[alpha][c ^ 1] ==
 f), so a closed relator's scan would walk it back to alpha and write
 nothing; skipping it defines the same cosets in the same order.  On the
 kept-symbol presentation of T(Heis27), 640 relators at 729 cosets, 94 %
-of the scans are skipped.  _scan stays the only code that writes to the
-table.
+of the scans are skipped.
 
 Table format: one row per coset, 2*ngens columns.  Column 2*i holds the
 action of generator i, column 2*i+1 that of its inverse (so a column's
@@ -62,8 +55,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter, ne
 
 import numpy as np
 
@@ -121,14 +112,6 @@ class _CapHit(Exception):
 
 def word_to_cols(w: Word) -> tuple[int, ...]:
     return tuple(2 * (a - 1) if a > 0 else 2 * (-a - 1) + 1 for a in w.letters)
-
-
-def _gather(cols):
-    """A function from a row to the tuple of its entries at `cols`."""
-    if len(cols) == 1:
-        (c,) = cols
-        return lambda row: (row[c],)
-    return itemgetter(*cols)
 
 
 # Array work on a finished table goes in chunks of about this many cells
@@ -244,13 +227,12 @@ class CosetTable:
     """A completed, standardized coset table, held as one int32 array of
     its columns (2*ngens x n)."""
 
-    def __init__(self, ngens, cols, words, presentation, subgroup_words, strategy, stats):
+    def __init__(self, ngens, cols, words, presentation, subgroup_words, stats):
         self.ngens = ngens
         self._cols = cols
         self.words = words  # coset -> tuple of positive letters (1-based)
         self.presentation = presentation
         self.subgroup_words = list(subgroup_words)
-        self.strategy = strategy
         self.stats = stats
         self._rows = None
 
@@ -300,7 +282,8 @@ class _Enumerator:
         # last column, for the closure test of HLT and the lookahead
         # (see _open_relators)
         self.rel_heads = [(w, w[:-1], w[-1] ^ 1) for w in self.rel_cols]
-        self.sub_cols = [word_to_cols(w) for w in subgroup_words if w]
+        self.subgroup_words = list(subgroup_words)
+        self.sub_cols = [word_to_cols(w) for w in self.subgroup_words if w]
         self.limits = limits
         self.max_rows = MAX_CELLS // max(self.ncols, 1)
         self.strategy = strategy
@@ -362,9 +345,13 @@ class _Enumerator:
 
     # -- defining and scanning ----------------------------------------------
 
-    def _check_deadline(self):
-        """Callers probe once every 1024 definitions or deductions."""
-        if self._deadline is not None and time.monotonic() > self._deadline:
+    def _tick(self):
+        """Count one definition or deduction, and probe the deadline once
+        every 1024 of them."""
+        self._time_probe += 1
+        if self._time_probe & 1023 or self._deadline is None:
+            return
+        if time.monotonic() > self._deadline:
             raise EnumerationError(
                 f"enumeration exceeded the time limit "
                 f"({self.limits.max_time}s) after defining {self.total_defined} cosets",
@@ -374,9 +361,7 @@ class _Enumerator:
     def _define(self, f: int, col: int) -> int:
         if self.live >= self.limits.max_cosets or len(self.table) >= self.max_rows:
             raise _CapHit
-        self._time_probe += 1
-        if (self._time_probe & 1023) == 0:
-            self._check_deadline()
+        self._tick()
         n = len(self.table)
         self.table.append([-1] * self.ncols)
         self.p.append(n)
@@ -471,55 +456,53 @@ class _Enumerator:
 
     def _compact(self) -> list[int]:
         """Drop dead rows, renumbering live cosets in order; returns the
-        old->new mapping (-1 for dead rows)."""
+        old->new mapping, which sends a dead row to the new number of its
+        representative."""
         table = self.table
+        live = [a for a in range(len(table)) if self.p[a] == a]
         mapping = [-1] * len(table)
-        new = 0
+        for new, a in enumerate(live):
+            mapping[a] = new
         for a in range(len(table)):
-            if self.p[a] == a:
-                mapping[a] = new
-                new += 1
-        rows = []
-        for a in range(len(table)):
-            if self.p[a] != a:
-                continue
-            row = table[a]
-            rows.append(
-                [-1 if e < 0 else mapping[self._rep(e)] for e in row]
-            )
-        self.table = rows
-        self.p = list(range(new))
-        self.live = new
+            mapping[a] = mapping[self._rep(a)]
+        self.table = [[-1 if e < 0 else mapping[e] for e in table[a]] for a in live]
+        self.p = list(range(len(live)))
+        self.live = len(live)
         return mapping
 
     def _relieve(self, alpha: int, deds) -> int:
         """Lookahead + compact after a cap hit; returns the renumbered alpha
         to resume from, or raises EnumerationError if there is still no
-        room for one more coset under the cap or the cell budget."""
+        room for one more coset under the cap or the cell budget.  Pending
+        deductions are renumbered with the rows."""
         self._lookahead(deds)
-        alpha = self._rep(alpha)
         mapping = self._compact()
+        if deds:
+            deds[:] = [(mapping[a], x) for a, x in deds]
         # the live cosets and the one that the cap hit was defining
         hold_to_limits(self.live + 1, self.ncols, self.total_defined, self.limits)
         return mapping[alpha]
 
     def _maybe_compact(self, alpha: int) -> int:
         if len(self.table) > 2 * self.live + 10000:
-            alpha = self._rep(alpha)
-            mapping = self._compact()
-            return mapping[alpha]
+            return self._compact()[alpha]
         return alpha
 
     # -- strategies ----------------------------------------------------------
 
+    def _scan_subgroup(self, deds):
+        """Scan the subgroup words at coset 0, defining as needed; on a cap
+        hit, relieve and scan them again."""
+        while True:
+            try:
+                for w in self.sub_cols:
+                    self._scan(0, w, True, deds)
+                return
+            except _CapHit:
+                self._relieve(0, deds)
+
     def run_hlt(self):
-        try:
-            for w in self.sub_cols:
-                self._scan(0, w, True, None)
-        except _CapHit:
-            self._relieve(0, None)
-            for w in self.sub_cols:
-                self._scan(0, w, True, None)
+        self._scan_subgroup(None)
         alpha = 0
         while alpha < len(self.table):
             if self.p[alpha] != alpha:
@@ -541,149 +524,42 @@ class _Enumerator:
             alpha = self._maybe_compact(alpha)
             alpha += 1
 
-    def _relator_variants(self):
-        """Cyclic rotations of every relator and its inverse, grouped by
-        first column x for the deduction scan.  The 3-letter rotations
-        (x, y, z) of column x come as the tuple tri[x] of (y, y^1, z, z^1)
-        and as two row gathers: gy[x] reads the y columns, gz[x] the z^1
-        columns.  Every other rotation is in others[x] with the index of
-        its last letter."""
-        tri: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.ncols)]
-        others: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(self.ncols)]
+    def _rotations(self) -> list[list[tuple[int, ...]]]:
+        """Every distinct cyclic rotation of every relator and of its
+        inverse, listed under its first column for the deduction scan."""
+        by_col: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
         seen = set()
         for w in self.rel_cols:
             for base in (w, tuple(c ^ 1 for c in reversed(w))):
                 for s in range(len(base)):
                     rot = base[s:] + base[:s]
-                    if rot in seen:
-                        continue
-                    seen.add(rot)
-                    if len(rot) == 3:
-                        _, y, z = rot
-                        tri[rot[0]].append((y, y ^ 1, z, z ^ 1))
-                    else:
-                        others[rot[0]].append((rot, len(rot) - 1))
-        gy = [_gather([t[0] for t in ts]) if ts else None for ts in tri]
-        gz = [_gather([t[3] for t in ts]) if ts else None for ts in tri]
-        return tri, gy, gz, others
+                    if rot not in seen:
+                        seen.add(rot)
+                        by_col[rot[0]].append(rot)
+        return by_col
 
-    def _process_deductions(self, deds, variants):
-        """Scan every rotation that starts with x at a, for each deduced
-        edge a -x-> f.
-
-        A 3-letter rotation (x, y, z) closes at a exactly when f*y equals
-        a*z^-1, so all of them are compared at once: gy[x] of f's row
-        against gz[x] of a's row.  Where the two tuples differ, that
-        rotation is walked on the live table (re-read, since an earlier
-        walk may have changed it): a gap of one letter is a deduction, a
-        closed path that misses is a coincidence.  Other rotations are
-        walked one by one: `_scan` without filling, inlined, and started
-        past the known first step a -x->."""
-        tri, gy, gz, others = variants
-        table = self.table
+    def _process_deductions(self, deds, rotations):
+        """For each deduced edge a -x->, scan every rotation that starts
+        with x at a's representative without defining, until a dies; a
+        scan may push further deductions.  An edge whose entry is gone (a
+        coincidence cleared it) is skipped."""
         p = self.p
-        coincidence = self._coincidence
-        probe = self._time_probe
         while deds:
-            probe += 1
-            if (probe & 1023) == 0:
-                self._time_probe = probe
-                self._check_deadline()
+            self._tick()
             a, x = deds.pop()
-            if p[a] != a:
-                a = self._rep(a)
-            row = table[a]
-            f = row[x]
-            if f < 0:
+            a = self._rep(a)
+            if self.table[a][x] < 0:
                 continue
-            get_y = gy[x]
-            if get_y is not None:
-                fy = table[f]
-                u = get_y(fy)
-                v = gz[x](row)
-                if u != v:
-                    for y, y1, z, z1 in compress(tri[x], map(ne, u, v)):
-                        g = fy[y]
-                        b = row[z1]
-                        if g >= 0:
-                            h = table[g][z]
-                            if h >= 0:
-                                if h == a:
-                                    continue
-                                coincidence(h, a, deds)
-                            elif b < 0:
-                                table[g][z] = a
-                                row[z1] = g
-                                deds.append((g, z))
-                                continue
-                            elif b != g:
-                                coincidence(g, b, deds)
-                            else:
-                                continue
-                        elif b >= 0:
-                            c = table[b][y1]
-                            if c < 0:
-                                fy[y] = b
-                                table[b][y1] = f
-                                deds.append((f, y))
-                                continue
-                            if c == f:
-                                continue
-                            coincidence(f, c, deds)
-                        else:
-                            continue
-                        # a coincidence: a may have died, f may have moved
-                        if p[a] != a:
-                            break
-                        f = row[x]
-                        fy = table[f]
-                    if p[a] != a:
-                        continue
-            for w, j in others[x]:
-                f = table[a][x]
-                i = 1
-                b = a
-                while i <= j:
-                    nxt = table[f][w[i]]
-                    if nxt < 0:
-                        break
-                    f = nxt
-                    i += 1
-                else:
-                    if f != b:
-                        coincidence(f, b, deds)
-                        if p[a] != a:
-                            break
-                    continue
-                while j >= i:
-                    prv = table[b][w[j] ^ 1]
-                    if prv < 0:
-                        break
-                    b = prv
-                    j -= 1
-                if j < i:
-                    if f != b:
-                        coincidence(f, b, deds)
-                        if p[a] != a:
-                            break
-                elif i == j:
-                    c = w[i]
-                    table[f][c] = b
-                    table[b][c ^ 1] = f
-                    deds.append((f, c))
-        self._time_probe = probe
+            for w in rotations[x]:
+                self._scan(a, w, False, deds)
+                if p[a] != a:
+                    break
 
     def run_felsch(self):
-        variants = self._relator_variants()
+        rotations = self._rotations()
         deds: list[tuple[int, int]] = []
-        try:
-            for w in self.sub_cols:
-                self._scan(0, w, True, deds)
-        except _CapHit:
-            self._relieve(0, deds)
-            for w in self.sub_cols:
-                self._scan(0, w, True, deds)
-        self._process_deductions(deds, variants)
+        self._scan_subgroup(deds)
+        self._process_deductions(deds, rotations)
         alpha = 0
         while alpha < len(self.table):
             if self.p[alpha] != alpha:
@@ -700,11 +576,11 @@ class _Enumerator:
                     self._define(alpha, x)
                 except _CapHit:
                     alpha = self._relieve(alpha, deds)
-                    self._process_deductions(deds, variants)
+                    self._process_deductions(deds, rotations)
                     x = 0
                     continue
                 deds.append((alpha, x))
-                self._process_deductions(deds, variants)
+                self._process_deductions(deds, rotations)
             if self.p[alpha] == alpha:
                 alpha = self._maybe_compact(alpha)
             alpha += 1
@@ -743,7 +619,7 @@ class _Enumerator:
             "total_defined": self.total_defined,
             "strategy": self.strategy,
         }
-        return CosetTable(self.ngens, std, words, self.pres, [], self.strategy, stats)
+        return CosetTable(self.ngens, std, words, self.pres, self.subgroup_words, stats)
 
 
 STRATEGIES = ("auto", "hlt", "felsch")
@@ -782,6 +658,4 @@ def enumerate_cosets(
         enum.run_hlt()
     else:
         enum.run_felsch()
-    table = enum.finish()
-    table.subgroup_words = list(subgroup_words)
-    return table
+    return enum.finish()

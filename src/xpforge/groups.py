@@ -797,8 +797,8 @@ def group_from_fold(
     folded = base._acts()[[2 * (x // 2 % n) + (x & 1) for x in range(ncols)]]
     cols = (table.col_arrays()[:, :, None] * m + folded[:, None, :]).reshape(ncols, k * m)
     std, words = standardize(cols, [word_to_cols(w) for w in pres.relators])
-    stats = {"cosets": k * m, "total_defined": defined, "strategy": table.strategy}
-    regular = CosetTable(2 * n, std, words, pres, [], table.strategy, stats)
+    stats = {"cosets": k * m, "total_defined": defined, "strategy": table.stats["strategy"]}
+    regular = CosetTable(2 * n, std, words, pres, [], stats)
     return PermGroup(regular, name=pres.name)
 
 

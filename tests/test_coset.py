@@ -1,6 +1,7 @@
 import functools
 import itertools
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -208,7 +209,6 @@ def test_auto_reads_relator_lengths():
 def test_stats_record_the_strategy_that_ran(strategy, want):
     table = enumerate_cosets(F25, strategy=strategy)
     assert table.stats["strategy"] == want
-    assert table.strategy == want
 
 
 # ------------------------------------------- wide tensor-square presentations
@@ -223,9 +223,9 @@ def test_auto_enumerates_wide_presentations_without_spare_cosets(name):
 
 
 def test_felsch_honours_the_time_limit():
-    # T(Heis27) takes about a second under Felsch; the limit must stop it early,
-    # even though Felsch defines few cosets and the deadline is probed in
-    # the deduction loop
+    # T(Heis27) on every symbol takes several seconds under Felsch; the limit
+    # must stop it early, even though Felsch defines few cosets and the
+    # deadline is probed in the deduction loop
     limit = 0.25
     pres = tensor_pres("Heis27")
     t0 = time.monotonic()
@@ -235,9 +235,9 @@ def test_felsch_honours_the_time_limit():
     assert "time limit" in str(err.value)
 
 
-# cosets a forced strategy defines on these presentations, frozen: HLT's
-# before Felsch became the default for wide presentations, Felsch's before
-# its deduction scan compared 3-letter rotations by row gathers
+# cosets a forced strategy defines on these presentations, frozen as first
+# measured: a change to what a strategy scans, or in what order, shows here
+# even when the standardized table stays the same
 TOTAL_DEFINED = {
     ("hlt", "T", "D8"): 580,
     ("hlt", "T", "Q8"): 1166,
@@ -303,36 +303,6 @@ def small_presentations(draw):
     return Presentation(list("abc"[:ngens]), [w for w in rels if w.letters])
 
 
-class _RotationByRotationFelsch(coset._Enumerator):
-    """Felsch whose deduction scan walks every rotation on its own with
-    `_scan`: the reference for the row-gather scan of 3-letter rotations."""
-
-    def _process_deductions(self, deds, variants):
-        if not hasattr(self, "_rotations"):
-            self._rotations = [[] for _ in range(self.ncols)]
-            for w in self.rel_cols:
-                for base in (w, tuple(c ^ 1 for c in reversed(w))):
-                    for s in range(len(base)):
-                        rot = base[s:] + base[:s]
-                        if rot not in self._rotations[rot[0]]:
-                            self._rotations[rot[0]].append(rot)
-        while deds:
-            a, x = deds.pop()
-            a = self._rep(a)
-            if self.table[a][x] < 0:
-                continue
-            for w in self._rotations[x]:
-                self._scan(a, w, False, deds)
-                if self.p[a] != a:
-                    break
-
-
-def _reference_felsch(pres, limits):
-    enum = _RotationByRotationFelsch(pres, (), limits, "felsch")
-    enum.run_felsch()
-    return enum.finish()
-
-
 class _ScanEveryRelatorHLT(coset._Enumerator):
     """HLT, and its lookahead, scanning every relator at every coset with
     `_scan`: the reference for the closure test that lets HLT skip the
@@ -357,18 +327,15 @@ def _assert_same_decisions(table, reference):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_presentations())
 def test_strategies_agree_on_random_presentations(pres):
-    # whenever all three complete: one standardized table, and Felsch
-    # defines exactly the cosets of its rotation-by-rotation reference
+    # whenever both complete, they give one standardized table
     limits = EnumerationLimits(max_cosets=200)
     try:
         hlt = enumerate_cosets(pres, limits=limits, strategy="hlt")
         felsch = enumerate_cosets(pres, limits=limits, strategy="felsch")
-        reference = _reference_felsch(pres, limits)
     except EnumerationError:
         return
-    assert hlt.rows == felsch.rows == reference.rows
-    assert hlt.words == felsch.words == reference.words
-    assert felsch.stats["total_defined"] == reference.stats["total_defined"]
+    assert hlt.rows == felsch.rows
+    assert hlt.words == felsch.words
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -447,3 +414,63 @@ def test_cell_budget_relief_keeps_the_table(monkeypatch):
     assert free.stats["total_defined"] > 40
     assert tight.rows == free.rows
     assert tight.words == free.words
+
+
+# ------------------------------------------------------------- cap relief
+
+
+def test_felsch_resumes_after_a_cap_relief(monkeypatch):
+    # auto picks Felsch on both; a live cap of 3, and a cell budget of 3
+    # rows, send it through the lookahead, whose deductions name cosets
+    # that the compaction then renumbers
+    trivial = parse_presentation("gens a, b\nrels b^-2*a^-1, b, b^-1")
+    table = enumerate_cosets(trivial, limits=EnumerationLimits(max_cosets=3))
+    assert table.stats["strategy"] == "felsch"
+    assert table.n == 1
+    c2 = parse_presentation("gens a, b\nrels a, b^2")
+    monkeypatch.setattr(coset, "MAX_CELLS", 3 * 2 * c2.ngens)
+    table = enumerate_cosets(c2)
+    assert table.stats["strategy"] == "felsch"
+    assert table.words == [(), (2,)]
+
+
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+def test_subgroup_words_are_scanned_again_after_every_relief(strategy):
+    # at a live cap of 2 the scan of b*a^-1*b*a^-1 at coset 0 hits the cap
+    # again after its first relief; a = b = 1, so the run completes.  With
+    # a third generator free, a cap hit no relief can clear is an
+    # EnumerationError
+    pres = parse_presentation("gens a, b\nrels b^-1*a, b")
+    sub = [Word([2, -1, 2, -1])]
+    assert enumerate_cosets(pres, sub, EnumerationLimits(max_cosets=2), strategy).n == 1
+    pres = parse_presentation("gens a, b, c\nrels a^-1")
+    with pytest.raises(EnumerationError):
+        enumerate_cosets(pres, [Word([-1, 2, -1, 3])], EnumerationLimits(max_cosets=2), strategy)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_presentations(), st.sampled_from(["hlt", "felsch"]), st.data())
+def test_relief_keeps_the_table_or_fails(pres, strategy, data):
+    # a live cap below the cosets defined, or a cell budget of fewer rows,
+    # sends the run through the lookahead and compaction; it must then give
+    # the table of the unbounded run or raise EnumerationError
+    limits = EnumerationLimits(max_cosets=200)
+    try:
+        free = enumerate_cosets(pres, limits=limits, strategy=strategy)
+    except EnumerationError:
+        return
+    defined = free.stats["total_defined"]
+    cap = data.draw(st.integers(free.n, max(free.n, defined - 1)), label="cap")
+    rows = data.draw(st.integers(free.n + 1, max(free.n + 1, defined)), label="rows")
+
+    def keeps_the_table_or_fails(run_limits):
+        try:
+            tight = enumerate_cosets(pres, limits=run_limits, strategy=strategy)
+        except EnumerationError:
+            return
+        assert tight.rows == free.rows
+        assert tight.words == free.words
+
+    keeps_the_table_or_fails(EnumerationLimits(max_cosets=cap))
+    with mock.patch.object(coset, "MAX_CELLS", rows * 2 * pres.ngens):
+        keeps_the_table_or_fails(limits)
