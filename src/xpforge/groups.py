@@ -38,7 +38,9 @@ copies of a base that folds onto it, over the first copy
 (group_from_fold): the fold and the cosets of that copy give every
 element once, so the regular table is assembled from base's columns and
 a table |base| times smaller, then checked and standardized like an
-enumerated one.
+enumerated one.  group_from_normal_subgroup does the same for the
+quotient by [H, H] of a normal subgroup H, from the cosets of H and the
+coordinates of H^ab.
 
 Every subgroup is a boolean mask over its parent's indices plus a small
 generating set, and every closure is the BFS that builds the groups:
@@ -67,6 +69,7 @@ from functools import reduce
 import numpy as np
 
 from .coset import (
+    CHUNK_CELLS,
     CosetTable,
     EnumerationLimits,
     enumerate_cosets,
@@ -75,7 +78,7 @@ from .coset import (
     standardize,
     word_to_cols,
 )
-from .homology import abelian_invariants
+from .homology import abelian_invariants, abelian_schreier
 from .words import Presentation, Word
 
 _ASSOC_SAMPLES = 64
@@ -294,8 +297,8 @@ class FiniteGroup:
 class PermGroup(FiniteGroup):
     """Regular representation read off a completed table of the regular
     action (enumerated over the trivial subgroup, or assembled by
-    group_from_fold): elements are its points, and the generator columns
-    and words are the table's."""
+    group_from_fold or group_from_normal_subgroup): elements are its
+    points, and the generator columns and words are the table's."""
 
     def __init__(self, table: CosetTable, name=None):
         if table.subgroup_words:
@@ -800,6 +803,68 @@ def group_from_fold(
     stats = {"cosets": k * m, "total_defined": defined, "strategy": table.stats["strategy"]}
     regular = CosetTable(2 * n, std, words, pres, [], stats)
     return PermGroup(regular, name=pres.name)
+
+
+def group_from_normal_subgroup(
+    pres: Presentation,
+    subgroup_words,
+    limits: EnumerationLimits | None = None,
+    strategy: str = "auto",
+) -> tuple[PermGroup, Subgroup]:
+    """The group that `pres` presents modulo [H, H], for the subgroup H
+    that `subgroup_words` generate, built from the cosets of H; and
+    H/[H, H] inside it.
+
+    Each element is h*t_c for one coset c of H and one h in H, t_c the
+    coset's shortlex word, so the right cosets of [H, H] are the pairs
+    (c, v), v the class of h in H^ab; a generator x sends (c, v) to (c*x,
+    v + gamma(c, x)), gamma the edge's coordinate (homology.
+    abelian_schreier).  When H is normal, so is [H, H], and that action
+    is the regular representation of the quotient.  So the build raises
+    RuntimeError unless every subgroup word fixes every coset.  The table
+    on those k*|H^ab| points is assembled and then checked and
+    standardized like any enumerated table (coset.standardize); `limits`
+    holds the enumeration and the assembled rows.
+    """
+    limits = limits or EnumerationLimits()
+    table = enumerate_cosets(pres, subgroup_words, limits, strategy)
+    cols, k = table.col_arrays(), table.n
+    every = np.arange(k, dtype=np.int32)
+    for w in subgroup_words:
+        p = every
+        for c in word_to_cols(w):
+            p = cols[c, p]
+        if not np.array_equal(p, every):
+            raise RuntimeError(
+                f"subgroup word {pres.word_text(w)} moves a coset: the subgroup is not normal"
+            )
+    ab = abelian_schreier(table)
+    m, ncols = ab.order, 2 * pres.ngens
+    defined = table.stats["total_defined"]
+    hold_to_limits(k * m, ncols, defined, limits)
+    d = np.diagonal(ab.hnf).tolist()
+    box = np.indices(d, dtype=np.int64).reshape(len(d), m).T  # point c*m + v, v mixed radix
+    radix = np.array([math.prod(d[j + 1 :]) for j in range(len(d))], dtype=np.int64)
+    # the coordinate of column 2*i+1 at c is minus that of column 2*i at c*x_i^-1
+    gamma = np.empty((ncols, k, 1, len(d)), dtype=np.int64)
+    gamma[0::2, :, 0] = ab.coords
+    gamma[1::2, :, 0] = -ab.coords[np.arange(pres.ngens)[:, None], cols[1::2]]
+    big = np.empty((ncols, k, m), dtype=np.int32)
+    chunk = max(1, CHUNK_CELLS // (k * m * max(len(d), 1)))
+    for s in range(0, ncols, chunk):
+        v = ab.reduce(box + gamma[s : s + chunk]) @ radix
+        big[s : s + chunk] = cols[s : s + chunk, :, None] * m + v
+    big = big.reshape(ncols, k * m)
+    std, words = standardize(big, [word_to_cols(w) for w in pres.relators])
+    stats = {"cosets": k * m, "total_defined": defined, "strategy": table.stats["strategy"]}
+    G = PermGroup(CosetTable(pres.ngens, std, words, pres, [], stats), name=pres.name)
+    # the coset of every element: the coset table walked along its word
+    acts = np.vstack([cols[0::2], every])
+    coset = np.zeros(G.order, dtype=np.int32)
+    for step in G._steps:
+        coset = acts[step >> 1, coset]
+    gens = [G.table.trace(0, w.letters) for w in subgroup_words]
+    return G, Subgroup(G, coset == 0, [h for h in dict.fromkeys(gens) if h != G.identity])
 
 
 def direct_product(*groups: FiniteGroup, name=None) -> TupleGroup:

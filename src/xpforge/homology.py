@@ -10,6 +10,14 @@ redundant boundary matrices built here), then an exact textbook reduction
 on the small dense remainder.  Everything is plain Python int arithmetic,
 so there is no overflow to worry about.
 
+abelian_schreier reads H^ab off the coset table of a subgroup H of
+finite index, with the coordinate in it of every edge of the table
+(abelianised Reidemeister-Schreier).  Its relation matrix has one row
+per relator and coset, so it is not handed to the Smith form: a sweep
+defines almost every edge from one relator walk, and only the walks
+left over reach a small Hermite normal form, in int64 with a checked
+bound.
+
 The second homology of a finite group G on d generators (repeats and
 the identity count) is read off the relation module of its Cayley graph:
 Hopf's formula (R & F')/[F, R] through Gruenberg's resolution
@@ -27,11 +35,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from math import gcd
+from dataclasses import dataclass
+from math import gcd, prod
 
 import numpy as np
 
-from .coset import shortlex_bfs
+from .coset import CHUNK_CELLS, _by_length, shortlex_bfs, word_to_cols
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -310,6 +319,243 @@ def is_quotient_invariants(quot: list[int], of: list[int]) -> bool:
     if len(quot) > len(of):
         return False
     return all(of[-1 - i] % q == 0 for i, q in enumerate(reversed(quot)))
+
+
+# ---------------------------------------------------------------------------
+# Abelianised Reidemeister-Schreier
+# ---------------------------------------------------------------------------
+
+# Every coordinate and lattice entry stays at most this in absolute value
+# between steps, so that one multiply-and-subtract of two of them, or a
+# walk's sum, is exact in int64; a step that leaves the bound raises.
+COORD_BOUND = 1 << 31
+
+
+def _bounded(a: np.ndarray) -> np.ndarray:
+    if a.size and np.abs(a).max() > COORD_BOUND:
+        raise RuntimeError(
+            f"a Reidemeister-Schreier coordinate exceeds the bound {COORD_BOUND}; "
+            "the subgroup's relation lattice is out of exact int64 range"
+        )
+    return a
+
+
+@dataclass
+class AbelianSchreier:
+    """H^ab for a subgroup H of finite index, with the coordinates of the
+    edges of its coset table.
+
+    H^ab is Z^r modulo the rows of `hnf`: an r x r Hermite normal form,
+    upper triangular with diagonal d_j > 1 and 0 <= hnf[i, j] < d_j
+    above it.  Each element has one representative in the box 0 <= v_j <
+    d_j (`reduce`), and `coords[i, c]` is that of the edge c -x_i-> c*x_i,
+    the element t_c * x_i * t_(c*x_i)^-1 of H, t_c the shortlex word of
+    coset c.  `free` counts the free coordinates the sweep introduced.
+    """
+
+    hnf: np.ndarray
+    coords: np.ndarray
+    free: int
+
+    @property
+    def order(self) -> int:
+        return prod(int(d) for d in np.diagonal(self.hnf))
+
+    def invariants(self) -> list[int]:
+        """The invariant factors of H^ab, 1s dropped."""
+        return torsion_factors(invariant_factors(self.hnf.tolist()))
+
+    def reduce(self, v) -> np.ndarray:
+        """The box representatives of the vectors along the last axis of v."""
+        return _reduce(self.hnf, v)
+
+
+def _reduce(hnf: np.ndarray, v) -> np.ndarray:
+    """Column j of every vector brought into [0, d_j) by a multiple of row
+    j of the Hermite normal form, which leaves the columns before j alone
+    (and the ones after it, when row j is d_j * e_j)."""
+    v = np.array(v, dtype=np.int64)
+    for j, row in enumerate(hnf):
+        if row[j + 1 :].any():
+            q = v[..., j] // row[j]
+            v[..., j:] = _bounded(v[..., j:] - q[..., None] * row[j:])
+        else:
+            v[..., j] %= row[j]
+    return v
+
+
+def _walks(cols: np.ndarray, letters: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The edges that the words `letters` (one row of table columns each)
+    cross from every coset in `starts`, one walk per word and start.
+
+    Edge i*k + c is c -x_i->; the walk holds 2*edge for an edge crossed
+    forward (column 2*i) and 2*edge + 1 for one crossed backward (column
+    2*i + 1 from the edge's head)."""
+    k = cols.shape[1]
+    nwords, length = letters.shape
+    p = np.broadcast_to(starts, (nwords, len(starts)))
+    out = np.empty((nwords, len(starts), length), dtype=np.int32)
+    for t in range(length):
+        c = letters[:, t, None]
+        q = cols[c, p]
+        back = c & 1
+        out[:, :, t] = 2 * ((c >> 1) * k + np.where(back, q, p)) + back
+        p = q
+    return out.reshape(-1, length)
+
+
+def _sweep(walks: list, known: np.ndarray, value: np.ndarray):
+    """Give every edge a value in Z^K, K growing, such that every walk
+    sums to zero or is returned as a relation.
+
+    A pass defines, at once, each unknown edge that is the only unknown
+    occurrence in some walk, as minus the sum of the others (the first
+    such walk, which is then used up).  When a pass defines nothing, the
+    first unknown edge becomes a new free coordinate.  Returns the values,
+    the walks that were not used up (each sums to a relation), and the
+    count of free coordinates."""
+    closed = []
+    free = 0
+    while walks:
+        progress = False
+        rest = []
+        for W in walks:
+            unknown = ~known[W >> 1]
+            count = unknown.sum(axis=1)
+            one = np.flatnonzero(count == 1)
+            if one.size:
+                f = W[one, unknown[one].argmax(axis=1)]
+                e, first = np.unique(f >> 1, return_index=True)
+                one, f = one[first], f[first]
+                rows = W[one]
+                # unknown edges hold 0 until defined, so they add nothing
+                s = (value[rows >> 1] * (1 - 2 * (rows & 1))[:, :, None]).sum(axis=1)
+                value[e] = _bounded(np.where((f & 1)[:, None], s, -s))
+                known[e] = True
+                count[one] = -1
+                progress = True
+            closed.append(W[count == 0])
+            if (count > 0).any():
+                rest.append(W[count > 0])
+        walks = rest
+        if walks and not progress:
+            value = np.hstack([value, np.zeros((len(value), 1), dtype=np.int64)])
+            e = np.flatnonzero(~known)[0]
+            value[e, -1] = 1
+            known[e] = True
+            free += 1
+    return value, closed, free
+
+
+def _relations(walks: list, value: np.ndarray) -> np.ndarray:
+    """The nonzero sums of the walks, in chunks."""
+    K = value.shape[1]
+    signed = np.empty((2 * len(value), K), dtype=np.int64)
+    signed[0::2], signed[1::2] = value, -value
+    out = [np.zeros((0, K), dtype=np.int64)]
+    step = max(1, CHUNK_CELLS // max(K, 1))
+    for W in walks:
+        for s in range(0, len(W), step):
+            chunk = W[s : s + step]
+            acc = signed[chunk[:, 0]]
+            for t in range(1, chunk.shape[1]):
+                acc += signed[chunk[:, t]]
+            out.append(acc[acc.any(axis=1)])
+    return _bounded(np.concatenate(out))
+
+
+def _eliminate_units(R: np.ndarray, value: np.ndarray):
+    """Drop every coordinate that some relation has with coefficient
+    +-1: with that row scaled to r_j = 1, e_j = e_j - r in the quotient,
+    so v becomes v - v_j * r in every relation and every value."""
+    while R.size:
+        unit = np.abs(R) == 1
+        hit = np.flatnonzero(unit.any(axis=0))
+        if not hit.size:
+            break
+        j = hit[0]
+        rows = np.flatnonzero(unit[:, j])
+        r = rows[np.argmin(np.count_nonzero(R[rows], axis=1))]
+        row = R[r] * R[r, j]
+        R = _bounded(R - np.outer(R[:, j], row))
+        value = _bounded(value - np.outer(value[:, j], row))
+        R, value = np.delete(R, j, axis=1), np.delete(value, j, axis=1)
+        R = R[R.any(axis=1)]
+    return R, value
+
+
+def _hnf(R: np.ndarray) -> np.ndarray:
+    """The reduced Hermite normal form of a full-rank lattice, as its
+    square basis.  Column by column, the rows are reduced against the one
+    of least nonzero entry there until only it is left, which becomes a
+    basis row; then each entry above a pivot d_j is brought into [0, d_j).
+    Raises RuntimeError when a column runs out of rows (infinite
+    quotient)."""
+    K = R.shape[1]
+    basis = np.zeros((K, K), dtype=np.int64)
+    for j in range(K):
+        while True:
+            nz = np.flatnonzero(R[:, j])
+            if not nz.size:
+                raise RuntimeError("the subgroup's abelianization is infinite")
+            piv = nz[np.argmin(np.abs(R[nz, j]))]
+            others = nz[nz != piv]
+            if not others.size:
+                break
+            R[others] = _bounded(R[others] - (R[others, j] // R[piv, j])[:, None] * R[piv])
+        basis[j] = R[piv] * np.sign(R[piv, j])
+        R = np.delete(R, piv, axis=0)
+        R = R[R.any(axis=1)]
+    for j in range(K):
+        basis[:j] = _bounded(basis[:j] - (basis[:j, j] // basis[j, j])[:, None] * basis[j])
+    return basis
+
+
+def abelian_schreier(table) -> AbelianSchreier:
+    """H^ab, and the coordinates in it of every edge, for the subgroup H
+    of a completed, standardized coset table (abelianised Reidemeister-
+    Schreier: H^ab is generated by the edges, modulo the tree edges of
+    the shortlex BFS and every relator walked from every coset).
+
+    Each subgroup word w_j, walked from coset 0, is closed by a pseudo-
+    edge crossed backward whose value is the unit vector e_j.  Tree edges
+    and pseudo-edges start known; _sweep defines the rest, and the walks
+    it did not use up give the relation lattice in Z^K.  Coordinates with
+    a unit coefficient in a relation are eliminated (Havas-Holt-Rees,
+    Linear Algebra Appl. 192, 1993), the rest is put in Hermite normal
+    form, every value is reduced into its box, and coordinates whose
+    diagonal is 1 (always 0 in the box) are dropped.  Everything is
+    exact; a coordinate beyond COORD_BOUND or an infinite H^ab raises
+    RuntimeError.
+    """
+    cols = table.col_arrays()
+    m, k = table.ngens, table.n
+    nedges = m * k
+    subgroup = [word_to_cols(w) for w in table.subgroup_words if w.letters]
+    known = np.zeros(nedges + len(subgroup), dtype=bool)
+    known[nedges:] = True
+    for _, src, gen in shortlex_bfs(cols[0::2]):
+        known[gen * k + src] = True
+    value = np.zeros((len(known), len(subgroup)), dtype=np.int64)
+    value[nedges:] = np.eye(len(subgroup), dtype=np.int64)
+
+    walks: dict[int, list] = {}
+    relators = dict.fromkeys(word_to_cols(w) for w in table.presentation.relators)
+    for length, letters in _by_length(relators).items():
+        walks.setdefault(length, []).append(_walks(cols, letters, np.arange(k)))
+    pseudo = 2 * nedges + 1  # the next subgroup word's pseudo-edge, crossed backward
+    for length, letters in _by_length(subgroup).items():
+        closing = np.arange(pseudo, pseudo + 2 * len(letters), 2, dtype=np.int32)[:, None]
+        walk = _walks(cols, letters, np.zeros(1, dtype=np.intp))
+        walks.setdefault(length + 1, []).append(np.hstack([walk, closing]))
+        pseudo += 2 * len(letters)
+    value, closed, free = _sweep([np.concatenate(ws) for ws in walks.values()], known, value)
+
+    R, value = _eliminate_units(_relations(closed, value), value)
+    hnf = _hnf(R)
+    keep = np.diagonal(hnf) > 1
+    coords = _reduce(hnf, value[:nedges])[:, keep].reshape(m, k, -1)
+    return AbelianSchreier(hnf[keep][:, keep], coords, free)
 
 
 # ---------------------------------------------------------------------------

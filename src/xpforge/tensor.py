@@ -21,22 +21,44 @@ whose expansion element (g resp. h) is a base generator, tensor_relators,
 are swept until a pass defines nothing, and a word with exactly one
 unknown symbol, occurring once, defines it as a word in the known ones.
 Every word is then rewritten in the kept symbols and cyclically reduced,
-and those of at most max(8, exp(P)) letters are enumerated.  The cap is
-the exponent, not a fixed length: C9 needs k^9, and on D32 and Q32 an
-8-letter cap leaves a presentation that passes millions of cosets
-without closing.
+and those of at most max(8, exp(P)) letters are the relators of T~, the
+group the build reads T from.  The cap is the exponent, not a fixed
+length: C9 needs k^9, and on D32 and Q32 an 8-letter cap leaves a
+presentation whose enumeration over the trivial subgroup passes millions
+of cosets without closing.
+
+T is not enumerated element by element.  The diagonal subgroup Delta =
+<s(g, g)> lies in J2 = ker kappa, kappa: T -> P the commutator map
+s(g, h) -> [g, h], and J2 is central because kappa is a crossed module
+(Brown and Loday, Topology 26, 1987).  The build takes the subgroup H of
+T~ generated by s(x, x) and s(x, y) * s(y, x) for base generators x < y
+(_nabla_words).  It enumerates the cosets of H: |G ^ G| of them, 27 for
+Heis27, whose T has 729 elements.  It reads H^ab and the coordinate of
+every coset-table edge in it (homology.abelian_schreier), and assembles
+T~/[H, H] on (coset, H^ab) pairs (groups.group_from_normal_subgroup,
+which raises unless every generator of H fixes every coset, so that H,
+and with it [H, H], is normal).
 
 The result is exact by a certificate, not by the choice of words.  Each
 symbol's element is read off its definition (a product of at most two
-symbols defined before it, starting from T's generators, the kept
-ones), and the full families are checked on these images, img[a] == img[b] * img[c] for every row in one
-batch of products.  The enumerated group maps onto T, since its relators
-are consequences of T's and the elimination wrote every symbol in the
-kept ones; the passing certificate gives a map back, onto because the
-kept symbols' images are its generators; both groups are finite, so the
-two coincide.  It is the only proof of T for the bases too large for nu,
-so it stays at build time: an enumeration limit propagates, and a
-symbol the elimination misses or a failed certification raises.
+symbols defined before it, starting from the kept ones, the generators),
+and the full families are checked on these images, img[a] == img[b] *
+img[c] for every row in one batch of products.  The proof has two maps.
+T~ maps onto T, since its relators are consequences of T's and the
+elimination wrote every symbol in the kept ones.  That map sends H into
+J2 (kappa kills s(x, x) and s(x, y) * s(y, x)), which is central, so
+abelian; so [H, H] dies, and T is a quotient of T~/[H, H].  The passing
+certificate gives a map from T onto T~/[H, H], onto because the kept
+symbols' images are its generators.  Both groups are finite, so the two
+coincide.  Then every s(g, g) is checked to lie in H, so H contains
+Delta.  H lies in Delta too: the expansion of s(g*h, g*h) is s(g^h, h)
+* s(g^h^h, g^h^h) * s(h, h) * s(h, g^h), so s(g', h) * s(h, g') is a
+product of diagonal symbols for every g' and h, as they are central.
+So H is Delta, and `delta` is the H factor of the assembled table.  The
+certificate is the only proof of T for the bases too large for nu, so
+it stays at build time: an enumeration limit propagates, and a symbol
+the elimination misses, a non-normal H, a diagonal symbol outside H or
+a failed certification raises.
 
 nu(P) doubles P like the weak-commutativity construction, but with
 conjugation-compatibility relators instead of the diagonal pairing:
@@ -82,7 +104,7 @@ from .groups import (
     direct_product,
     exponent,
     group_from_fold,
-    group_from_presentation,
+    group_from_normal_subgroup,
     intersection,
     normal_closure,
     quotient,
@@ -300,6 +322,22 @@ def _symbol_images(T: PermGroup, kept: list[int], definitions, nsymbols: int) ->
     return np.array([T.identity] + img)
 
 
+def _nabla_words(base: FiniteGroup, kept: list[int]) -> list[Word]:
+    """The words s(x, x) and s(x, y) * s(y, x), for base generators x and
+    x < y, in the kept symbols (s(x, y) is kept for every pair of
+    generators): they generate the diagonal subgroup."""
+    n = base.order
+    position = {a: j + 1 for j, a in enumerate(kept)}
+    gens = [g for g in dict.fromkeys(base.generators) if g != base.identity]
+
+    def letter(g, h):
+        return position[1 + _symbol_number(n, g, h)]
+
+    words = [Word((letter(x, x),)) for x in gens]
+    words += [Word((letter(x, y), letter(y, x))) for i, x in enumerate(gens) for y in gens[i + 1 :]]
+    return words
+
+
 @dataclass
 class TensorSquare:
     """The directly-presented tensor square with its reading maps."""
@@ -309,7 +347,7 @@ class TensorSquare:
     symbols: list[tuple]  # the kept pairs (g, h), one per generator of group
     images: np.ndarray  # the element of every symbol, by letter; 0 the identity
     to_base: Homomorphism  # s(g, h) -> [g, h]; image is the derived subgroup
-    delta: Subgroup  # normal closure of the diagonal symbols
+    delta: Subgroup  # the diagonal subgroup, generated by the s(g, g)
 
     def symbol(self, g, h):
         if g == self.base.identity or h == self.base.identity:
@@ -341,6 +379,12 @@ def build_tensor_square(
     limits: EnumerationLimits | None = None,
     strategy: str = "auto",
 ) -> TensorSquare:
+    """T = base (x) base on its kept symbols, built from the cosets of
+    the diagonal subgroup (see the module docstring).  `limits` holds
+    that enumeration and the assembled |G^G| * |Delta| rows (default: a
+    live-coset cap of TENSOR_COSET_CAP).  Raises RuntimeError when a
+    symbol is left undefined, the diagonal subgroup is not normal or
+    misses a diagonal symbol, or the certificate fails."""
     if base.presentation is None:
         raise ValueError("base group carries no presentation")
     symbols = _tensor_symbols(base)
@@ -359,14 +403,15 @@ def build_tensor_square(
         _kept_relators(words, value, max(8, exponent(base))),
         name=_label(base),
     )
-    T = group_from_presentation(pres, limits=lim, strategy=strategy, name=pres.name)
+    nabla = _nabla_words(base, kept)
+    T, delta = group_from_normal_subgroup(pres, nabla, limits=lim, strategy=strategy)
     img = _symbol_images(T, kept, definitions, len(symbols))
     if not _rows_hold(T, _expansion_rows(base, base.elements[1:]), img):
         raise RuntimeError("generator-scope tensor relators fail the full expansion family")
-
-    to_base = Homomorphism(T, base, [base.comm(g, h) for g, h in pairs])
     n = base.order
-    delta = normal_closure(T, [int(img[1 + _symbol_number(n, g, g)]) for g in base.elements[1:]])
+    if not delta.mask[img[[1 + _symbol_number(n, g, g) for g in base.elements[1:]]]].all():
+        raise RuntimeError("a diagonal symbol lies outside the subgroup of the generator pairs")
+    to_base = Homomorphism(T, base, [base.comm(g, h) for g, h in pairs])
     return TensorSquare(
         base=base,
         group=T,

@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from xpforge import coset, harness, weakcomm
+from xpforge import coset, harness, tensor, weakcomm
 from xpforge.catalog import catalog_entry
 from xpforge.cli import main
 from xpforge.groups import FiniteGroup
+from xpforge.words import Word
 
 
 def run_cli(args, capsys):
@@ -203,6 +204,26 @@ def test_coset_limit_exits_2(capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
         assert "enumeration limits" in err, args
+
+
+def test_tensor_limits_and_checks_exit_2_in_one_line(tmp_path, capsys, monkeypatch):
+    # T(C2^4) has 65 536 elements: its 64 diagonal cosets fit a cap of
+    # 1000, the assembled rows do not; and a subgroup that is not normal
+    # (T(S4) over its kept symbol s1_2) fails the build's own check
+    c2_4 = tmp_path / "c2_4.pres"
+    c2_4.write_text(
+        "gens a, b, c, d\nrels a^2, b^2, c^2, d^2, [a,b], [a,c], [a,d], [b,c], [b,d], [c,d]\n"
+    )
+    s4 = tmp_path / "s4.pres"
+    s4.write_text("gens a, b\nrels a^4, b^2, (a*b)^3\n")
+    code, out, err = run_cli(["nu", str(c2_4), "--max-cosets", "1000"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: enumeration limits: coset limit exceeded: 65536 cosets")
+    monkeypatch.setattr(tensor, "_nabla_words", lambda base, kept: [Word((2,))])
+    code, out, err = run_cli(["nu", str(s4)], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: subgroup word s1_2 moves a coset")
 
 
 def test_cell_budget_exits_2_whatever_the_coset_cap(capsys, monkeypatch):

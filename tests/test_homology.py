@@ -10,16 +10,19 @@ import functools
 import random
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xpforge import homology
+from xpforge import homology, tensor
 from xpforge.catalog import builtin_catalog
+from xpforge.coset import EnumerationError, EnumerationLimits, enumerate_cosets
 from xpforge.groups import TupleGroup, derived_subgroup, group_from_presentation, quotient
 from xpforge.homology import (
     _dense_invariants,
     abelian_invariants,
+    abelian_schreier,
     exterior_square_invariants,
     invariant_factors,
     invariants_from_cyclic_orders,
@@ -29,6 +32,7 @@ from xpforge.homology import (
     schur_multiplier_bar,
     torsion_factors,
 )
+from xpforge.tensor import build_tensor_square
 from xpforge.words import Presentation, Word, commutator, parse_presentation
 
 PRESENTATIONS = {
@@ -401,3 +405,135 @@ def test_relation_module_route_on_random_quotients(pres):
     G = group_from_presentation(pres)
     if G.order <= 16:
         assert schur_multiplier(G) == schur_multiplier_bar(G)
+
+
+# ------------------------------------- abelianised Reidemeister-Schreier
+
+
+def _rs_matrix(table):
+    """The Reidemeister-Schreier relation matrix of H^ab, by loops: one
+    row per relator and coset (its walk), one column per edge (i, c),
+    c -x_i->, with the edges of the shortlex tree left out; and the number
+    of columns."""
+    k, m = table.n, table.ngens
+    tree = set()
+    for c in range(1, k):
+        w = table.words[c]
+        tree.add((w[-1] - 1) * k + table.trace(0, w[:-1]))
+    rows = {}
+    for r, rel in enumerate(table.presentation.relators):
+        for start in range(k):
+            p = start
+            for a in rel.letters:
+                q = table.trace(p, [a])
+                e, sign = ((a - 1) * k + p, 1) if a > 0 else ((-a - 1) * k + q, -1)
+                if e not in tree:
+                    rows[r * k + start, e] = rows.get((r * k + start, e), 0) + sign
+                p = q
+    return rows, m * k - len(tree)
+
+
+def _walk_sum(ab, table, letters, start=0):
+    """The sum of the edge coordinates along a word from a coset."""
+    v = np.zeros(ab.coords.shape[-1], dtype=np.int64)
+    p = start
+    for a in letters:
+        q = table.trace(p, [a])
+        v = v + ab.coords[a - 1, p] if a > 0 else v - ab.coords[-a - 1, q]
+        p = q
+    return v
+
+
+@st.composite
+def presentations_with_a_subgroup_word(draw):
+    """A catalog quotient (finite), or 2-3 generators with 1-4 relators
+    of 1-5 letters (many infinite); and a subgroup word of 1-3 letters."""
+    ngens = draw(st.integers(2, 3))
+    letter = st.integers(1, ngens).flatmap(lambda g: st.sampled_from((g, -g)))
+    free = st.lists(st.lists(letter, min_size=1, max_size=5).map(Word), min_size=1, max_size=4).map(
+        lambda rels: Presentation(list("abc"[:ngens]), [w for w in rels if w.letters])
+    )
+    pres = draw(st.one_of(catalog_quotients(), free))
+    return pres, draw(_short_word(len(pres.generators)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(presentations_with_a_subgroup_word())
+def test_abelian_schreier_matches_the_relation_matrix(drawn):
+    pres, word = drawn
+    try:
+        table = enumerate_cosets(pres, [word], EnumerationLimits(max_cosets=300))
+    except EnumerationError:
+        return
+    rows, ncols = _rs_matrix(table)
+    factors = invariant_factors(rows)
+    if len(factors) < ncols:
+        with pytest.raises(RuntimeError, match="infinite"):
+            abelian_schreier(table)
+        return
+    ab = abelian_schreier(table)
+    assert ab.invariants() == torsion_factors(factors)
+    assert ab.order == prod(factors)
+    d, above = np.diagonal(ab.hnf), np.triu(ab.hnf, 1)
+    assert (d > 1).all() and not np.tril(ab.hnf, -1).any()
+    assert ((above >= 0) & (above < d)).all()
+    for rel in pres.relators:
+        for c in range(table.n):
+            assert not ab.reduce(_walk_sum(ab, table, rel.letters, c)).any()
+    # H is cyclic, generated by the word, whose walk from coset 0 is its
+    # coordinate: its multiples fill the box
+    v = ab.reduce(_walk_sum(ab, table, word.letters))
+    multiples = {tuple(ab.reduce(v * j)) for j in range(ab.order)}
+    assert len(multiples) == ab.order
+
+
+@pytest.mark.parametrize(
+    "rows, hnf",
+    [
+        ([[2, 5], [0, 4]], [[2, 1], [0, 4]]),
+        ([[2, -1], [0, 4]], [[2, 3], [0, 4]]),
+        ([[0, 3], [2, 0], [4, 1]], [[2, 0], [0, 1]]),
+        ([[6, 4], [4, 6]], [[2, 8], [0, 10]]),
+    ],
+)
+def test_hnf_is_triangular_and_reduced(rows, hnf):
+    # worked by hand: Euclid down each column, then every entry above a
+    # pivot d brought into [0, d)
+    assert homology._hnf(np.array(rows, dtype=np.int64)).tolist() == hnf
+    assert prod(invariant_factors(rows)) == prod(hnf[i][i] for i in range(len(hnf)))
+
+
+def _kept_nabla_table(name):
+    G = grp(name)
+    kept = tensor._kept_letters(G)
+    pres = build_tensor_square(G).group.presentation
+    return enumerate_cosets(pres, tensor._nabla_words(G, kept))
+
+
+@pytest.mark.parametrize("name, free", [("Mod27", 1), ("Heis27", 0)])
+def test_abelian_schreier_on_the_diagonal_subgroup(name, free):
+    # the sweep stalls on T(Mod27) over Delta and gives one edge a free
+    # coordinate; on T(Heis27) it never stalls.  Delta is C3^3 in both
+    ab = abelian_schreier(_kept_nabla_table(name))
+    assert ab.free == free
+    assert ab.invariants() == [3, 3, 3]
+
+
+def test_abelian_schreier_of_trivial_and_infinite_abelianizations():
+    # the trivial subgroup of C4 has H^ab = 1, so no coordinates; <a*b> in
+    # the infinite dihedral group a^2 = b^2 = 1 has index 2 and is Z
+    ab = abelian_schreier(enumerate_cosets(parse_presentation(PRESENTATIONS["C4"])))
+    assert ab.order == 1 and ab.invariants() == [] and ab.coords.shape == (1, 4, 0)
+    table = enumerate_cosets(parse_presentation("gens a, b\nrels a^2, b^2"), [Word((1, 2))])
+    assert table.n == 2
+    with pytest.raises(RuntimeError, match="infinite"):
+        abelian_schreier(table)
+
+
+def test_abelian_schreier_raises_past_its_coordinate_bound(monkeypatch):
+    # C3 x C3's diagonal relations hold a 3, beyond a bound of 2
+    table = _kept_nabla_table("C3xC3")
+    assert abelian_schreier(table).invariants() == [3, 3, 3]
+    monkeypatch.setattr(homology, "COORD_BOUND", 2)
+    with pytest.raises(RuntimeError, match="exceeds the bound 2"):
+        abelian_schreier(table)
