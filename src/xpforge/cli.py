@@ -1,7 +1,7 @@
 """Command-line interface.
 
     forge xp|nu|schur|imrho|fibre <pres-file|catalog:NAME>
-          [--max-cosets N] [--strategy auto|hlt|felsch] [--format json|csv] [--out FILE]
+          [--max-cosets N] [--format json|csv] [--out FILE]
     forge verify --suite NAME [--catalog builtin|DIR] [--out FILE]
     forge catalog list
 
@@ -20,7 +20,7 @@ import json
 import sys
 
 from .catalog import builtin_catalog, catalog_entry, load_catalog_dir
-from .coset import STRATEGIES, EnumerationError, EnumerationLimits
+from .coset import EnumerationError, EnumerationLimits
 from .groups import group_from_presentation
 from .harness import (
     SCHEMA_VERSION,
@@ -43,7 +43,7 @@ def _limits(args) -> EnumerationLimits | None:
     return EnumerationLimits(max_cosets=args.max_cosets)
 
 
-def _load_group(spec: str, limits, strategy):
+def _load_group(spec: str, limits):
     if spec.startswith("catalog:"):
         entry = catalog_entry(spec[len("catalog:") :])
         pres = entry.presentation()
@@ -53,7 +53,7 @@ def _load_group(spec: str, limits, strategy):
         with open(spec) as fh:
             pres = parse_presentation(fh.read())
         label = pres.name or spec
-    G = group_from_presentation(pres, limits=limits, strategy=strategy, name=label)
+    G = group_from_presentation(pres, limits=limits, name=label)
     return label, G, entry
 
 
@@ -90,8 +90,9 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
 
 
 def _cmd_xp(args) -> int:
-    label, G, _ = _load_group(args.input, _limits(args), args.strategy)
-    xb = build_xp(G, limits=_limits(args), strategy=args.strategy)
+    limits = _limits(args)
+    label, G, _ = _load_group(args.input, limits)
+    xb = build_xp(G, limits=limits)
     ok, facts = xp_order_law(xb)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -106,8 +107,9 @@ def _cmd_xp(args) -> int:
 
 
 def _cmd_nu(args) -> int:
-    label, G, _ = _load_group(args.input, _limits(args), args.strategy)
-    T = build_tensor_square(G, limits=_limits(args), strategy=args.strategy)
+    limits = _limits(args)
+    label, G, _ = _load_group(args.input, limits)
+    T = build_tensor_square(G, limits=limits)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "nu",
@@ -118,7 +120,7 @@ def _cmd_nu(args) -> int:
         "predicted_nu_order": predicted_nu_order(G, T),
     }
     try:
-        nb = build_nu(G, tensor=T, limits=_limits(args), strategy=args.strategy)
+        nb = build_nu(G, tensor=T, limits=limits)
     except SizeGateError as exc:
         payload["nu"] = {"gated": True, "predicted_order": exc.predicted, "gate": exc.gate}
         _emit(payload, args.format, args.out)
@@ -135,9 +137,10 @@ def _cmd_nu(args) -> int:
 
 
 def _cmd_schur(args) -> int:
-    label, G, entry = _load_group(args.input, _limits(args), args.strategy)
-    xb = build_xp(G, limits=_limits(args), strategy=args.strategy)
-    T = build_tensor_square(G, limits=_limits(args), strategy=args.strategy)
+    limits = _limits(args)
+    label, G, entry = _load_group(args.input, limits)
+    xb = build_xp(G, limits=limits)
+    T = build_tensor_square(G, limits=limits)
     ok, facts = multiplier_routes(xb, T, entry=entry)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -150,8 +153,9 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_imrho(args) -> int:
-    label, G, _ = _load_group(args.input, _limits(args), args.strategy)
-    xb = build_xp(G, limits=_limits(args), strategy=args.strategy)
+    limits = _limits(args)
+    label, G, _ = _load_group(args.input, limits)
+    xb = build_xp(G, limits=limits)
     rep = im_rho_verify(xb)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -164,7 +168,7 @@ def _cmd_imrho(args) -> int:
 
 
 def _cmd_fibre(args) -> int:
-    label, G, _ = _load_group(args.input, _limits(args), args.strategy)
+    label, G, _ = _load_group(args.input, _limits(args))
     try:
         ok, facts = fibre_law(G)
     except RuntimeError as exc:
@@ -232,7 +236,6 @@ def _parser() -> argparse.ArgumentParser:
             default=None,
             help="cap on live cosets; the fixed cell budget (coset.MAX_CELLS) still holds",
         )
-        p.add_argument("--strategy", choices=STRATEGIES, default="auto")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
         return p

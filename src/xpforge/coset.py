@@ -1,18 +1,10 @@
-"""Todd-Coxeter coset enumeration: HLT with lookahead and Felsch.
+"""Todd-Coxeter coset enumeration: HLT with lookahead.
 
-The default strategy, "auto", reads the shape of the presentation: Felsch
-when every relator has at most 3 letters (the wide presentations of the
-tensor square on every symbol, where HLT fills every column of every row
-and defines hundreds of cosets per final one), HLT otherwise (the narrow
-doubled and pairing presentations and the tensor square on its kept
-symbols, where HLT's relator-driven definitions pay off).
-
-Felsch pushes one deduction per new edge a -x->, and scans at a, with
-_scan and without defining, every distinct rotation of a relator or its
-inverse that starts with x, until a dies; the rotations that start with
-the inverse letter at the other end walk the same closed paths in
-reverse.  HLT, its lookahead and Felsch scan by that one routine, so
-_scan is the only code that writes a relator's deductions to the table.
+HLT scans every relator at each live coset in turn, defining the cosets
+a scan needs, and then fills the coset's open columns.  One routine,
+_scan, writes every relator deduction to the table, for HLT and for the
+lookahead alike.  tests/test_coset.py holds a Felsch enumerator on the
+same routines as an independent cross-check of the standardized tables.
 
 HLT tests each relator at a coset before it scans it there: the relator
 c1 ... cL closes at alpha when its first L-1 letters walk alpha to the
@@ -34,13 +26,13 @@ standardize: every column must be a permutation, every relator must
 close at every coset, and the cosets are renumbered in BFS discovery
 order from coset 0, exploring positive generator columns in index order.
 The standardized table is canonical for the (presentation, subgroup)
-pair, so HLT and Felsch agree on it, and the BFS also yields shortlex
-canonical words in the positive generators for every coset.  That BFS,
-shortlex_bfs, is the one every group in groups.py runs; standardize
-also serves the regular tables that groups.group_from_fold assembles
-from a smaller enumeration.  A CosetTable keeps that array; relators
-are certified on it with one gather per letter for a chunk of words at
-a time.
+pair, whatever order the cosets were defined in, and the BFS also
+yields shortlex canonical words in the positive generators for every
+coset.  That BFS, shortlex_bfs, is the one every group in groups.py
+runs; standardize also serves the regular tables that
+groups.group_from_fold assembles from a smaller enumeration.  A
+CosetTable keeps that array; relators are certified on it with one
+gather per letter for a chunk of words at a time.
 
 Enumeration either completes or raises EnumerationError (limit/time); a
 partial table is never returned.  Memory is bounded by a cell budget, rows
@@ -71,12 +63,19 @@ MAX_CELLS = 120_000_000
 class EnumerationLimits:
     """Resource bounds for one enumeration.
 
-    max_cosets bounds *live* cosets at any instant; max_time is wall-clock
-    seconds (None = unbounded).  The table is also held to MAX_CELLS.
+    max_cosets (at least 1) bounds *live* cosets at any instant; max_time
+    is positive wall-clock seconds (None = unbounded).  The table is also
+    held to MAX_CELLS.  A value that bounds nothing raises ValueError.
     """
 
     max_cosets: int = 10_000_000
     max_time: float | None = None
+
+    def __post_init__(self):
+        if not self.max_cosets >= 1:
+            raise ValueError(f"enumeration limits: max_cosets must be at least 1, not {self.max_cosets}")
+        if self.max_time is not None and not self.max_time > 0:
+            raise ValueError(f"enumeration limits: max_time must be positive, not {self.max_time}")
 
 
 class EnumerationError(RuntimeError):
@@ -267,7 +266,7 @@ class CosetTable:
 
 
 class _Enumerator:
-    def __init__(self, pres: Presentation, subgroup_words, limits: EnumerationLimits, strategy: str):
+    def __init__(self, pres: Presentation, subgroup_words, limits: EnumerationLimits):
         self.pres = pres
         self.ngens = pres.ngens
         self.ncols = 2 * pres.ngens
@@ -286,7 +285,10 @@ class _Enumerator:
         self.sub_cols = [word_to_cols(w) for w in self.subgroup_words if w]
         self.limits = limits
         self.max_rows = MAX_CELLS // max(self.ncols, 1)
-        self.strategy = strategy
+        # the (coset, column) of every entry that a scan deduces or a
+        # coincidence writes, for a subclass that collects them; None
+        # collects nothing
+        self.deds: list | None = None
         self.table: list[list[int]] = [[-1] * self.ncols]
         self.p = [0]
         self.live = 1
@@ -316,8 +318,9 @@ class _Enumerator:
             self.live -= 1
             q.append(l)
 
-    def _coincidence(self, a: int, b: int, deds):
+    def _coincidence(self, a: int, b: int):
         q = self._cq
+        deds = self.deds
         self._merge(a, b, q)
         table = self.table
         while q:
@@ -371,7 +374,7 @@ class _Enumerator:
         self.total_defined += 1
         return n
 
-    def _scan(self, alpha: int, w, fill: bool, deds) -> bool:
+    def _scan(self, alpha: int, w, fill: bool) -> bool:
         """Scan word w at coset alpha.  Defines cosets when fill is set,
         deduces at a single gap, merges on contradiction.  Returns False
         only when abandoning a gap >= 2 with fill off."""
@@ -389,7 +392,7 @@ class _Enumerator:
                 i += 1
             if i > j:
                 if f != b:
-                    self._coincidence(f, b, deds)
+                    self._coincidence(f, b)
                 return True
             while j >= i:
                 prv = table[b][w[j] ^ 1]
@@ -398,13 +401,13 @@ class _Enumerator:
                 b = prv
                 j -= 1
             if j < i:
-                self._coincidence(f, b, deds)
+                self._coincidence(f, b)
                 return True
             if i == j:
                 table[f][w[i]] = b
                 table[b][w[i] ^ 1] = f
-                if deds is not None:
-                    deds.append((f, w[i]))
+                if self.deds is not None:
+                    self.deds.append((f, w[i]))
                 return True
             if not fill:
                 return False
@@ -443,14 +446,14 @@ class _Enumerator:
 
     # -- pressure relief ----------------------------------------------------
 
-    def _lookahead(self, deds):
+    def _lookahead(self):
         """Scan every relator at every live coset without defining, to
         harvest coincidences before giving up on the coset cap."""
         for a in range(len(self.table)):
             if self.p[a] != a:
                 continue
             for w in self._open_relators(a):
-                self._scan(a, w, False, deds)
+                self._scan(a, w, False)
                 if self.p[a] != a:
                     break
 
@@ -470,15 +473,12 @@ class _Enumerator:
         self.live = len(live)
         return mapping
 
-    def _relieve(self, alpha: int, deds) -> int:
+    def _relieve(self, alpha: int) -> int:
         """Lookahead + compact after a cap hit; returns the renumbered alpha
         to resume from, or raises EnumerationError if there is still no
-        room for one more coset under the cap or the cell budget.  Pending
-        deductions are renumbered with the rows."""
-        self._lookahead(deds)
+        room for one more coset under the cap or the cell budget."""
+        self._lookahead()
         mapping = self._compact()
-        if deds:
-            deds[:] = [(mapping[a], x) for a, x in deds]
         # the live cosets and the one that the cap hit was defining
         hold_to_limits(self.live + 1, self.ncols, self.total_defined, self.limits)
         return mapping[alpha]
@@ -488,21 +488,24 @@ class _Enumerator:
             return self._compact()[alpha]
         return alpha
 
-    # -- strategies ----------------------------------------------------------
+    # -- enumeration ---------------------------------------------------------
 
-    def _scan_subgroup(self, deds):
+    def _scan_subgroup(self):
         """Scan the subgroup words at coset 0, defining as needed; on a cap
         hit, relieve and scan them again."""
         while True:
             try:
                 for w in self.sub_cols:
-                    self._scan(0, w, True, deds)
+                    self._scan(0, w, True)
                 return
             except _CapHit:
-                self._relieve(0, deds)
+                self._relieve(0)
 
-    def run_hlt(self):
-        self._scan_subgroup(None)
+    def run(self):
+        """HLT: scan the subgroup words at coset 0, then at each live coset
+        in turn scan the relators that do not close there, defining as
+        needed, and define its open columns."""
+        self._scan_subgroup()
         alpha = 0
         while alpha < len(self.table):
             if self.p[alpha] != alpha:
@@ -510,7 +513,7 @@ class _Enumerator:
                 continue
             try:
                 for w in self._open_relators(alpha):
-                    self._scan(alpha, w, True, None)
+                    self._scan(alpha, w, True)
                     if self.p[alpha] != alpha:
                         break
                 if self.p[alpha] == alpha:
@@ -519,70 +522,9 @@ class _Enumerator:
                         if row[x] < 0:
                             self._define(alpha, x)
             except _CapHit:
-                alpha = self._relieve(alpha, None)
+                alpha = self._relieve(alpha)
                 continue
             alpha = self._maybe_compact(alpha)
-            alpha += 1
-
-    def _rotations(self) -> list[list[tuple[int, ...]]]:
-        """Every distinct cyclic rotation of every relator and of its
-        inverse, listed under its first column for the deduction scan."""
-        by_col: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
-        seen = set()
-        for w in self.rel_cols:
-            for base in (w, tuple(c ^ 1 for c in reversed(w))):
-                for s in range(len(base)):
-                    rot = base[s:] + base[:s]
-                    if rot not in seen:
-                        seen.add(rot)
-                        by_col[rot[0]].append(rot)
-        return by_col
-
-    def _process_deductions(self, deds, rotations):
-        """For each deduced edge a -x->, scan every rotation that starts
-        with x at a's representative without defining, until a dies; a
-        scan may push further deductions.  An edge whose entry is gone (a
-        coincidence cleared it) is skipped."""
-        p = self.p
-        while deds:
-            self._tick()
-            a, x = deds.pop()
-            a = self._rep(a)
-            if self.table[a][x] < 0:
-                continue
-            for w in rotations[x]:
-                self._scan(a, w, False, deds)
-                if p[a] != a:
-                    break
-
-    def run_felsch(self):
-        rotations = self._rotations()
-        deds: list[tuple[int, int]] = []
-        self._scan_subgroup(deds)
-        self._process_deductions(deds, rotations)
-        alpha = 0
-        while alpha < len(self.table):
-            if self.p[alpha] != alpha:
-                alpha += 1
-                continue
-            x = 0
-            while self.p[alpha] == alpha:
-                # the next undefined column of alpha (deductions only fill)
-                try:
-                    x = self.table[alpha].index(-1, x)
-                except ValueError:
-                    break
-                try:
-                    self._define(alpha, x)
-                except _CapHit:
-                    alpha = self._relieve(alpha, deds)
-                    self._process_deductions(deds, rotations)
-                    x = 0
-                    continue
-                deds.append((alpha, x))
-                self._process_deductions(deds, rotations)
-            if self.p[alpha] == alpha:
-                alpha = self._maybe_compact(alpha)
             alpha += 1
 
     # -- finishing ------------------------------------------------------------
@@ -614,48 +556,18 @@ class _Enumerator:
             if v != 0:
                 raise RuntimeError("internal: subgroup word leaves coset 0")
         std, words = standardize(cols, self.rel_cols)
-        stats = {
-            "cosets": n,
-            "total_defined": self.total_defined,
-            "strategy": self.strategy,
-        }
+        stats = {"cosets": n, "total_defined": self.total_defined}
         return CosetTable(self.ngens, std, words, self.pres, self.subgroup_words, stats)
-
-
-STRATEGIES = ("auto", "hlt", "felsch")
-
-# "auto" picks Felsch when no relator is longer than this
-FELSCH_MAX_RELATOR = 3
-
-
-def resolve_strategy(pres: Presentation, strategy: str = "auto") -> str:
-    """The strategy an enumeration of `pres` runs: an explicit "hlt" or
-    "felsch" as given, "auto" from the relator lengths alone."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r} (want one of {', '.join(STRATEGIES)})")
-    if strategy != "auto":
-        return strategy
-    if all(len(w.letters) <= FELSCH_MAX_RELATOR for w in pres.relators):
-        return "felsch"
-    return "hlt"
 
 
 def enumerate_cosets(
     pres: Presentation,
     subgroup_words=(),
     limits: EnumerationLimits | None = None,
-    strategy: str = "auto",
 ) -> CosetTable:
     """Enumerate cosets of the subgroup generated by `subgroup_words` in the
     group given by `pres`.  Returns a completed standardized table or raises
-    EnumerationError; never a partial table.  The table's stats record the
-    strategy that ran."""
-    if limits is None:
-        limits = EnumerationLimits()
-    strategy = resolve_strategy(pres, strategy)
-    enum = _Enumerator(pres, subgroup_words, limits, strategy)
-    if strategy == "hlt":
-        enum.run_hlt()
-    else:
-        enum.run_felsch()
+    EnumerationError; never a partial table."""
+    enum = _Enumerator(pres, subgroup_words, limits or EnumerationLimits())
+    enum.run()
     return enum.finish()

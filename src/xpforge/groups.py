@@ -758,10 +758,9 @@ class Homomorphism:
 def group_from_presentation(
     pres: Presentation,
     limits: EnumerationLimits | None = None,
-    strategy: str = "auto",
     name=None,
 ) -> PermGroup:
-    table = enumerate_cosets(pres, limits=limits, strategy=strategy)
+    table = enumerate_cosets(pres, limits=limits)
     return PermGroup(table, name=name or pres.name)
 
 
@@ -769,7 +768,6 @@ def group_from_fold(
     pres: Presentation,
     base: FiniteGroup,
     limits: EnumerationLimits | None = None,
-    strategy: str = "auto",
 ) -> PermGroup:
     """The group X that `pres` presents on two copies of base's
     generators, built from the cosets of the first copy.
@@ -792,7 +790,7 @@ def group_from_fold(
     if pres.ngens != 2 * n or not set(base.presentation.relators) <= set(pres.relators):
         raise ValueError("presentation is not on two copies of the base, the first with its relators")
     limits = limits or EnumerationLimits()
-    table = enumerate_cosets(pres, [Word.gen(i) for i in range(n)], limits, strategy)
+    table = enumerate_cosets(pres, [Word.gen(i) for i in range(n)], limits)
     k, m, ncols = table.n, base.order, 4 * n
     defined = table.stats["total_defined"]
     hold_to_limits(k * m, ncols, defined, limits)
@@ -800,7 +798,7 @@ def group_from_fold(
     folded = base._acts()[[2 * (x // 2 % n) + (x & 1) for x in range(ncols)]]
     cols = (table.col_arrays()[:, :, None] * m + folded[:, None, :]).reshape(ncols, k * m)
     std, words = standardize(cols, [word_to_cols(w) for w in pres.relators])
-    stats = {"cosets": k * m, "total_defined": defined, "strategy": table.stats["strategy"]}
+    stats = {"cosets": k * m, "total_defined": defined}
     regular = CosetTable(2 * n, std, words, pres, [], stats)
     return PermGroup(regular, name=pres.name)
 
@@ -809,7 +807,6 @@ def group_from_normal_subgroup(
     pres: Presentation,
     subgroup_words,
     limits: EnumerationLimits | None = None,
-    strategy: str = "auto",
 ) -> tuple[PermGroup, Subgroup]:
     """The group that `pres` presents modulo [H, H], for the subgroup H
     that `subgroup_words` generate, built from the cosets of H; and
@@ -827,7 +824,7 @@ def group_from_normal_subgroup(
     holds the enumeration and the assembled rows.
     """
     limits = limits or EnumerationLimits()
-    table = enumerate_cosets(pres, subgroup_words, limits, strategy)
+    table = enumerate_cosets(pres, subgroup_words, limits)
     cols, k = table.col_arrays(), table.n
     every = np.arange(k, dtype=np.int32)
     for w in subgroup_words:
@@ -856,7 +853,7 @@ def group_from_normal_subgroup(
         big[s : s + chunk] = cols[s : s + chunk, :, None] * m + v
     big = big.reshape(ncols, k * m)
     std, words = standardize(big, [word_to_cols(w) for w in pres.relators])
-    stats = {"cosets": k * m, "total_defined": defined, "strategy": table.stats["strategy"]}
+    stats = {"cosets": k * m, "total_defined": defined}
     G = PermGroup(CosetTable(pres.ngens, std, words, pres, [], stats), name=pres.name)
     # the coset of every element: the coset table walked along its word
     acts = np.vstack([cols[0::2], every])

@@ -377,7 +377,6 @@ class TensorSquare:
 def build_tensor_square(
     base: FiniteGroup,
     limits: EnumerationLimits | None = None,
-    strategy: str = "auto",
 ) -> TensorSquare:
     """T = base (x) base on its kept symbols, built from the cosets of
     the diagonal subgroup (see the module docstring).  `limits` holds
@@ -404,7 +403,7 @@ def build_tensor_square(
         name=_label(base),
     )
     nabla = _nabla_words(base, kept)
-    T, delta = group_from_normal_subgroup(pres, nabla, limits=lim, strategy=strategy)
+    T, delta = group_from_normal_subgroup(pres, nabla, limits=lim)
     img = _symbol_images(T, kept, definitions, len(symbols))
     if not _rows_hold(T, _expansion_rows(base, base.elements[1:]), img):
         raise RuntimeError("generator-scope tensor relators fail the full expansion family")
@@ -526,7 +525,6 @@ def build_nu(
     tensor: TensorSquare | None = None,
     size_gate: int = NU_SIZE_GATE,
     limits: EnumerationLimits | None = None,
-    strategy: str = "auto",
 ) -> NuBundle:
     """nu(base), with its embeddings, fold, tensor subgroup and Delta.
 
@@ -539,14 +537,14 @@ def build_nu(
     does not map isomorphically onto [P, P'].
     """
     if tensor is None:
-        tensor = build_tensor_square(base, strategy=strategy)
+        tensor = build_tensor_square(base)
     predicted = predicted_nu_order(base, tensor)
     if predicted > size_gate:
         raise SizeGateError(predicted, size_gate)
 
     pres = nu_presentation(base)
     lim = limits or EnumerationLimits(max_cosets=max(60_000, 6 * predicted))
-    X = group_from_fold(pres, base, limits=lim, strategy=strategy)
+    X = group_from_fold(pres, base, limits=lim)
     if X.order != predicted:
         raise RuntimeError(f"nu presentation enumerates to {X.order}, predicted {predicted}")
 

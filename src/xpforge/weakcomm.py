@@ -186,7 +186,6 @@ class XPBundle:
 def build_xp(
     base: FiniteGroup,
     limits: EnumerationLimits | None = None,
-    strategy: str = "auto",
 ) -> XPBundle:
     """Enumerate X from the short commutation family, then certify the
     full family on the images of the two embeddings.
@@ -206,7 +205,7 @@ def build_xp(
     fails; there is no fallback.
     """
     pres = xp_presentation(base, elements="short")
-    X = group_from_fold(pres, base, limits=limits, strategy=strategy)
+    X = group_from_fold(pres, base, limits=limits)
     n = base.presentation.ngens
     left_images = X.generators[:n]
     right_images = X.generators[n:]

@@ -200,10 +200,14 @@ def test_coset_limit_exits_2(capsys):
         ["xp", "catalog:D8", "--max-cosets", "10"],
         ["nu", "catalog:D8", "--max-cosets", "12"],  # limit hit building T
         ["nu", "catalog:C2", "--max-cosets", "5"],  # limit hit building nu
+        ["xp", "catalog:C2", "--max-cosets", "0"],  # refused before enumerating
+        ["xp", "catalog:C2", "--max-cosets", "-5"],
     ):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
         assert "enumeration limits" in err, args
+        assert err.count("\n") == 1, args
+    assert err == "error: enumeration limits: max_cosets must be at least 1, not -5\n"
 
 
 def test_tensor_limits_and_checks_exit_2_in_one_line(tmp_path, capsys, monkeypatch):
@@ -266,17 +270,10 @@ def test_failed_x_certification_is_one_line_exit_2(capsys, monkeypatch):
     assert "a^2" in report.rows[0]["detail"]["error"]
 
 
-@pytest.mark.parametrize("strategy", ["auto", "hlt", "felsch"])
-def test_strategy_option_keeps_the_answers(strategy, capsys):
-    code, d = run_json(["schur", "catalog:D8", "--strategy", strategy], capsys)
-    assert code == 0
-    assert d["routes"] == {"doubling": [2], "pairing": [2], "bar": [2]}
-    assert d["matches_expected"] is True
-
-
 def test_unknown_strategy_exits_2():
     with pytest.raises(SystemExit) as exc:
-        main(["xp", "catalog:C2", "--strategy", "fancy"])
+        # the removed --strategy flag is a usage error
+        main(["xp", "catalog:C2", "--strategy", "hlt"])
     assert exc.value.code == 2
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from xpforge import coset
 from xpforge.catalog import builtin_catalog, catalog_entry
-from xpforge.coset import EnumerationError, EnumerationLimits, enumerate_cosets, resolve_strategy
+from xpforge.coset import EnumerationError, EnumerationLimits, enumerate_cosets
 from xpforge.groups import group_from_presentation
 from xpforge.tensor import build_nu, build_tensor_square, tensor_square_presentation
 from xpforge.weakcomm import build_xp, xp_presentation
@@ -32,9 +32,109 @@ F25 = parse_presentation(
 )
 
 
+class _Felsch(coset._Enumerator):
+    """Felsch's strategy on the enumerator's own routines, the oracle that
+    HLT's standardized tables are checked against.
+
+    It pushes one deduction per new edge a -x->, and scans at a, with
+    _scan and without defining, every distinct rotation of a relator or
+    its inverse that starts with x, until a dies; the rotations that start
+    with the inverse letter at the other end walk the same closed paths in
+    reverse.  It defines a coset only in the first open column of the
+    first live coset once every deduction is processed, so it decides
+    unlike HLT: on the tensor presentations on every symbol it defines at
+    most one coset beyond the final ones, where HLT defines up to 320
+    times as many (26 256 for 81 on T(Mod27)).
+    """
+
+    def __init__(self, pres, subgroup_words, limits):
+        super().__init__(pres, subgroup_words, limits)
+        self.deds = []
+
+    def _rotations(self) -> list[list[tuple[int, ...]]]:
+        """Every distinct cyclic rotation of every relator and of its
+        inverse, listed under its first column for the deduction scan."""
+        by_col: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
+        seen = set()
+        for w in self.rel_cols:
+            for base in (w, tuple(c ^ 1 for c in reversed(w))):
+                for s in range(len(base)):
+                    rot = base[s:] + base[:s]
+                    if rot not in seen:
+                        seen.add(rot)
+                        by_col[rot[0]].append(rot)
+        return by_col
+
+    def _compact(self):
+        # pending deductions name rows that the compaction renumbers
+        mapping = super()._compact()
+        self.deds[:] = [(mapping[a], x) for a, x in self.deds]
+        return mapping
+
+    def _process_deductions(self, rotations):
+        """For each deduced edge a -x->, scan every rotation that starts
+        with x at a's representative without defining, until a dies; a
+        scan may push further deductions.  An edge whose entry is gone (a
+        coincidence cleared it) is skipped."""
+        p, deds = self.p, self.deds
+        while deds:
+            self._tick()
+            a, x = deds.pop()
+            a = self._rep(a)
+            if self.table[a][x] < 0:
+                continue
+            for w in rotations[x]:
+                self._scan(a, w, False)
+                if p[a] != a:
+                    break
+
+    def run(self):
+        rotations = self._rotations()
+        self._scan_subgroup()
+        self._process_deductions(rotations)
+        alpha = 0
+        while alpha < len(self.table):
+            if self.p[alpha] != alpha:
+                alpha += 1
+                continue
+            x = 0
+            while self.p[alpha] == alpha:
+                # the next undefined column of alpha (deductions only fill)
+                try:
+                    x = self.table[alpha].index(-1, x)
+                except ValueError:
+                    break
+                try:
+                    self._define(alpha, x)
+                except coset._CapHit:
+                    alpha = self._relieve(alpha)
+                    self._process_deductions(rotations)
+                    x = 0
+                    continue
+                self.deds.append((alpha, x))
+                self._process_deductions(rotations)
+            if self.p[alpha] == alpha:
+                alpha = self._maybe_compact(alpha)
+            alpha += 1
+
+
+def _run(enumerator, pres, subgroup_words=(), limits=None):
+    enum = enumerator(pres, subgroup_words, limits or EnumerationLimits())
+    enum.run()
+    return enum.finish()
+
+
+def enumerate_with(strategy, pres, subgroup_words=(), limits=None):
+    """The table of `pres` over `subgroup_words`: from enumerate_cosets
+    (HLT) for "hlt", from the Felsch oracle for "felsch"."""
+    if strategy == "hlt":
+        return enumerate_cosets(pres, subgroup_words, limits)
+    return _run(_Felsch, pres, subgroup_words, limits)
+
+
 @functools.lru_cache(maxsize=None)
 def catalog_base(name):
-    return group_from_presentation(catalog_entry(name).presentation(), strategy="hlt")
+    return group_from_presentation(catalog_entry(name).presentation())
 
 
 @functools.lru_cache(maxsize=None)
@@ -48,8 +148,8 @@ def kept_tensor_pres(name):
     return build_tensor_square(catalog_base(name)).group.presentation
 
 
-# Tensor-square symbol presentations: 49 to 64 generators, relators of at
-# most 3 letters, the shape "auto" hands to Felsch.
+# Tensor-square presentations on every symbol: 49 to 64 generators and
+# relators of at most 3 letters, where HLT defines many spare cosets.
 T_D8, T_Q8, T_C3XC3 = (tensor_pres(name) for name in ("D8", "Q8", "C3xC3"))
 
 
@@ -71,7 +171,7 @@ T_D8, T_Q8, T_C3XC3 = (tensor_pres(name) for name in ("D8", "Q8", "C3xC3"))
 )
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
 def test_group_orders(pres, order, strategy):
-    table = enumerate_cosets(pres, strategy=strategy)
+    table = enumerate_with(strategy, pres)
     assert table.n == order
 
 
@@ -112,14 +212,20 @@ def test_subgroup_index(pres, subgens, index):
 # X(C3xC3): one Felsch run over 3-letter and longer rotations, with
 # coincidences (255 cosets defined for 243)
 X_C3XC3 = xp_presentation(catalog_base("C3xC3"))
+# the enumerations of the catalog that relators of at most 3 letters once
+# sent to Felsch: the C2 and C3 bases and T(C2) on its kept symbol
+C2_BASE, C3_BASE = (catalog_entry(name).presentation() for name in ("C2", "C3"))
+T_KEPT_C2 = kept_tensor_pres("C2")
 
 
 @pytest.mark.parametrize(
-    "pres", [C4, KLEIN, S3, D8, Q8, A4, HEIS27, MOD27, TRIVIAL, T_D8, T_Q8, T_C3XC3, X_C3XC3]
+    "pres",
+    [C4, KLEIN, S3, D8, Q8, A4, HEIS27, MOD27, TRIVIAL, T_D8, T_Q8, T_C3XC3, X_C3XC3]
+    + [C2_BASE, C3_BASE, T_KEPT_C2],
 )
 def test_strategies_agree_after_standardization(pres):
-    t1 = enumerate_cosets(pres, strategy="hlt")
-    t2 = enumerate_cosets(pres, strategy="felsch")
+    t1 = enumerate_with("hlt", pres)
+    t2 = enumerate_with("felsch", pres)
     assert t1.rows == t2.rows
     assert t1.words == t2.words
 
@@ -192,23 +298,13 @@ def test_overtight_limit_never_returns_partial_table():
         enumerate_cosets(F25, limits=EnumerationLimits(max_cosets=12))
 
 
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
-        enumerate_cosets(C4, strategy="fancy")
-
-
-def test_auto_reads_relator_lengths():
-    assert resolve_strategy(KLEIN) == "hlt"  # [a,b] has 4 letters
-    assert resolve_strategy(F25) == "felsch"  # every relator has 3
-    assert resolve_strategy(parse_presentation("gens a\nrels a^3")) == "felsch"
-    assert resolve_strategy(F25, "hlt") == "hlt"
-    assert resolve_strategy(KLEIN, "felsch") == "felsch"
-
-
-@pytest.mark.parametrize("strategy,want", [("auto", "felsch"), ("hlt", "hlt"), ("felsch", "felsch")])
-def test_stats_record_the_strategy_that_ran(strategy, want):
-    table = enumerate_cosets(F25, strategy=strategy)
-    assert table.stats["strategy"] == want
+@pytest.mark.parametrize(
+    "kwargs", [{"max_cosets": 0}, {"max_cosets": -5}, {"max_time": 0}, {"max_time": -1.0}]
+)
+def test_limits_reject_values_that_bound_nothing(kwargs):
+    with pytest.raises(ValueError, match="enumeration limits"):
+        EnumerationLimits(**kwargs)
+    assert EnumerationLimits(max_cosets=1, max_time=0.01).max_cosets == 1
 
 
 # ------------------------------------------- wide tensor-square presentations
@@ -216,9 +312,9 @@ def test_stats_record_the_strategy_that_ran(strategy, want):
 
 @pytest.mark.parametrize("name", ["D8", "Q8", "C3xC3", "Mod27"])
 def test_auto_enumerates_wide_presentations_without_spare_cosets(name):
-    # HLT defines 580 cosets for 32 on D8 and 26 256 for 81 on Mod27
-    table = enumerate_cosets(tensor_pres(name))
-    assert table.stats["strategy"] == "felsch"
+    # the Felsch oracle on the every-symbol presentations; HLT defines 580
+    # cosets for 32 on D8 and 26 256 for 81 on Mod27
+    table = enumerate_with("felsch", tensor_pres(name))
     assert table.stats["total_defined"] <= table.n + 1
 
 
@@ -230,14 +326,15 @@ def test_felsch_honours_the_time_limit():
     pres = tensor_pres("Heis27")
     t0 = time.monotonic()
     with pytest.raises(EnumerationError) as err:
-        enumerate_cosets(pres, limits=EnumerationLimits(max_time=limit), strategy="felsch")
+        enumerate_with("felsch", pres, limits=EnumerationLimits(max_time=limit))
     assert time.monotonic() - t0 < 2 * limit
     assert "time limit" in str(err.value)
 
 
-# cosets a forced strategy defines on these presentations, frozen as first
-# measured: a change to what a strategy scans, or in what order, shows here
-# even when the standardized table stays the same
+# cosets HLT (enumerate_cosets) and the Felsch oracle define on these
+# presentations, frozen as first measured: a change to what either scans,
+# or in what order, shows here even when the standardized table stays the
+# same
 TOTAL_DEFINED = {
     ("hlt", "T", "D8"): 580,
     ("hlt", "T", "Q8"): 1166,
@@ -274,8 +371,7 @@ def _frozen_presentation(kind, name):
     ids=[f"{k}-{n}" if s == "hlt" else f"{k}-{n}-{s}" for s, k, n in sorted(TOTAL_DEFINED)],
 )
 def test_forced_hlt_defines_as_before(strategy, kind, name):
-    table = enumerate_cosets(_frozen_presentation(kind, name), strategy=strategy)
-    assert table.stats["strategy"] == strategy
+    table = enumerate_with(strategy, _frozen_presentation(kind, name))
     assert table.stats["total_defined"] == TOTAL_DEFINED[strategy, kind, name]
 
 
@@ -312,10 +408,8 @@ class _ScanEveryRelatorHLT(coset._Enumerator):
         return self.rel_cols
 
 
-def _reference_hlt(pres, subgroup_words=(), limits=EnumerationLimits()):
-    enum = _ScanEveryRelatorHLT(pres, subgroup_words, limits, "hlt")
-    enum.run_hlt()
-    return enum.finish()
+def _reference_hlt(pres, subgroup_words=(), limits=None):
+    return _run(_ScanEveryRelatorHLT, pres, subgroup_words, limits)
 
 
 def _assert_same_decisions(table, reference):
@@ -330,8 +424,8 @@ def test_strategies_agree_on_random_presentations(pres):
     # whenever both complete, they give one standardized table
     limits = EnumerationLimits(max_cosets=200)
     try:
-        hlt = enumerate_cosets(pres, limits=limits, strategy="hlt")
-        felsch = enumerate_cosets(pres, limits=limits, strategy="felsch")
+        hlt = enumerate_with("hlt", pres, limits=limits)
+        felsch = enumerate_with("felsch", pres, limits=limits)
     except EnumerationError:
         return
     assert hlt.rows == felsch.rows
@@ -344,7 +438,7 @@ def test_hlt_decides_as_its_scan_every_relator_reference(pres):
     # a run that fails must fail at the same count
     limits = EnumerationLimits(max_cosets=60)
     try:
-        hlt = enumerate_cosets(pres, limits=limits, strategy="hlt")
+        hlt = enumerate_cosets(pres, limits=limits)
     except EnumerationError as err:
         with pytest.raises(EnumerationError) as reference_err:
             _reference_hlt(pres, limits=limits)
@@ -360,7 +454,7 @@ def test_hlt_decides_as_its_reference_on_the_catalog(name):
     base = catalog_base(name)
     left_copy = [Word.gen(i) for i in range(base.presentation.ngens)]
     for pres, subgroup in ((kept_tensor_pres(name), ()), (xp_presentation(base, "short"), left_copy)):
-        table = enumerate_cosets(pres, subgroup, strategy="hlt")
+        table = enumerate_cosets(pres, subgroup)
         _assert_same_decisions(table, _reference_hlt(pres, subgroup))
 
 
@@ -369,10 +463,10 @@ def test_hlt_decides_as_its_reference_through_the_lookahead(monkeypatch):
     # HLT through the lookahead, which skips closed relators too
     limits = EnumerationLimits(max_cosets=61)
     _assert_same_decisions(
-        enumerate_cosets(A5, limits=limits, strategy="hlt"), _reference_hlt(A5, limits=limits)
+        enumerate_cosets(A5, limits=limits), _reference_hlt(A5, limits=limits)
     )
     monkeypatch.setattr(coset, "MAX_CELLS", 40 * 2 * T_D8.ngens)
-    _assert_same_decisions(enumerate_cosets(T_D8, strategy="hlt"), _reference_hlt(T_D8))
+    _assert_same_decisions(enumerate_cosets(T_D8), _reference_hlt(T_D8))
 
 
 def test_hlt_scans_a_relator_whose_last_inverse_entry_is_open():
@@ -380,11 +474,11 @@ def test_hlt_scans_a_relator_whose_last_inverse_entry_is_open():
     # two letters of a^3 walk to 2, but 0's a^-1 entry is open, so a^3
     # does not close there; its scan deduces 2 -a-> 0, the only deduction
     # at 0, and no coset is defined after the first three
-    enum = coset._Enumerator(parse_presentation("gens a\nrels a^3"), (), EnumerationLimits(), "hlt")
+    enum = coset._Enumerator(parse_presentation("gens a\nrels a^3"), (), EnumerationLimits())
     enum._define(0, 0)
     enum._define(1, 0)
     assert list(enum._open_relators(0)) == [(0, 0, 0)]
-    enum.run_hlt()
+    enum.run()
     assert enum.total_defined == 3
     assert enum.table[2][0] == 0 and enum.table[0][1] == 2
     assert list(enum._open_relators(0)) == []
@@ -399,7 +493,7 @@ def test_cell_budget_stops_a_wide_presentation(strategy, monkeypatch):
     # and an explicit max_cosets far above it does not lift it
     monkeypatch.setattr(coset, "MAX_CELLS", 20 * 2 * T_D8.ngens)
     with pytest.raises(EnumerationError) as err:
-        enumerate_cosets(T_D8, limits=EnumerationLimits(max_cosets=10**6), strategy=strategy)
+        enumerate_with(strategy, T_D8, limits=EnumerationLimits(max_cosets=10**6))
     assert "cell budget" in str(err.value)
     assert "max_cosets does not raise it" in str(err.value)
     assert 20 <= err.value.cosets_used
@@ -408,9 +502,9 @@ def test_cell_budget_stops_a_wide_presentation(strategy, monkeypatch):
 def test_cell_budget_relief_keeps_the_table(monkeypatch):
     # HLT defines 580 cosets on T(D8) unbounded; 40 rows force lookahead
     # and compaction, and the standardized table must not change
-    free = enumerate_cosets(T_D8, strategy="hlt")
+    free = enumerate_cosets(T_D8)
     monkeypatch.setattr(coset, "MAX_CELLS", 40 * 2 * T_D8.ngens)
-    tight = enumerate_cosets(T_D8, strategy="hlt")
+    tight = enumerate_cosets(T_D8)
     assert free.stats["total_defined"] > 40
     assert tight.rows == free.rows
     assert tight.words == free.words
@@ -420,17 +514,15 @@ def test_cell_budget_relief_keeps_the_table(monkeypatch):
 
 
 def test_felsch_resumes_after_a_cap_relief(monkeypatch):
-    # auto picks Felsch on both; a live cap of 3, and a cell budget of 3
-    # rows, send it through the lookahead, whose deductions name cosets
-    # that the compaction then renumbers
+    # a live cap of 3, and a cell budget of 3 rows, send the Felsch oracle
+    # through the lookahead, whose deductions name cosets that the
+    # compaction then renumbers
     trivial = parse_presentation("gens a, b\nrels b^-2*a^-1, b, b^-1")
-    table = enumerate_cosets(trivial, limits=EnumerationLimits(max_cosets=3))
-    assert table.stats["strategy"] == "felsch"
+    table = enumerate_with("felsch", trivial, limits=EnumerationLimits(max_cosets=3))
     assert table.n == 1
     c2 = parse_presentation("gens a, b\nrels a, b^2")
     monkeypatch.setattr(coset, "MAX_CELLS", 3 * 2 * c2.ngens)
-    table = enumerate_cosets(c2)
-    assert table.stats["strategy"] == "felsch"
+    table = enumerate_with("felsch", c2)
     assert table.words == [(), (2,)]
 
 
@@ -442,10 +534,10 @@ def test_subgroup_words_are_scanned_again_after_every_relief(strategy):
     # EnumerationError
     pres = parse_presentation("gens a, b\nrels b^-1*a, b")
     sub = [Word([2, -1, 2, -1])]
-    assert enumerate_cosets(pres, sub, EnumerationLimits(max_cosets=2), strategy).n == 1
+    assert enumerate_with(strategy, pres, sub, EnumerationLimits(max_cosets=2)).n == 1
     pres = parse_presentation("gens a, b, c\nrels a^-1")
     with pytest.raises(EnumerationError):
-        enumerate_cosets(pres, [Word([-1, 2, -1, 3])], EnumerationLimits(max_cosets=2), strategy)
+        enumerate_with(strategy, pres, [Word([-1, 2, -1, 3])], EnumerationLimits(max_cosets=2))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -456,7 +548,7 @@ def test_relief_keeps_the_table_or_fails(pres, strategy, data):
     # the table of the unbounded run or raise EnumerationError
     limits = EnumerationLimits(max_cosets=200)
     try:
-        free = enumerate_cosets(pres, limits=limits, strategy=strategy)
+        free = enumerate_with(strategy, pres, limits=limits)
     except EnumerationError:
         return
     defined = free.stats["total_defined"]
@@ -465,7 +557,7 @@ def test_relief_keeps_the_table_or_fails(pres, strategy, data):
 
     def keeps_the_table_or_fails(run_limits):
         try:
-            tight = enumerate_cosets(pres, limits=run_limits, strategy=strategy)
+            tight = enumerate_with(strategy, pres, limits=run_limits)
         except EnumerationError:
             return
         assert tight.rows == free.rows

@@ -7,14 +7,13 @@ import pytest
 from xpforge import harness
 from xpforge.catalog import builtin_catalog, catalog_entry, load_catalog_dir
 from xpforge.cli import main
-from xpforge.coset import EnumerationError, EnumerationLimits, resolve_strategy
+from xpforge.coset import EnumerationError, EnumerationLimits
 from xpforge.harness import (
     SCHEMA_VERSION,
     SUITES,
     run_suite,
     tower_demo,
 )
-from xpforge.tensor import SizeGateError, nu_presentation
 
 SMALL = [catalog_entry(n) for n in ("C2", "C4", "C2xC2", "D8")]
 
@@ -163,23 +162,6 @@ def test_schur_runs_the_third_route_at_every_order():
     assert row["status"] == "pass"
     assert list(row["detail"]["routes"]) == ["doubling", "pairing", "bar", "nu"]
     assert "bar_bound" not in row["detail"]
-
-
-@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
-def test_auto_strategy_per_construction(entry):
-    # the tensor square's kept-symbol presentation has relators longer than
-    # 3 letters and gets HLT, except C2's single relator k^2, which gets
-    # Felsch; the doubled and pairing presentations keep HLT
-    want = "felsch" if entry.name == "C2" else "hlt"
-    assert harness.tensor_of(entry).group.table.stats["strategy"] == want
-    assert harness.xp_of(entry).group.table.stats["strategy"] == "hlt"
-    try:
-        nu_table = harness.nu_of(entry).group.table
-    except SizeGateError:
-        assert resolve_strategy(nu_presentation(harness.base_group(entry))) == "hlt"
-    else:
-        assert nu_table.stats["strategy"] == "hlt"
-
 
 
 # ---------------------------------------------------------------- gating
