@@ -166,6 +166,138 @@ def test_out_file(tmp_path, capsys):
     assert d["command"] == "schur"
 
 
+# ---------------------------------------------------------------- frozen stdout
+
+# the exact stdout of each group command: the JSON ones are the payload
+# below written with indent=2, keys in this order; "@input" stands for the
+# path of a presentation file
+FROZEN = [
+    (
+        ["xp", "catalog:C2xC2"],
+        {
+            "schema": 1,
+            "command": "xp",
+            "input": "C2xC2",
+            "orders": {"base": 4, "group": 32, "L": 8, "D": 2, "W": 2, "R": 1, "im_rho": 16},
+            "h2_invariants": [2],
+            "order_law_holds": True,
+        },
+    ),
+    (
+        ["nu", "catalog:C2"],
+        {
+            "schema": 1,
+            "command": "nu",
+            "input": "C2",
+            "tensor_order": 2,
+            "exterior_order": 1,
+            "h2_via_pairing": [],
+            "predicted_nu_order": 8,
+            "nu": {
+                "gated": False,
+                "orders": {"base": 2, "group": 8, "tensor": 2, "delta": 2, "exterior": 1},
+                "h2_invariants": [],
+                "delta_central": True,
+                "delta_in_derived": True,
+                "order_law_holds": True,
+            },
+        },
+    ),
+    (
+        ["nu", "catalog:Heis27"],
+        {
+            "schema": 1,
+            "command": "nu",
+            "input": "Heis27",
+            "tensor_order": 729,
+            "exterior_order": 27,
+            "h2_via_pairing": [3, 3],
+            "predicted_nu_order": 531441,
+            "nu": {"gated": True, "predicted_order": 531441, "gate": 20000},
+        },
+    ),
+    (
+        ["schur", "catalog:D8"],
+        {
+            "schema": 1,
+            "command": "schur",
+            "input": "D8",
+            "routes": {"doubling": [2], "pairing": [2], "bar": [2]},
+            "agree": True,
+            "expected": {"invariants": [2], "provenance": "derived:bar"},
+            "matches_expected": True,
+        },
+    ),
+    (
+        ["schur", "@input"],
+        {
+            "schema": 1,
+            "command": "schur",
+            "input": "@input",
+            "routes": {"doubling": [], "pairing": [], "bar": []},
+            "agree": True,
+        },
+    ),
+    (
+        ["imrho", "catalog:C4"],
+        {
+            "schema": 1,
+            "command": "imrho",
+            "input": "C4",
+            "ambient_orders": [4, 4, 4],
+            "subgroup_order": 16,
+            "index_in_ambient": 4,
+            "projections": {
+                p: {"image_order": 4 if len(p) == 2 else 16, "index": 1, "surjective": True}
+                for p in ("p1", "p12", "p13", "p2", "p23", "p3")
+            },
+            "equality": {"mode": "exhaustive", "samples_checked": 64, "mismatches": 0},
+            "index_matches_abelianization": True,
+            "notes": [],
+            "ok": True,
+        },
+    ),
+    (
+        ["fibre", "catalog:D8"],
+        {
+            "schema": 1,
+            "command": "fibre",
+            "input": "D8",
+            "ambient_order": 64,
+            "antidiagonal_order": 16,
+            "abelianization_order": 4,
+            "order_law_holds": True,
+            "matches_antipodal_fibre_product": True,
+        },
+    ),
+    (
+        ["nu", "catalog:C2", "--format", "csv"],
+        "key,value\r\n"
+        "schema,1\r\n"
+        "command,nu\r\n"
+        "input,C2\r\n"
+        "tensor_order,2\r\n"
+        "exterior_order,1\r\n"
+        "h2_via_pairing,[]\r\n"
+        "predicted_nu_order,8\r\n"
+        'nu,"{""gated"": false, ""orders"": {""base"": 2, ""group"": 8, ""tensor"": 2, '
+        '""delta"": 2, ""exterior"": 1}, ""h2_invariants"": [], ""delta_central"": true, '
+        '""delta_in_derived"": true, ""order_law_holds"": true}"\r\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", FROZEN, ids=[" ".join(a) for a, _ in FROZEN])
+def test_group_command_stdout_is_frozen(args, expected, tmp_path, capsys):
+    c9 = tmp_path / "c9.pres"
+    c9.write_text("gens a\nrels a^9\n")
+    if not isinstance(expected, str):
+        expected = json.dumps(expected, indent=2) + "\n"
+    code, out, err = run_cli([str(c9) if a == "@input" else a for a in args], capsys)
+    assert (code, err) == (0, "")
+    assert out == expected.replace("@input", str(c9))
+
+
 # ---------------------------------------------------------------- exit codes
 
 

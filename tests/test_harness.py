@@ -1,5 +1,6 @@
 """Suite harness: report shape, determinism, gating, and the tower demo."""
 
+import hashlib
 import json
 
 import pytest
@@ -77,6 +78,21 @@ def test_report_shape_and_schema():
         assert row["status"] in ("pass", "fail", "gated")
     # to_json round-trips
     assert json.loads(rep.to_json())["suite"] == "rtrivial"
+
+
+# `forge verify --suite all` on the built-in catalog: the sha256 of its
+# report with timing stripped and keys sorted, and its row counts.  The
+# benchmark's copy is perfbench/jobs.py's VERIFY_ALL_DIGEST; ROADMAP item 5
+# (the exhaustive im rho check) changes the imrho rows and re-freezes both.
+VERIFY_ALL_DIGEST = "0f0ecdc755bf5f28c999b477e80d1c8ba4d8259056c597d7bb80a7cb7b74a44d"
+
+
+def test_verify_all_report_is_frozen():
+    rep = run_suite("all")
+    text = json.dumps(rep.as_dict(include_timing=False), sort_keys=True)
+    assert len(rep.rows) == 128
+    assert rep.counts() == {"pass": 122, "fail": 0, "gated": 6}
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_DIGEST
 
 
 def test_unknown_suite_rejected():
