@@ -37,12 +37,6 @@ from .weakcomm import build_xp
 from .words import ParseError, parse_presentation
 
 
-def _limits(args) -> EnumerationLimits | None:
-    if args.max_cosets is None:
-        return None
-    return EnumerationLimits(max_cosets=args.max_cosets)
-
-
 def _load_group(spec: str, limits):
     if spec.startswith("catalog:"):
         entry = catalog_entry(spec[len("catalog:") :])
@@ -89,31 +83,19 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_xp(args) -> int:
-    limits = _limits(args)
-    label, G, _ = _load_group(args.input, limits)
+def _xp(G, entry, limits):
     xb = build_xp(G, limits=limits)
     ok, facts = xp_order_law(xb)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "xp",
-        "input": label,
+    return ok, {
         "orders": facts["orders"],
         "h2_invariants": xb.h2_invariants(),
         "order_law_holds": ok,
     }
-    _emit(payload, args.format, args.out)
-    return 0 if ok else 1
 
 
-def _cmd_nu(args) -> int:
-    limits = _limits(args)
-    label, G, _ = _load_group(args.input, limits)
+def _nu(G, entry, limits):
     T = build_tensor_square(G, limits=limits)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "nu",
-        "input": label,
+    facts = {
         "tensor_order": T.group.order,
         "exterior_order": T.exterior_order,
         "h2_via_pairing": T.h2_invariants(),
@@ -122,78 +104,53 @@ def _cmd_nu(args) -> int:
     try:
         nb = build_nu(G, tensor=T, limits=limits)
     except SizeGateError as exc:
-        payload["nu"] = {"gated": True, "predicted_order": exc.predicted, "gate": exc.gate}
-        _emit(payload, args.format, args.out)
-        return 0
-    ok, facts = nu_order_law(nb)
-    payload["nu"] = {
+        facts["nu"] = {"gated": True, "predicted_order": exc.predicted, "gate": exc.gate}
+        return True, facts
+    ok, law = nu_order_law(nb)
+    facts["nu"] = {
         "gated": False,
         "orders": nb.orders(),
         "h2_invariants": nb.h2_invariants(),
-        **facts,
+        **law,
     }
-    _emit(payload, args.format, args.out)
-    return 0 if ok else 1
+    return ok, facts
 
 
-def _cmd_schur(args) -> int:
-    limits = _limits(args)
+def _schur(G, entry, limits):
+    xb = build_xp(G, limits=limits)
+    return multiplier_routes(xb, build_tensor_square(G, limits=limits), entry=entry)
+
+
+def _imrho(G, entry, limits):
+    rep = im_rho_verify(build_xp(G, limits=limits))
+    return rep.ok, rep.as_dict()
+
+
+def _fibre(G, entry, limits):
+    ok, facts = fibre_law(G)
+    del facts["expected"]
+    # s_subgroup raises unless S is the antipodal fibre product
+    return ok, {**facts, "order_law_holds": ok, "matches_antipodal_fibre_product": True}
+
+
+# group command -> (its help line, its check on the loaded group: (ok, facts))
+_GROUP_COMMANDS = {
+    "xp": ("build the doubled group and report its subgroup orders", _xp),
+    "nu": ("build the pairing group (size-gated) and its tensor subgroup", _nu),
+    "schur": ("compare the three multiplier routes", _schur),
+    "imrho": ("verify the coordinate description of im(rho)", _imrho),
+    "fibre": ("antidiagonal subgroup vs the antipodal fibre product", _fibre),
+}
+
+
+def _cmd_group(args) -> int:
+    """Every group command: load the group under the limits, run the
+    command's check, emit the header and the facts, exit 1 on a failed
+    check."""
+    limits = None if args.max_cosets is None else EnumerationLimits(max_cosets=args.max_cosets)
     label, G, entry = _load_group(args.input, limits)
-    xb = build_xp(G, limits=limits)
-    T = build_tensor_square(G, limits=limits)
-    ok, facts = multiplier_routes(xb, T, entry=entry)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "schur",
-        "input": label,
-        **facts,
-    }
-    _emit(payload, args.format, args.out)
-    return 0 if ok else 1
-
-
-def _cmd_imrho(args) -> int:
-    limits = _limits(args)
-    label, G, _ = _load_group(args.input, limits)
-    xb = build_xp(G, limits=limits)
-    rep = im_rho_verify(xb)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "imrho",
-        "input": label,
-        **rep.as_dict(),
-    }
-    _emit(payload, args.format, args.out)
-    return 0 if rep.ok else 1
-
-
-def _cmd_fibre(args) -> int:
-    label, G, _ = _load_group(args.input, _limits(args))
-    try:
-        ok, facts = fibre_law(G)
-    except RuntimeError as exc:
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "fibre",
-                "input": label,
-                "ok": False,
-                "error": str(exc),
-            },
-            args.format,
-            args.out,
-        )
-        return 1
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "fibre",
-        "input": label,
-        "ambient_order": facts["ambient_order"],
-        "antidiagonal_order": facts["antidiagonal_order"],
-        "abelianization_order": facts["abelianization_order"],
-        "order_law_holds": ok,
-        "matches_antipodal_fibre_product": True,  # construction verifies or raises
-    }
+    ok, facts = args.check(G, entry, limits)
+    payload = {"schema": SCHEMA_VERSION, "command": args.command, "input": label, **facts}
     _emit(payload, args.format, args.out)
     return 0 if ok else 1
 
@@ -209,15 +166,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    if args.action == "list":
-        for e in builtin_catalog():
-            h2 = list(e.expected_h2) if e.expected_h2 is not None else "?"
-            print(
-                f"{e.name:8s} p={e.p} order={e.expected_order:<3d} "
-                f"h2={h2} ({e.h2_provenance})"
-            )
-        return 0
-    raise ValueError(f"unknown catalog action {args.action!r}")
+    # argparse admits only the action "list"
+    for e in builtin_catalog():
+        h2 = list(e.expected_h2) if e.expected_h2 is not None else "?"
+        print(
+            f"{e.name:8s} p={e.p} order={e.expected_order:<3d} "
+            f"h2={h2} ({e.h2_provenance})"
+        )
+    return 0
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -227,7 +183,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def group_command(name, help_text):
+    for name, (help_text, check) in _GROUP_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="presentation file or catalog:NAME")
         p.add_argument(
@@ -238,41 +194,26 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
-        return p
-
-    group_command("xp", "build the doubled group and report its subgroup orders")
-    group_command("nu", "build the pairing group (size-gated) and its tensor subgroup")
-    group_command("schur", "compare the three multiplier routes")
-    group_command("imrho", "verify the coordinate description of im(rho)")
-    group_command("fibre", "antidiagonal subgroup vs the antipodal fibre product")
+        p.set_defaults(handler=_cmd_group, check=check)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, help="one of: all, " + ", ".join(SUITES))
     v.add_argument("--catalog", default="builtin", help='"builtin" or a directory of presentation files')
     v.add_argument("--format", choices=("json", "csv"), default="json")
     v.add_argument("--out", default=None)
+    v.set_defaults(handler=_cmd_verify)
 
     c = sub.add_parser("catalog", help="inspect the built-in catalog")
     c.add_argument("action", choices=("list",))
+    c.set_defaults(handler=_cmd_catalog)
     return parser
-
-
-_HANDLERS = {
-    "xp": _cmd_xp,
-    "nu": _cmd_nu,
-    "schur": _cmd_schur,
-    "imrho": _cmd_imrho,
-    "fibre": _cmd_fibre,
-    "verify": _cmd_verify,
-    "catalog": _cmd_catalog,
-}
 
 
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except EnumerationError as exc:
         print(f"error: enumeration limits: {exc}", file=sys.stderr)
         return 2

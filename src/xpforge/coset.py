@@ -11,9 +11,11 @@ c1 ... cL closes at alpha when its first L-1 letters walk alpha to the
 coset that alpha's cL^-1 entry names.  Between scans every entry has its
 inverse entry (table[f][c] == alpha exactly when table[alpha][c ^ 1] ==
 f), so a closed relator's scan would walk it back to alpha and write
-nothing; skipping it defines the same cosets in the same order.  On the
-kept-symbol presentation of T(Heis27), 640 relators at 729 cosets, 94 %
-of the scans are skipped.
+nothing; skipping it defines the same cosets in the same order.  In the
+enumerations the builds run, 94 % of the relators tested are skipped for
+T(Heis27) over its diagonal subgroup (640 relators at 27 cosets: 17 280
+tests, 1 002 scans) and 77 % for X(Heis27) over its left copy (23
+relators at 729 cosets: 16 767 tests, 3 808 scans).
 
 Table format: one row per coset, 2*ngens columns.  Column 2*i holds the
 action of generator i, column 2*i+1 that of its inverse (so a column's

@@ -1,6 +1,13 @@
 """Verification harness: cached builds of every catalog construction and
 the named check suites over them, assembled into deterministic reports.
 
+Every suite but tower is one entry of the table _CHECKS: the name its
+rows give the check, and a function fn(entry, limits) -> (ok, detail).
+run_suite runs the suites in SUITES order, the table's order and then
+tower.  A table suite makes one row per entry, and the fibre suite one
+more, its randomized-specs row; the tower suite runs fixed cyclic towers
+(tower_demo) and ignores the entries.
+
 Rows are sorted by entry name, all randomness is seeded, and timing
 lives in a single "seconds" field per row -- two runs differ at most
 there.  A row's status is "pass", "fail", or "gated" (the check needs a
@@ -55,20 +62,6 @@ from .weakcomm import (
 )
 
 SCHEMA_VERSION = 1
-SUITES = (
-    "orders",
-    "dl-commute",
-    "schur",
-    "rtrivial",
-    "z1",
-    "imrho",
-    "iso99",
-    "delta-central",
-    "powerful",
-    "fibre",
-    "tower",
-)
-
 _FIBRE_SEED = 0xF1B7E
 
 # every build is cached under (entry, limits): a build made without limits
@@ -273,152 +266,104 @@ def fibre_law(G: FiniteGroup) -> tuple[bool, dict]:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: one check per entry, fn(entry, limits) -> (ok, detail)
 # ---------------------------------------------------------------------------
 
 
-def _orders_rows(entries, limits):
-    rows = []
-    for e in entries:
-        def fn(e=e):
-            ok, detail = xp_order_law(xp_of(e, limits))
-            T = tensor_of(e, limits)
-            detail["tensor_order"] = T.group.order
-            try:
-                nb = nu_of(e, limits)
-                ok = ok and nu_order_law(nb)[0]
-                detail["nu_orders"] = nb.orders()
-            except SizeGateError as exc:
-                detail["nu"] = {"gated": True, "predicted_order": exc.predicted}
-            return ok, detail
-
-        rows.append(_row("orders", e.name, "order-laws", fn))
-    return rows
+def _orders(e, limits):
+    ok, detail = xp_order_law(xp_of(e, limits))
+    T = tensor_of(e, limits)
+    detail["tensor_order"] = T.group.order
+    try:
+        nb = nu_of(e, limits)
+        ok = ok and nu_order_law(nb)[0]
+        detail["nu_orders"] = nb.orders()
+    except SizeGateError as exc:
+        detail["nu"] = {"gated": True, "predicted_order": exc.predicted}
+    return ok, detail
 
 
-def _dl_commute_rows(entries, limits):
-    rows = []
-    for e in entries:
-        def fn(e=e):
-            xb = xp_of(e, limits)
-            cross = commutator_subgroup(xb.L, xb.D)
-            swap = swap_pairing_holds(xb)
-            detail = {"LD_commutator_order": cross.order, "swap_pairing": swap}
-            return cross.order == 1 and swap, detail
-
-        rows.append(_row("dl-commute", e.name, "kernels-commute", fn))
-    return rows
+def _dl_commute(e, limits):
+    xb = xp_of(e, limits)
+    cross = commutator_subgroup(xb.L, xb.D)
+    swap = swap_pairing_holds(xb)
+    detail = {"LD_commutator_order": cross.order, "swap_pairing": swap}
+    return cross.order == 1 and swap, detail
 
 
-def _schur_rows(entries, limits):
-    rows = []
-    for e in entries:
-        def fn(e=e):
-            xb, T = xp_of(e, limits), tensor_of(e, limits)
-            try:
-                nb = nu_of(e, limits)
-            except SizeGateError:
-                nb = None
-            ok, facts = multiplier_routes(xb, T, nb, e)
-            detail = {k: facts[k] for k in ("routes", "expected") if k in facts}
-            return ok, detail
-
-        rows.append(_row("schur", e.name, "three-route-multiplier", fn))
-    return rows
+def _schur(e, limits):
+    xb, T = xp_of(e, limits), tensor_of(e, limits)
+    try:
+        nb = nu_of(e, limits)
+    except SizeGateError:
+        nb = None
+    ok, facts = multiplier_routes(xb, T, nb, e)
+    detail = {k: facts[k] for k in ("routes", "expected") if k in facts}
+    return ok, detail
 
 
-def _rtrivial_rows(entries, limits):
-    rows = []
-    for e in entries:
-        def fn(e=e):
-            G = base_group(e, limits)
-            d = minimal_generator_count(G)
-            r = xp_of(e, limits).R.order
-            detail = {"generator_count": d, "R_order": r}
-            if d <= 2:
-                return r == 1, detail
-            detail["note"] = "needs more than two generators; R unconstrained"
-            return True, detail
-
-        rows.append(_row("rtrivial", e.name, "r-trivial-when-2-generated", fn))
-    return rows
+def _rtrivial(e, limits):
+    G = base_group(e, limits)
+    d = minimal_generator_count(G)
+    r = xp_of(e, limits).R.order
+    detail = {"generator_count": d, "R_order": r}
+    if d <= 2:
+        return r == 1, detail
+    detail["note"] = "needs more than two generators; R unconstrained"
+    return True, detail
 
 
-def _z1_rows(entries, limits):
-    rows = []
-    for e in entries:
-        def fn(e=e):
-            xb = xp_of(e, limits)
-            base = xb.base
-            sets = [symmetrized_generators(base)]
-            used = set(sets[0])
-            spare = next(
-                (g for g in base.elements if g != base.identity and g not in used),
-                None,
-            )
-            if spare is not None:
-                sets.append(symmetrized_generators(base, extra=[spare]))
-            matches = []
-            for s in sets:
-                closure = normal_closure(xb.group, z_set(xb, s))
-                matches.append(closure == xb.R)
-            detail = {
-                "set_sizes": [len(s) for s in sets],
-                "R_order": xb.R.order,
-                "closure_matches_R": matches,
-            }
-            if spare is None:
-                detail["note"] = "group too small for a second symmetric set"
-            return all(matches), detail
-
-        rows.append(_row("z1", e.name, "z-closure-equals-R", fn))
-    return rows
+def _z1(e, limits):
+    xb = xp_of(e, limits)
+    base = xb.base
+    sets = [symmetrized_generators(base)]
+    used = set(sets[0])
+    spare = next(
+        (g for g in base.elements if g != base.identity and g not in used),
+        None,
+    )
+    if spare is not None:
+        sets.append(symmetrized_generators(base, extra=[spare]))
+    matches = []
+    for s in sets:
+        closure = normal_closure(xb.group, z_set(xb, s))
+        matches.append(closure == xb.R)
+    detail = {
+        "set_sizes": [len(s) for s in sets],
+        "R_order": xb.R.order,
+        "closure_matches_R": matches,
+    }
+    if spare is None:
+        detail["note"] = "group too small for a second symmetric set"
+    return all(matches), detail
 
 
-def _imrho_rows(entries, limits):
-    rows = []
-    for e in entries:
-        def fn(e=e):
-            rep = im_rho_verify(xp_of(e, limits))
-            return rep.ok, rep.as_dict()
-
-        rows.append(_row("imrho", e.name, "image-description", fn))
-    return rows
+def _imrho(e, limits):
+    rep = im_rho_verify(xp_of(e, limits))
+    return rep.ok, rep.as_dict()
 
 
-def _iso99_rows(entries, limits):
-    rows = []
-    for e in entries:
-        def fn(e=e):
-            nb = nu_of(e, limits)
-            xb = xp_of(e, limits)
-            phi = quotient_identification(xb, nb)
-            detail = {
-                "common_order": phi.codomain.order,
-                "R_order": xb.R.order,
-                "delta_order": nb.delta.order,
-            }
-            return True, detail
-
-        rows.append(_row("iso99", e.name, "xr-equals-nu-delta", fn))
-    return rows
+def _iso99(e, limits):
+    nb = nu_of(e, limits)
+    xb = xp_of(e, limits)
+    phi = quotient_identification(xb, nb)
+    detail = {
+        "common_order": phi.codomain.order,
+        "R_order": xb.R.order,
+        "delta_order": nb.delta.order,
+    }
+    return True, detail
 
 
-def _delta_central_rows(entries, limits):
-    rows = []
-    for e in entries:
-        def fn(e=e):
-            nb = nu_of(e, limits)
-            ok, facts = nu_order_law(nb)
-            detail = {
-                "delta_order": nb.delta.order,
-                "central": facts["delta_central"],
-                "in_derived": facts["delta_in_derived"],
-            }
-            return ok, detail
-
-        rows.append(_row("delta-central", e.name, "delta-in-center-and-derived", fn))
-    return rows
+def _delta_central(e, limits):
+    nb = nu_of(e, limits)
+    ok, facts = nu_order_law(nb)
+    detail = {
+        "delta_order": nb.delta.order,
+        "central": facts["delta_central"],
+        "in_derived": facts["delta_in_derived"],
+    }
+    return ok, detail
 
 
 # nu of an odd-prime cyclic group is never powerful; the C9 expectation
@@ -427,63 +372,69 @@ def _delta_central_rows(entries, limits):
 _EXPECTED_NOT_POWERFUL = {"C3", "C9"}
 
 
-def _powerful_rows(entries, limits):
-    rows = []
-    for e in entries:
-        def fn(e=e):
-            nb = nu_of(e, limits)
-            pw = is_powerful(nb.group)
-            detail = {
-                "nu_order": nb.group.order,
-                "nu_powerful": pw,
-                "nu_class": nilpotency_class(nb.group),
-                "nu_exponent": exponent(nb.group),
-            }
-            ok = True
-            if e.name in _EXPECTED_NOT_POWERFUL:
-                ok = pw is False
-            if e.name == "C3":
-                ok = ok and (
-                    nb.group.order == 27
-                    and detail["nu_class"] == 2
-                    and detail["nu_exponent"] == 3
-                    and abelian_invariants(nb.tensor.as_group()) == [3]
-                )
-            return ok, detail
-
-        rows.append(_row("powerful", e.name, "nu-powerful-profile", fn))
-    return rows
+def _powerful(e, limits):
+    nb = nu_of(e, limits)
+    pw = is_powerful(nb.group)
+    detail = {
+        "nu_order": nb.group.order,
+        "nu_powerful": pw,
+        "nu_class": nilpotency_class(nb.group),
+        "nu_exponent": exponent(nb.group),
+    }
+    ok = True
+    if e.name in _EXPECTED_NOT_POWERFUL:
+        ok = pw is False
+    if e.name == "C3":
+        ok = ok and (
+            nb.group.order == 27
+            and detail["nu_class"] == 2
+            and detail["nu_exponent"] == 3
+            and abelian_invariants(nb.tensor.as_group()) == [3]
+        )
+    return ok, detail
 
 
-def _fibre_rows(entries, limits):
-    rows = []
-    for e in entries:
-        def fn(e=e):
-            ok, facts = fibre_law(base_group(e, limits))
-            return ok, {"s_order": facts["antidiagonal_order"], "expected": facts["expected"]}
+def _fibre(e, limits):
+    ok, facts = fibre_law(base_group(e, limits))
+    return ok, {"s_order": facts["antidiagonal_order"], "expected": facts["expected"]}
 
-        rows.append(_row("fibre", e.name, "antidiagonal-fibre", fn))
 
-    def random_specs():
-        rng = random.Random(_FIBRE_SEED)
-        pool = [e for e in entries if base_group(e, limits).order <= 16] or list(entries)
-        checked = 0
-        while checked < 10:
-            e = pool[rng.randrange(len(pool))]
-            G = base_group(e, limits)
-            w = rng.choice(G.elements)
-            Q = quotient(G, normal_closure(G, [w]))
-            p1 = Q.projection
-            g0 = rng.choice(G.elements)
-            p2 = Homomorphism(G, Q, [p1(G.conj(x, g0)) for x in G.generators])
-            sub = fibre_product(FibreSpec(p1, p2))
-            if sub.order * Q.order != G.order * G.order:
-                return False, {"failed_on": e.name}
-            checked += 1
-        return True, {"specs_checked": checked, "seed": _FIBRE_SEED}
+def _random_fibre_specs(entries, limits):
+    """The fibre order law on ten seeded quotient maps of small entries:
+    the fibre suite's one row that is not per entry."""
+    rng = random.Random(_FIBRE_SEED)
+    pool = [e for e in entries if base_group(e, limits).order <= 16] or list(entries)
+    checked = 0
+    while checked < 10:
+        e = pool[rng.randrange(len(pool))]
+        G = base_group(e, limits)
+        w = rng.choice(G.elements)
+        Q = quotient(G, normal_closure(G, [w]))
+        p1 = Q.projection
+        g0 = rng.choice(G.elements)
+        p2 = Homomorphism(G, Q, [p1(G.conj(x, g0)) for x in G.generators])
+        sub = fibre_product(FibreSpec(p1, p2))
+        if sub.order * Q.order != G.order * G.order:
+            return False, {"failed_on": e.name}
+        checked += 1
+    return True, {"specs_checked": checked, "seed": _FIBRE_SEED}
 
-    rows.append(_row("fibre", "randomized-specs", "order-law", random_specs))
-    return rows
+
+# suite -> (the check its rows name, the per-entry check), in report order
+_CHECKS = {
+    "orders": ("order-laws", _orders),
+    "dl-commute": ("kernels-commute", _dl_commute),
+    "schur": ("three-route-multiplier", _schur),
+    "rtrivial": ("r-trivial-when-2-generated", _rtrivial),
+    "z1": ("z-closure-equals-R", _z1),
+    "imrho": ("image-description", _imrho),
+    "iso99": ("xr-equals-nu-delta", _iso99),
+    "delta-central": ("delta-in-center-and-derived", _delta_central),
+    "powerful": ("nu-powerful-profile", _powerful),
+    "fibre": ("antidiagonal-fibre", _fibre),
+}
+# the tower suite runs fixed cyclic towers, not a check per entry
+SUITES = (*_CHECKS, "tower")
 
 
 # ---------------------------------------------------------------------------
@@ -560,45 +511,31 @@ def tower_demo(p: int, depth: int, limits: EnumerationLimits | None = None) -> V
     return report
 
 
-def _tower_rows(entries, limits):
-    rows = []
-    for p, depth in ((2, 3), (3, 2)):
-        rows.extend(tower_demo(p, depth, limits).rows)
-    return rows
-
-
-_SUITE_FNS = {
-    "orders": _orders_rows,
-    "dl-commute": _dl_commute_rows,
-    "schur": _schur_rows,
-    "rtrivial": _rtrivial_rows,
-    "z1": _z1_rows,
-    "imrho": _imrho_rows,
-    "iso99": _iso99_rows,
-    "delta-central": _delta_central_rows,
-    "powerful": _powerful_rows,
-    "fibre": _fibre_rows,
-    "tower": _tower_rows,
-}
-
-
 def run_suite(
     name: str,
     entries: list[CatalogEntry] | None = None,
     limits: EnumerationLimits | None = None,
 ) -> VerificationReport:
-    """Run one named suite (or "all") over the entries, default the
-    built-in catalog.  The tower suite runs fixed cyclic demonstrations
-    and ignores the entry list."""
+    """Run one named suite (or "all", every suite in SUITES order) over
+    the entries, default the built-in catalog.  The tower suite runs fixed
+    cyclic demonstrations and ignores the entry list."""
+    if name != "all" and name not in SUITES:
+        known = ", ".join(("all",) + SUITES)
+        raise ValueError(f"unknown suite {name!r} (known: {known})")
     if entries is None:
         entries = builtin_catalog()
     entries = sorted(entries, key=lambda e: e.name)
-    if name == "all":
-        rows = []
-        for s in SUITES:
-            rows.extend(_SUITE_FNS[s](entries, limits))
-        return VerificationReport("all", rows)
-    if name not in _SUITE_FNS:
-        known = ", ".join(("all",) + SUITES)
-        raise ValueError(f"unknown suite {name!r} (known: {known})")
-    return VerificationReport(name, _SUITE_FNS[name](entries, limits))
+    report = VerificationReport(name)
+    for suite in SUITES if name == "all" else (name,):
+        if suite == "tower":
+            for p, depth in ((2, 3), (3, 2)):
+                report.rows.extend(tower_demo(p, depth, limits).rows)
+            continue
+        check, fn = _CHECKS[suite]
+        for e in entries:
+            report.rows.append(_row(suite, e.name, check, lambda e=e: fn(e, limits)))
+        if suite == "fibre":
+            report.rows.append(
+                _row(suite, "randomized-specs", "order-law", lambda: _random_fibre_specs(entries, limits))
+            )
+    return report

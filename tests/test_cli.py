@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from xpforge import coset, harness, tensor, weakcomm
+from xpforge import coset, harness, products, tensor, weakcomm
 from xpforge.catalog import catalog_entry
 from xpforge.cli import main
-from xpforge.groups import FiniteGroup
+from xpforge.groups import FiniteGroup, subgroup_closure
 from xpforge.words import Word
 
 
@@ -400,6 +400,15 @@ def test_failed_x_certification_is_one_line_exit_2(capsys, monkeypatch):
         harness.clear_caches()
     assert [r["status"] for r in report.rows] == ["fail"]
     assert "a^2" in report.rows[0]["detail"]["error"]
+
+
+def test_failed_fibre_construction_is_one_line_exit_2(capsys, monkeypatch):
+    # a fibre product that differs from the antidiagonal closure fails
+    # s_subgroup's own check: one error line, no payload, exit 2
+    monkeypatch.setattr(products, "fibre_product", lambda spec, ambient: subgroup_closure(ambient, []))
+    code, out, err = run_cli(["fibre", "catalog:D8"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: antidiagonal closure differs from the fibre product\n"
 
 
 def test_unknown_strategy_exits_2():
