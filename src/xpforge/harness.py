@@ -216,9 +216,20 @@ def nu_order_law(nb) -> tuple[bool, dict]:
     return law and central and inside, facts
 
 
-def route_agreement(routes: dict, entry: CatalogEntry | None) -> tuple[bool, dict]:
-    """Every multiplier route gives the same invariants, and they match
-    the catalog expectation when the entry has one."""
+def multiplier_routes(xb, T, nb=None, entry: CatalogEntry | None = None) -> tuple[bool, dict]:
+    """The multiplier of the base G read from X(G), from T(G), from the
+    relation module of G's Cayley graph, and from nu(G) when it was built:
+    every route gives the same invariants, and they match the catalog
+    expectation when the entry has one.  The third route reports under
+    "bar", the key of the bar-complex route whose values it gives, so
+    reports keep their bytes."""
+    routes = {
+        "doubling": xb.h2_invariants(),
+        "pairing": T.h2_invariants(),
+        "bar": schur_multiplier(xb.base),
+    }
+    if nb is not None:
+        routes["nu"] = nb.h2_invariants()
     vals = list(routes.values())
     agree = all(v == vals[0] for v in vals)
     facts = {"routes": routes, "agree": agree}
@@ -232,22 +243,6 @@ def route_agreement(routes: dict, entry: CatalogEntry | None) -> tuple[bool, dic
         facts["matches_expected"] = matches
         ok = ok and matches
     return ok, facts
-
-
-def multiplier_routes(xb, T, nb=None, entry: CatalogEntry | None = None) -> tuple[bool, dict]:
-    """route_agreement over the multiplier of the base G read from X(G),
-    from T(G), from the relation module of G's Cayley graph, and from
-    nu(G) when it was built.  The third route reports under "bar", the key
-    of the bar-complex route whose values it gives, so reports keep their
-    bytes."""
-    routes = {
-        "doubling": xb.h2_invariants(),
-        "pairing": T.h2_invariants(),
-        "bar": schur_multiplier(xb.base),
-    }
-    if nb is not None:
-        routes["nu"] = nb.h2_invariants()
-    return route_agreement(routes, entry)
 
 
 def fibre_law(G: FiniteGroup) -> tuple[bool, dict]:
