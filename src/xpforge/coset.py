@@ -28,13 +28,15 @@ standardize: every column must be a permutation, every relator must
 close at every coset, and the cosets are renumbered in BFS discovery
 order from coset 0, exploring positive generator columns in index order.
 The standardized table is canonical for the (presentation, subgroup)
-pair, whatever order the cosets were defined in, and the BFS also
-yields shortlex canonical words in the positive generators for every
-coset.  That BFS, shortlex_bfs, is the one every group in groups.py
-runs; standardize also serves the regular tables that
-groups.group_from_fold assembles from a smaller enumeration.  A
-CosetTable keeps that array; relators are certified on it with one
-gather per letter for a chunk of words at a time.
+pair, whatever order the cosets were defined in, and the levels of the
+BFS, renumbered with the table, give shortlex canonical words in the
+positive generators for every coset.  That BFS, shortlex_bfs, is the
+one every group in groups.py runs; standardize also serves the regular
+tables that groups.group_from_fold assembles from a smaller
+enumeration.  A CosetTable keeps that array and, until a PermGroup takes
+them, the levels; its words are built from the levels only when asked
+for.  Relators are certified on the array with one gather per letter
+for a chunk of words at a time.
 
 Enumeration either completes or raises EnumerationError (limit/time); a
 partial table is never returned.  Memory is bounded by a cell budget, rows
@@ -171,10 +173,17 @@ def shortlex_bfs(gen_cols: np.ndarray, source: int = 0) -> list:
     from and the row that reached it.  The candidates of a level, point by
     point and row by row, are in BFS order, and each new point's first
     candidate finds it, so the words read off the levels are shortlex.
+
+    A level finds its first candidates without sorting: np.minimum.at
+    leaves in `first` the least candidate position of every point that
+    the level reaches, and the positions that hold their point's least
+    are the first discoveries, already in candidate order.  A point
+    takes part in one level only, so `first` is never reset.
     """
-    ngens = len(gen_cols)
-    seen = np.zeros(gen_cols.shape[1], dtype=bool)
+    ngens, n = gen_cols.shape
+    seen = np.zeros(n, dtype=bool)
     seen[source] = True
+    first = np.full(n, np.iinfo(np.intp).max, dtype=np.intp)
     level = np.array([source], dtype=np.int32)
     levels = []
     while True:
@@ -182,12 +191,26 @@ def shortlex_bfs(gen_cols: np.ndarray, source: int = 0) -> list:
         fresh = np.flatnonzero(~seen[cand])
         if not fresh.size:
             return levels
-        _, first = np.unique(cand[fresh], return_index=True)
-        hit = fresh[np.sort(first)]
+        vals = cand[fresh]
+        np.minimum.at(first, vals, fresh)
+        hit = fresh[first[vals] == fresh]
         found = cand[hit]
         seen[found] = True
         levels.append((found, level[hit // ngens], hit % ngens))
         level = found
+
+
+def words_from_levels(n: int, levels) -> list[tuple[int, ...]]:
+    """The shortlex word (positive 1-based letters) of each of n points,
+    indexed by point, from the levels of shortlex_bfs from point 0: each
+    new point's word is its source's word plus one letter, so words of
+    one prefix share it."""
+    words: list = [None] * n
+    words[0] = ()
+    for found, src, gen in levels:
+        for f, u, i in zip(found.tolist(), src.tolist(), (gen + 1).tolist()):
+            words[f] = words[u] + (i,)
+    return words
 
 
 def standardize(cols: np.ndarray, rel_cols) -> tuple[np.ndarray, list]:
@@ -198,7 +221,9 @@ def standardize(cols: np.ndarray, rel_cols) -> tuple[np.ndarray, list]:
     RuntimeError unless every column is a permutation, every relator acts
     as the identity, and the BFS along the positive columns from point 0
     reaches every point.  Returns the table renumbered in that BFS order
-    and the shortlex word (positive 1-based letters) of every point.
+    and the levels of that BFS renumbered with it (new found, new src,
+    gen): the levels that shortlex_bfs gives on the returned table, so
+    that no caller searches it again.
     """
     n = cols.shape[1]
     idx = np.arange(n, dtype=np.int32)
@@ -214,28 +239,32 @@ def standardize(cols: np.ndarray, rel_cols) -> tuple[np.ndarray, list]:
         raise RuntimeError("the table is not connected")
     new = np.empty(n, dtype=np.int32)
     new[order] = idx
-    words: list[tuple[int, ...]] = [()]
-    for _, src, gen in levels:
-        for u, i in zip(new[src].tolist(), (gen + 1).tolist()):
-            words.append(words[u] + (i,))
     std = np.empty_like(cols)
     for s in range(0, len(cols), step):
         std[s : s + step] = new[cols[s : s + step, order]]
-    return std, words
+    return std, [(new[found], new[src], gen) for found, src, gen in levels]
 
 
 class CosetTable:
     """A completed, standardized coset table, held as one int32 array of
-    its columns (2*ngens x n)."""
+    its columns (2*ngens x n).
 
-    def __init__(self, ngens, cols, words, presentation, subgroup_words, stats):
+    `levels` are the shortlex BFS levels of the table that standardize
+    returned with it.  They are handed over once, by take_levels (PermGroup
+    builds its words from them without a second search); the table keeps
+    no level arrays after that.  `words`, one shortlex word per coset, is
+    built on first use from the levels by prefix sharing.
+    """
+
+    def __init__(self, ngens, cols, levels, presentation, subgroup_words, stats):
         self.ngens = ngens
         self._cols = cols
-        self.words = words  # coset -> tuple of positive letters (1-based)
+        self._levels = levels
         self.presentation = presentation
         self.subgroup_words = list(subgroup_words)
         self.stats = stats
         self._rows = None
+        self._words = None
 
     @property
     def n(self) -> int:
@@ -247,6 +276,22 @@ class CosetTable:
         if self._rows is None:
             self._rows = [tuple(r) for r in self._cols.T.tolist()]
         return self._rows
+
+    @property
+    def words(self) -> list[tuple[int, ...]]:
+        """Coset -> its shortlex word, a tuple of positive letters
+        (1-based)."""
+        if self._words is None:
+            self._words = words_from_levels(self.n, self.take_levels())
+        return self._words
+
+    def take_levels(self) -> list:
+        """The shortlex BFS levels of the positive columns, as
+        shortlex_bfs gives them.  The first call hands over the levels of
+        standardize and drops them from the table; a later call searches
+        the table again."""
+        levels, self._levels = self._levels, None
+        return shortlex_bfs(self._cols[0::2]) if levels is None else levels
 
     def trace(self, coset: int, letters) -> int:
         """Follow a letter sequence (signed, 1-based) from a coset."""
@@ -557,9 +602,9 @@ class _Enumerator:
                 v = cols[c, v]
             if v != 0:
                 raise RuntimeError("internal: subgroup word leaves coset 0")
-        std, words = standardize(cols, self.rel_cols)
+        std, levels = standardize(cols, self.rel_cols)
         stats = {"cosets": n, "total_defined": self.total_defined}
-        return CosetTable(self.ngens, std, words, self.pres, self.subgroup_words, stats)
+        return CosetTable(self.ngens, std, levels, self.pres, self.subgroup_words, stats)
 
 
 def enumerate_cosets(

@@ -17,10 +17,15 @@ coset (`reps`).
 
 coset.shortlex_bfs, the level-at-a-time BFS that also standardizes coset
 tables, gives every element its shortlex word in the generators, held as
-an array of steps.  The arithmetic is defined once on these: right_action
-composes generator columns along one word, _products and _inverses walk
-index arrays along many, and the scalar mul and inv walk list columns (or
-read an inverse list) built on their first call.
+an array of steps.  Each group runs it once: a PermGroup takes the levels
+that standardize found on its table, every other group searches its own
+columns, and neither keeps the levels.  The arithmetic is defined once on
+the steps: right_action composes generator columns along one word,
+_products and _inverses walk index arrays along many, and the scalar mul
+and inv walk list columns (or read an inverse list) built on their first
+call, along the tuple words, which a fresh BFS builds on first use by
+prefix sharing.  element_orders reads every element order from one batch
+of _products a power, for exponent and homology.abelian_invariants.
 
 A homomorphism is held as an index array: the image of every domain
 element, the generator images composed along its word.  Its verification
@@ -43,10 +48,11 @@ quotient by [H, H] of a normal subgroup H, from the cosets of H and the
 coordinates of H^ab.
 
 Every subgroup is a boolean mask over its parent's indices plus a small
-generating set, and every closure is the BFS that builds the groups:
-<gens> is the set that coset.shortlex_bfs reaches from the identity
-along the generators' right actions.  Generators are chosen greedily and
-order-stably: a candidate joins them only when it lies outside the mask.
+generating set.  Generators are chosen greedily and order-stably: a
+candidate joins them only when it lies outside the mask, and the mask
+then grows from the subgroup it already holds (_extend, the incremental
+orbit algorithm): g moves the old points, the generators move only the
+points each level adds, and the search ends when a level adds none.
 Normal closures and commutator subgroups add one helper that closes
 under conjugation by conjugating generators, not elements: [A, B] is the
 normal closure in <A, B> of the commutators of generators (Holt-Eick-
@@ -77,6 +83,7 @@ from .coset import (
     shortlex_bfs,
     standardize,
     word_to_cols,
+    words_from_levels,
 )
 from .homology import abelian_invariants, abelian_schreier
 from .words import Presentation, Word
@@ -104,21 +111,24 @@ class FiniteGroup:
     gen_cols[i] is the right action of generators[i]; n is its row
     length.  `generators` may contain repeats or the identity; positional
     alignment with construction data is part of the contract
-    (generator-image maps rely on it).  `words`, when given, must be the
-    shortlex words that the generator columns give.
+    (generator-image maps rely on it).  `levels`, when given, must be
+    the levels that coset.shortlex_bfs gives on gen_cols from 0 (a
+    regular table's, from standardize); they build the word steps and are
+    not kept.
     """
 
     identity = 0
     _acts_rows = None
 
-    def __init__(self, generators, gen_cols, name=None, presentation=None, words=None):
+    def __init__(self, generators, gen_cols, name=None, presentation=None, levels=None):
         n = gen_cols.shape[1]
         self.elements = range(n)
         self.generators = list(generators)
         self.gen_cols = gen_cols
         self.name = name
         self.presentation = presentation
-        levels = shortlex_bfs(gen_cols, 0)
+        if levels is None:
+            levels = shortlex_bfs(gen_cols, 0)
         reached = 1 + sum(len(found) for found, _, _ in levels)
         if reached != n:
             raise ValueError(f"generators only reach {reached} of {n} elements")
@@ -130,8 +140,8 @@ class FiniteGroup:
             steps[:t, found] = steps[:t, src]
             steps[t, found] = 2 * gen
         self._steps = steps
-        # the scalar mul and inv are built on first use
-        self._words = words
+        # the words and the scalar mul and inv are built on first use
+        self._words = None
         self._cols = None
         self._inv = None
         self._self_check()
@@ -145,12 +155,10 @@ class FiniteGroup:
     @property
     def words(self) -> list[tuple[int, ...]]:
         """Shortlex canonical words (positive 1-based letters), one per
-        element index."""
+        element index, built on first use by prefix sharing from a fresh
+        BFS (the levels of construction are not kept)."""
         if self._words is None:
-            pad = 2 * len(self.gen_cols)
-            self._words = [
-                tuple(s // 2 + 1 for s in col if s < pad) for col in self._steps.T.tolist()
-            ]
+            self._words = words_from_levels(self.order, shortlex_bfs(self.gen_cols))
         return self._words
 
     @property
@@ -310,7 +318,7 @@ class PermGroup(FiniteGroup):
             gen_cols,
             name=name,
             presentation=table.presentation,
-            words=table.words,
+            levels=table.take_levels(),
         )
 
 
@@ -455,15 +463,29 @@ def _extend(G: FiniteGroup, gens: dict, mask: np.ndarray, g) -> None:
     and grow `mask`, the subgroup they generate, in place; nothing
     changes when mask[g] is already set.
 
-    <gens> is the set that shortlex_bfs reaches from the identity along
-    the generators' right actions (finite group: positive products
-    suffice).
+    Precondition: `mask` is exactly <gens> (which _generate guarantees,
+    and every step keeps).  <gens, g> is then the closure of that mask
+    under the right actions of gens and g (finite group: positive
+    products suffice), grown level by level from the mask as it stands
+    (the incremental orbit algorithm, Holt-Eick-O'Brien, section 4.1):
+    the mask is closed under the old generators, so only g can leave it
+    from an old point, and each later level moves only the points that
+    the one before added.  The mask is the seen set, and only the set of
+    a level is kept, so a level is sorted to drop repeats (the first
+    needs none: g acts as a permutation).
     """
     if mask[g]:
         return
-    gens[int(g)] = G.right_action(g)
-    for found, _, _ in shortlex_bfs(np.array(list(gens.values())), 0):
-        mask[found] = True
+    act = gens[int(g)] = G.right_action(g)
+    acts = np.array(list(gens.values()))
+    new = act[mask]
+    new = new[~mask[new]]
+    while new.size:
+        mask[new] = True
+        new = acts[:, new].ravel()
+        new = np.sort(new[~mask[new]])
+        if new.size:
+            new = new[np.concatenate(([True], new[1:] != new[:-1]))]
 
 
 def _generate(G: FiniteGroup, candidates) -> tuple[dict, np.ndarray]:
@@ -631,8 +653,25 @@ def pow_element(G: FiniteGroup, x, k: int):
     return r
 
 
+def element_orders(G: FiniteGroup) -> np.ndarray:
+    """The order of every element, indexed by element.  The powers of all
+    elements advance together, one batch of _products a step, and an
+    element leaves the batch when its power reaches the identity."""
+    orders = np.ones(G.order, dtype=np.int64)
+    live = np.arange(1, G.order)
+    power = live
+    k = 1
+    while live.size:
+        power = G._products(power, live)
+        k += 1
+        done = power == G.identity
+        orders[live[done]] = k
+        live, power = live[~done], power[~done]
+    return orders
+
+
 def exponent(G: FiniteGroup) -> int:
-    return reduce(math.lcm, (G.element_order(x) for x in G.elements), 1)
+    return reduce(math.lcm, np.unique(element_orders(G)).tolist(), 1)
 
 
 def p_group_data(G: FiniteGroup) -> tuple[int, int]:
@@ -797,9 +836,9 @@ def group_from_fold(
     # point c*m + h is (h, c); column x moves h by its folded letter, c by x
     folded = base._acts()[[2 * (x // 2 % n) + (x & 1) for x in range(ncols)]]
     cols = (table.col_arrays()[:, :, None] * m + folded[:, None, :]).reshape(ncols, k * m)
-    std, words = standardize(cols, [word_to_cols(w) for w in pres.relators])
+    std, levels = standardize(cols, [word_to_cols(w) for w in pres.relators])
     stats = {"cosets": k * m, "total_defined": defined}
-    regular = CosetTable(2 * n, std, words, pres, [], stats)
+    regular = CosetTable(2 * n, std, levels, pres, [], stats)
     return PermGroup(regular, name=pres.name)
 
 
@@ -852,9 +891,9 @@ def group_from_normal_subgroup(
         v = ab.reduce(box + gamma[s : s + chunk]) @ radix
         big[s : s + chunk] = cols[s : s + chunk, :, None] * m + v
     big = big.reshape(ncols, k * m)
-    std, words = standardize(big, [word_to_cols(w) for w in pres.relators])
+    std, levels = standardize(big, [word_to_cols(w) for w in pres.relators])
     stats = {"cosets": k * m, "total_defined": defined}
-    G = PermGroup(CosetTable(pres.ngens, std, words, pres, [], stats), name=pres.name)
+    G = PermGroup(CosetTable(pres.ngens, std, levels, pres, [], stats), name=pres.name)
     # the coset of every element: the coset table walked along its word
     acts = np.vstack([cols[0::2], every])
     coset = np.zeros(G.order, dtype=np.int32)

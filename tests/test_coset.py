@@ -3,15 +3,16 @@ import itertools
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xpforge import coset
+from xpforge import coset, harness
 from xpforge.catalog import builtin_catalog, catalog_entry
 from xpforge.coset import EnumerationError, EnumerationLimits, enumerate_cosets
 from xpforge.groups import group_from_presentation
-from xpforge.tensor import build_nu, build_tensor_square, tensor_square_presentation
+from xpforge.tensor import SizeGateError, build_nu, build_tensor_square, tensor_square_presentation
 from xpforge.weakcomm import build_xp, xp_presentation
 from xpforge.words import Presentation, Word, parse_presentation
 
@@ -566,3 +567,70 @@ def test_relief_keeps_the_table_or_fails(pres, strategy, data):
     keeps_the_table_or_fails(EnumerationLimits(max_cosets=cap))
     with mock.patch.object(coset, "MAX_CELLS", rows * 2 * pres.ngens):
         keeps_the_table_or_fails(limits)
+
+
+# ---------------------------------------------------------------- shortlex BFS
+
+
+def _same_levels(got, want):
+    return len(got) == len(want) and all(
+        all(np.array_equal(a, b) for a, b in zip(g, w)) for g, w in zip(got, want)
+    )
+
+
+@st.composite
+def connected_tables(draw):
+    """Permutation tables (one row per generator) on up to 40 points,
+    connected because generator 0 is an n-cycle, and a source point."""
+    n = draw(st.integers(1, 40))
+    ngens = draw(st.integers(1, 4))
+    cycle = draw(st.permutations(range(n)))
+    rows = [np.empty(n, dtype=np.int32)]
+    rows[0][cycle] = np.roll(cycle, -1)
+    rows += [np.array(draw(st.permutations(range(n))), dtype=np.int32) for _ in range(ngens - 1)]
+    position = draw(st.integers(0, ngens - 1))
+    rows.insert(position, rows.pop(0))
+    return np.array(rows, dtype=np.int32), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=connected_tables())
+def test_shortlex_bfs_matches_the_sorting_bfs(table, unique_bfs):
+    gen_cols, source = table
+    levels = coset.shortlex_bfs(gen_cols, source)
+    assert _same_levels(levels, unique_bfs(gen_cols, source))
+    assert 1 + sum(len(found) for found, _, _ in levels) == gen_cols.shape[1]
+
+
+def _catalog_groups():
+    for e in builtin_catalog():
+        yield f"X({e.name})", harness.xp_of(e).group
+        yield f"T({e.name})", harness.tensor_of(e).group
+        try:
+            yield f"nu({e.name})", harness.nu_of(e).group
+        except SizeGateError:
+            pass
+
+
+def test_shortlex_bfs_matches_the_sorting_bfs_on_the_catalog(unique_bfs):
+    # every X, T and (below the size gate) nu of the catalog; their regular
+    # tables give the same levels again through standardize
+    seen = 0
+    for name, G in _catalog_groups():
+        assert _same_levels(coset.shortlex_bfs(G.gen_cols), unique_bfs(G.gen_cols)), name
+        cols = G.table.col_arrays()
+        std, levels = coset.standardize(cols, [])
+        assert np.array_equal(std, cols), name  # a standardized table is a fixed point
+        assert _same_levels(levels, unique_bfs(cols[0::2])), name
+        seen += 1
+    assert seen == 34  # 12 X, 12 T, and nu of all but Heis27 and Mod27
+
+
+def test_table_levels_are_handed_over_once():
+    # standardize's levels go to the first taker; the table keeps none of
+    # them, and the words and a later taker search the table again
+    table = enumerate_cosets(D8)
+    first = table.take_levels()
+    assert table._levels is None
+    assert _same_levels(table.take_levels(), first)
+    assert table.words == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 1), (1, 1, 2)]

@@ -11,6 +11,8 @@ import itertools
 import numpy as np
 import pytest
 
+from xpforge import groups, harness
+from xpforge.catalog import builtin_catalog, catalog_entry
 from xpforge.groups import (
     Homomorphism,
     HomomorphismError,
@@ -22,6 +24,7 @@ from xpforge.groups import (
     derived_series,
     derived_subgroup,
     direct_product,
+    element_orders,
     exponent,
     group_from_presentation,
     intersection,
@@ -698,3 +701,81 @@ def test_hom_rejects_generators_that_miss_elements():
     with pytest.raises(ValueError, match="only reach 4 of 8"):
         A = Subgroup(G, np.ones(G.order, dtype=bool), [G.generators[0]]).as_group()
         Homomorphism(A, C2, [C2.identity])
+
+
+# ------------------------------------------------------------ incremental closures
+
+
+def _closures(G):
+    """Subgroup closures, normal closures and commutator subgroups of G,
+    as (mask, gens) pairs; G's first generators and its last ones give
+    the two sides of a commutator subgroup."""
+    n, d = G.order, len(G.generators)
+    spread = list(range(1, n, n // 7)) + [G.generators[-1], 0, G.generators[0]]
+    left = subgroup_closure(G, G.generators[: d // 2])
+    right = subgroup_closure(G, G.generators[d // 2 :])
+    subs = [
+        subgroup_closure(G, spread),
+        subgroup_closure(G, spread[::-1]),
+        normal_closure(G, [G.generators[0]]),
+        normal_closure(G, spread[2:4]),
+        commutator_subgroup(left, right),
+        commutator_subgroup(G, G),
+        commutator_subgroup(G, left),
+    ]
+    return [(s.mask, s.gens) for s in subs]
+
+
+@pytest.mark.parametrize("name", ["X(Heis27)", "nu(Q8)"])
+def test_closures_grow_as_from_scratch(name, monkeypatch, unique_bfs):
+    # the mask grown from the subgroup it already holds, against the BFS
+    # from the identity over every generator that _extend ran before
+    G = xp_bundle("Heis27").group if name == "X(Heis27)" else build_nu(grp("Q8")).group
+
+    def from_scratch(G, gens, mask, g):
+        if mask[g]:
+            return
+        gens[int(g)] = G.right_action(g)
+        for found, _, _ in unique_bfs(np.array(list(gens.values()))):
+            mask[found] = True
+
+    grown = _closures(G)
+    monkeypatch.setattr(groups, "_extend", from_scratch)
+    scratch = _closures(G)
+    assert len({m.sum() for m, _ in grown}) > 2  # several distinct subgroups
+    for (m1, g1), (m2, g2) in zip(grown, scratch):
+        assert np.array_equal(m1, m2)
+        assert g1 == g2
+
+
+def _decoded_words(G):
+    pad = 2 * len(G.gen_cols)
+    return [tuple(s // 2 + 1 for s in col if s < pad) for col in G._steps.T.tolist()]
+
+
+@pytest.mark.parametrize("name", ["C8", "D8", "Q8", "S4", "Heis27", "Mod27", "X(D8)", "nu(C2)"])
+def test_permgroup_words_are_the_words_of_its_steps(name):
+    # the steps come from standardize's levels, the words from a fresh
+    # BFS by prefix sharing: both are the shortlex words
+    if name.startswith("X("):
+        G = xp_bundle(name[2:-1]).group
+    elif name.startswith("nu("):
+        G = build_nu(grp(name[3:-1])).group
+    else:
+        G = grp(name)
+    assert isinstance(G, PermGroup)
+    assert G.words == _decoded_words(G)
+    assert G.table.words == G.words
+
+
+@pytest.mark.parametrize("entry", [e.name for e in builtin_catalog()])
+def test_element_orders_batch_matches_the_scalar_orders(entry):
+    G = harness.base_group(catalog_entry(entry))
+    orders = element_orders(G)
+    assert orders.tolist() == [G.element_order(x) for x in G.elements]
+    assert exponent(G) == max(orders)  # p-groups: the exponent is the largest order
+
+
+def test_element_orders_on_every_group_kind():
+    for G in (grp("S4"), grp("C12"), direct_product(grp("S3"), grp("C4")), grp("C2")):
+        assert element_orders(G).tolist() == [G.element_order(x) for x in G.elements]
