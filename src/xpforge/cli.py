@@ -165,13 +165,8 @@ def _cmd_verify(args) -> int:
         entries = None
     else:
         entries = load_catalog_dir(args.catalog)
-    # without --max-cosets, run_suite is called as it always was; a limit
-    # a build exceeds fails its row, not the command
-    limits = _limits(args)
-    if limits is None:
-        report = run_suite(args.suite, entries=entries)
-    else:
-        report = run_suite(args.suite, entries=entries, limits=limits)
+    # a limit a build exceeds fails its row, not the command
+    report = run_suite(args.suite, entries=entries, limits=_limits(args))
     _emit(report.as_dict(), args.format, args.out)
     return 0 if report.ok else 1
 

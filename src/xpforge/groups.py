@@ -24,8 +24,7 @@ the steps: right_action composes generator columns along one word,
 _products and _inverses walk index arrays along many, and the scalar mul
 and inv walk list columns (or read an inverse list) built on their first
 call, along the tuple words, which a fresh BFS builds on first use by
-prefix sharing.  element_orders reads every element order from one batch
-of _products a power, for exponent and homology.abelian_invariants.
+prefix sharing.
 
 A homomorphism is held as an index array: the image of every domain
 element, the generator images composed along its word.  Its verification
@@ -653,25 +652,8 @@ def pow_element(G: FiniteGroup, x, k: int):
     return r
 
 
-def element_orders(G: FiniteGroup) -> np.ndarray:
-    """The order of every element, indexed by element.  The powers of all
-    elements advance together, one batch of _products a step, and an
-    element leaves the batch when its power reaches the identity."""
-    orders = np.ones(G.order, dtype=np.int64)
-    live = np.arange(1, G.order)
-    power = live
-    k = 1
-    while live.size:
-        power = G._products(power, live)
-        k += 1
-        done = power == G.identity
-        orders[live[done]] = k
-        live, power = live[~done], power[~done]
-    return orders
-
-
 def exponent(G: FiniteGroup) -> int:
-    return reduce(math.lcm, np.unique(element_orders(G)).tolist(), 1)
+    return reduce(math.lcm, (G.element_order(x) for x in G.elements), 1)
 
 
 def p_group_data(G: FiniteGroup) -> tuple[int, int]:

@@ -258,12 +258,10 @@ def abelian_invariants(G) -> list[int]:
     partition)."""
     if not G.is_abelian():
         raise ValueError("abelian_invariants needs an abelian group")
-    from .groups import element_orders  # groups imports this module
-
     n = G.order
     if n == 1:
         return []
-    order_counts = Counter(element_orders(G).tolist())
+    order_counts = Counter(G.element_order(x) for x in G.elements)
     primary: dict[int, list[int]] = {}
     for p in _factorize(n):
         fks = []

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from xpforge import cli, coset, harness, products, tensor, weakcomm
+from xpforge import coset, harness, products, tensor, weakcomm
 from xpforge.catalog import catalog_entry
 from xpforge.cli import main
 from xpforge.groups import FiniteGroup, subgroup_closure
@@ -83,15 +83,16 @@ def test_verify_max_cosets_fails_every_row(capsys):
     assert "Traceback" not in json.dumps(d)
 
 
-def test_verify_without_max_cosets_calls_run_suite_as_before(capsys, monkeypatch):
-    # the benchmark swaps cli.run_suite and expects the same call
-    calls = []
-    monkeypatch.setattr(
-        cli, "run_suite", lambda *a, **k: calls.append((a, k)) or harness.VerificationReport("orders")
-    )
-    code, _ = run_json(["verify", "--suite", "orders"], capsys)
-    assert code == 0
-    assert calls == [(("orders",), {"entries": None})]
+@pytest.mark.parametrize("suite", ["tower", "all"])
+def test_verify_max_cosets_fails_the_tower_rows(suite, capsys):
+    # the tower bases C8 and C9 do not fit a cap of 3 either: their builds
+    # fail the tower rows, not the command
+    code, d = run_json(["verify", "--suite", suite, "--max-cosets", "3"], capsys)
+    assert code == 1
+    tower = [r for r in d["results"] if r["suite"] == "tower"]
+    assert len(tower) == 7
+    assert all(r["status"] == "fail" for r in tower)
+    assert all("coset limit exceeded" in r["detail"]["error"] for r in tower)
 
 
 # ---------------------------------------------------------------- formats / output

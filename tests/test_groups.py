@@ -11,8 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from xpforge import groups, harness
-from xpforge.catalog import builtin_catalog, catalog_entry
+from xpforge import groups
 from xpforge.groups import (
     Homomorphism,
     HomomorphismError,
@@ -24,7 +23,6 @@ from xpforge.groups import (
     derived_series,
     derived_subgroup,
     direct_product,
-    element_orders,
     exponent,
     group_from_presentation,
     intersection,
@@ -766,16 +764,3 @@ def test_permgroup_words_are_the_words_of_its_steps(name):
     assert isinstance(G, PermGroup)
     assert G.words == _decoded_words(G)
     assert G.table.words == G.words
-
-
-@pytest.mark.parametrize("entry", [e.name for e in builtin_catalog()])
-def test_element_orders_batch_matches_the_scalar_orders(entry):
-    G = harness.base_group(catalog_entry(entry))
-    orders = element_orders(G)
-    assert orders.tolist() == [G.element_order(x) for x in G.elements]
-    assert exponent(G) == max(orders)  # p-groups: the exponent is the largest order
-
-
-def test_element_orders_on_every_group_kind():
-    for G in (grp("S4"), grp("C12"), direct_product(grp("S3"), grp("C4")), grp("C2")):
-        assert element_orders(G).tolist() == [G.element_order(x) for x in G.elements]
