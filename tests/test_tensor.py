@@ -10,6 +10,7 @@ the size gate that keeps nu builds bounded.
 """
 
 import functools
+import hashlib
 import random
 
 import numpy as np
@@ -413,6 +414,84 @@ def test_build_rejects_kept_symbols_that_leave_a_symbol_undefined(monkeypatch):
     monkeypatch.setattr(tensor_module, "_kept_letters", lambda base: [1])
     with pytest.raises(RuntimeError, match="kept symbols do not define s"):
         build_tensor_square(base("D8"))
+
+
+# catalog entry: (sha256 of the kept relators' letters, in order; sha256
+# of the definitions (a, r) in the order made), as build_tensor_square
+# hands them to the enumeration and to _symbol_images
+KEPT_PRESENTATION_DIGESTS = {
+    "C2": (
+        "dba010dc185ba44cc16ac8ed5e5bbbe721e8dc9d928b5377686d1b3a9d786530",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    "C3": (
+        "65535f3942e6f4ada47c592da10e91a7dcf61aa909b3fe233a3b1877043fd530",
+        "32c68e2582783729a0815688a3c8729fd16a80f294af64cbc4320806e4460d44",
+    ),
+    "C4": (
+        "091f6402146af1587e22fbcf1611f629cd1bdd00ec1a677dca6a54f5dd0055c9",
+        "8ea25f94722bbe7cb4a45843459058900bd22066f10df392d84fba60601a376f",
+    ),
+    "C8": (
+        "b04786a5dbfcb2b99cfd3b6070adfbe56dd4aa56d8b495452c4a6383a7ce315e",
+        "75f24ed062a6dae2ed18576230e7b9f3e31eb718e5e6fdc07cd42917b0a5a5f8",
+    ),
+    "C2xC2": (
+        "0cc93f4c615897c3c3bef195c262ac84cf128a8fed48978bbcf857d2a857815d",
+        "c15f5491fd45e47139f61281116b95d5795cd2b4700aa9428193ce0380e83dd3",
+    ),
+    "C2xC4": (
+        "fd86995fa4f531c11c7ce68e4a5b8de7e9b4861b7df76b722c691e21415c937d",
+        "6c2c7a05346519ba9628c5dd29e79f1dd2419064ffab1642d742aa244704105b",
+    ),
+    "D8": (
+        "845cac15f23c3a1043a9a17cd4cc0c3736fd7488f886a90441c06e04a7ec19d1",
+        "968555d0cffbe83896e88e0ad80d89625571ea664c6b813b2716174209dc576e",
+    ),
+    "Q8": (
+        "716457e9ecaab7c9e95de882479d9fe3f376a81ce819a40c7230763480b35c68",
+        "e4b094b91790786c399dfeacbfb84d004eef8aa0ffb8b145ea21e70ef6ef587c",
+    ),
+    "C9": (
+        "1c6f3dcfab99a8c2ebdcc6d1cd7b5f21df522907dd1838348b48a1e83d572949",
+        "92a870be12f2df9d3dcbe76285efe331448954f77bf441bdcf257039f2b975f1",
+    ),
+    "C3xC3": (
+        "e4fa5aa0df32d4a0f536c1039bf89c1d9f6331db10c26a4710a6d1d0218f0918",
+        "a3e50ba78a3762d046a951620430a43cd183dd85e01336ab7ca402c8fadb5e07",
+    ),
+    "Heis27": (
+        "a08379707d15734b11404b0b43ad80bda610c795a1b6184336e1bef5a8b9c9f6",
+        "eff5b0afd2431ed720029825c0cd050ec26c397f12cf147d797ab76061f93cab",
+    ),
+    "Mod27": (
+        "ba9ea8a81e2fcf7f16cb0374d653d791235db1bafdbc18a63d08698dc418888f",
+        "83365667ccd71363cce8b3be26ea9fc8fe1237304a42543461defb917bc957b8",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+def test_kept_presentation_is_frozen(entry, monkeypatch):
+    # the elimination may change how it rewrites, never what it hands on
+    seen = {}
+    real_group, real_images = tensor_module.group_from_normal_subgroup, tensor_module._symbol_images
+
+    def spy_group(pres, *args, **kwargs):
+        seen["relators"] = [w.letters for w in pres.relators]
+        return real_group(pres, *args, **kwargs)
+
+    def spy_images(T, kept, definitions, nsymbols):
+        seen["definitions"] = [(a, tuple(r)) for a, r in definitions]
+        return real_images(T, kept, definitions, nsymbols)
+
+    monkeypatch.setattr(tensor_module, "group_from_normal_subgroup", spy_group)
+    monkeypatch.setattr(tensor_module, "_symbol_images", spy_images)
+    build_tensor_square(harness.base_group(entry))
+    digests = tuple(
+        hashlib.sha256(repr(seen[k]).encode()).hexdigest() for k in ("relators", "definitions")
+    )
+    assert digests == KEPT_PRESENTATION_DIGESTS[entry.name]
 
 
 def test_build_reads_no_word_family(monkeypatch):
