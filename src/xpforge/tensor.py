@@ -20,12 +20,19 @@ so these symbols generate T (Ellis and Leonard, Proc. R. Irish Acad. 95A,
 whose expansion element (g resp. h) is a base generator, tensor_relators,
 are swept until a pass defines nothing, and a word with exactly one
 unknown symbol, occurring once, defines it as a word in the known ones.
-Every word is then rewritten in the kept symbols and cyclically reduced,
-and those of at most max(8, exp(P)) letters are the relators of T~, the
-group the build reads T from.  The cap is the exponent, not a fixed
-length: C9 needs k^9, and on D32 and Q32 an 8-letter cap leaves a
-presentation whose enumeration over the trivial subgroup passes millions
-of cosets without closing.
+Each symbol is held as runs (x, e) of kept symbols, next to the runs of
+its inverse.  Runs keep the words short where symbols are high powers:
+on a cyclic base every symbol is one power of the single kept one,
+s(a^i, a^j) = k^(i*j), so T(C64) would spell 4 M letters.  Every word
+that made no definition is then rewritten in the kept symbols, by
+joining the runs of its at most three letters and reducing only at the
+two seams, and cyclically reduced; a word that made a definition
+a = r^-1 rewrites to the identity and is skipped (639 of the 4 056 words
+on Heis27).  The rewritten words of at most max(8, exp(P)) letters are
+the relators of T~, the group the build reads T from.  The cap is the
+exponent, not a fixed length: C9 needs k^9, and on D32 and Q32 an
+8-letter cap leaves a presentation whose enumeration over the trivial
+subgroup passes millions of cosets without closing.
 
 T is not enumerated element by element.  The diagonal subgroup Delta =
 <s(g, g)> lies in J2 = ker kappa, kappa: T -> P the commutator map
@@ -185,18 +192,26 @@ def _expansion_rows(base: FiniteGroup, movers) -> np.ndarray:
     )
 
 
-def tensor_relators(base: FiniteGroup) -> list[Word]:
+def tensor_relators(base: FiniteGroup) -> list[tuple]:
     """The expansion relators with the expansion element over the base
-    generators, zero letters dropped, first occurrences kept."""
+    generators, as letter tuples: zero letters dropped, freely reduced,
+    first occurrences kept."""
     movers = [g for g in dict.fromkeys(base.generators) if g != base.identity]
-    rels = []
-    seen = set()
-    for row in _expansion_rows(base, movers).tolist():
-        w = Word(tuple(a for a in row if a))
-        if w.letters and w.letters not in seen:
-            seen.add(w.letters)
-            rels.append(w)
-    return rels
+    rels = {}
+    for x, y, z in _expansion_rows(base, movers).tolist():
+        # x = -a <= 0 and y, z >= 0: only x can cancel, against the next
+        # letter that is not dropped
+        if y == -x:
+            w = (z,) if z else ()
+        elif not y:
+            w = () if z == -x else (x, z) if z else (x,)
+        elif not x:
+            w = (y, z) if z else (y,)
+        else:
+            w = (x, y, z) if z else (x, y)
+        rels[w] = None
+    rels.pop((), None)
+    return list(rels)
 
 
 def _rows_hold(group: FiniteGroup, rows: np.ndarray, img: np.ndarray) -> bool:
@@ -214,7 +229,7 @@ def tensor_square_presentation(base: FiniteGroup) -> Presentation:
     """T on every symbol, with the generator-scope relators; the build
     rewrites these relators in the kept symbols instead."""
     names = [f"s{g}_{h}" for g, h in _tensor_symbols(base)]
-    return Presentation(names, tensor_relators(base), name=_label(base))
+    return Presentation(names, [Word(w) for w in tensor_relators(base)], name=_label(base))
 
 
 def _kept_letters(base: FiniteGroup) -> list[int]:
@@ -224,88 +239,108 @@ def _kept_letters(base: FiniteGroup) -> list[int]:
     _, conj = _conjugation_tables(base)
     gens = [g for g in dict.fromkeys(base.generators) if g != base.identity]
     moved = conj[gens]  # moved[i, g] = x_i^g
-    return np.unique((moved[:, None, :] - 1) * (n - 1) + moved[None, :, :]).tolist()
+    hit = np.zeros(n * n, dtype=bool)
+    hit[(moved[:, None, :] - 1) * (n - 1) + moved[None, :, :]] = True
+    return np.flatnonzero(hit).tolist()
 
 
 def _inverse(runs) -> tuple:
     return tuple((x, -e) for x, e in reversed(runs))
 
 
-def _expand(value: list, letters) -> list:
-    """A word in symbol letters rewritten through `value`, as freely
-    reduced runs (x, e): kept symbol x to the power e != 0.
-
-    Runs keep the words short where symbols are high powers: on a cyclic
-    base every symbol is one power of the single kept one, s(a^i, a^j) =
-    k^(i*j), so T(C64) would spell 4 M letters."""
-    out: list = []
-    for a in letters:
-        for x, e in value[a] if a > 0 else _inverse(value[-a]):
-            if out and out[-1][0] == x:
-                e += out.pop()[1]
-                if not e:
-                    continue
-            out.append((x, e))
+def _join(parts) -> list:
+    """The product of freely reduced words given as runs (x, e), kept
+    symbol x to the power e != 0, as freely reduced runs.  Only the seam
+    between the product so far and the next part can reduce: runs of one
+    symbol meet there and merge, and the seam moves on while they cancel."""
+    out = list(parts[0]) if parts else []
+    for p in parts[1:]:
+        i = 0
+        while out and i < len(p) and out[-1][0] == p[i][0]:
+            x, e = p[i]
+            e += out.pop()[1]
+            i += 1
+            if e:
+                out.append((x, e))
+        out.extend(p[i:])
     return out
 
 
-def _eliminate(words: list[Word], kept: list[int], nsymbols: int):
-    """Every symbol as runs in the kept ones (the kept symbol kept[j] is
-    run (j + 1, 1)), indexed by symbol letter, entry 0 unused; and the
-    definitions in the order made, as pairs (a, r) with a * r = 1, r a
-    word in the symbols defined before.
+def _eliminate(words: list[tuple], kept: list[int], nsymbols: int):
+    """Every symbol as runs in the kept ones, indexed by signed letter:
+    runs[a] for symbol a and runs[-a] for its inverse, entry 0 unused
+    (the kept symbol kept[j] is run (j + 1, 1)); the definitions in the
+    order made, as pairs (a, r) with a * r = 1, r a word in the symbols
+    defined before; and the set of indices of the words that made them.
 
     Sweeps the words until a pass defines nothing.  A word with exactly
     one unknown letter a is a * r = 1 after a rotation, so a = r^-1
     defines that symbol in the known ones.  A symbol that no pass
     defines stays None."""
-    value: list = [None] * (nsymbols + 1)
+    runs: list = [None] * (2 * nsymbols + 1)
     for j, a in enumerate(kept):
-        value[a] = ((j + 1, 1),)
+        runs[a], runs[-a] = ((j + 1, 1),), ((j + 1, -1),)
     definitions = []
-    pending = [w.letters for w in words]
+    used = set()
+    pending = list(enumerate(words))
     defined = True
     while defined:
         defined = False
         rest = []
-        for w in pending:
-            unknown = [i for i, a in enumerate(w) if value[abs(a)] is None]
+        for k, w in pending:
+            unknown = [i for i, a in enumerate(w) if runs[a] is None]
             if len(unknown) == 1:
                 (i,) = unknown
                 a, r = w[i], w[i + 1 :] + w[:i]
-                runs = _expand(value, r)
-                value[abs(a)] = _inverse(runs) if a > 0 else tuple(runs)
+                runs[-a] = tuple(_join([runs[b] for b in r]))
+                runs[a] = _inverse(runs[-a])
                 definitions.append((a, r))
+                used.add(k)
                 defined = True
             elif unknown:
-                rest.append(w)
+                rest.append((k, w))
         pending = rest
-    return value, definitions
+    return runs, definitions, used
 
 
-def _cyclic_key(w: tuple) -> tuple:
-    """The least rotation of w or of its inverse."""
-    v = tuple(-a for a in reversed(w))
-    return min(min(w[i:] + w[:i], v[i:] + v[:i]) for i in range(len(w)))
+def _cyclic_key(runs: list) -> tuple:
+    """The least rotation of cyclically reduced runs or of their inverse,
+    tried only where the least run stands.  A rotation of the letters
+    that is again cyclically reduced cuts at a run boundary, so two
+    words share a key exactly when one spells a rotation of the other or
+    of its inverse."""
+    w = tuple(runs)
+    v = tuple((x, -e) for x, e in reversed(w))
+    return min(u[i:] + u[:i] for u in (w, v) for m in (min(u),) for i in range(len(u)) if u[i] == m)
 
 
-def _kept_relators(words: list[Word], value: list, cap: int) -> list[Word]:
+def _cyclic_reduce(runs: list) -> list:
+    """Freely reduced runs made cyclically reduced, in place: while the
+    first and last runs share a symbol, the last is merged into the
+    first (a conjugate of the word)."""
+    while len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        x, e = runs.pop()
+        e += runs[0][1]
+        runs[0:1] = [(x, e)] if e else []
+    return runs
+
+
+def _kept_relators(words: list[tuple], runs: list, used, cap: int) -> list[Word]:
     """The words rewritten in the kept symbols and cyclically reduced:
     those of at most `cap` letters, once per rotation and inverse,
-    shortest first (HLT scans them in this order at every coset)."""
+    shortest first (HLT scans them in this order at every coset).  The
+    words at the indices in `used` are skipped: each made a definition
+    a = r^-1, so it rewrites to the identity."""
     rels = []
     seen = set()
-    for w in words:
-        runs = _expand(value, w.letters)
-        while len(runs) > 1 and runs[0][0] == runs[-1][0]:
-            x, e = runs.pop()
-            e += runs[0][1]
-            runs[0:1] = [(x, e)] if e else []
-        if 0 < sum(abs(e) for _, e in runs) <= cap:
-            v = tuple(x if e > 0 else -x for x, e in runs for _ in range(abs(e)))
-            if (key := _cyclic_key(v)) not in seen:
+    for k, w in enumerate(words):
+        if k in used:
+            continue
+        rw = _cyclic_reduce(_join([runs[a] for a in w]))
+        if len(rw) <= cap and 0 < sum(abs(e) for _, e in rw) <= cap:
+            if (key := _cyclic_key(rw)) not in seen:
                 seen.add(key)
-                rels.append(Word(v))
+                rels.append(Word(x if e > 0 else -x for x, e in rw for _ in range(abs(e))))
     return sorted(rels, key=len)
 
 
@@ -392,14 +427,14 @@ def build_tensor_square(
     lim = limits or EnumerationLimits(max_cosets=TENSOR_COSET_CAP)
     words = tensor_relators(base)
     kept = _kept_letters(base)
-    value, definitions = _eliminate(words, kept, len(symbols))
-    if None in value[1:]:
-        g, h = symbols[value.index(None, 1) - 1]
+    runs, definitions, used = _eliminate(words, kept, len(symbols))
+    if None in runs[1:]:
+        g, h = symbols[runs.index(None, 1) - 1]
         raise RuntimeError(f"the kept symbols do not define s{g}_{h} by the expansion relators")
     pairs = [symbols[a - 1] for a in kept]
     pres = Presentation(
         [f"s{g}_{h}" for g, h in pairs],
-        _kept_relators(words, value, max(8, exponent(base))),
+        _kept_relators(words, runs, used, max(8, exponent(base))),
         name=_label(base),
     )
     nabla = _nabla_words(base, kept)

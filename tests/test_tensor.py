@@ -15,6 +15,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xpforge import coset, harness
 from xpforge import tensor as tensor_module
@@ -33,7 +35,10 @@ from xpforge.homology import abelian_invariants, schur_multiplier, schur_multipl
 from xpforge.tensor import (
     NU_SIZE_GATE,
     SizeGateError,
+    _cyclic_key,
+    _cyclic_reduce,
     _expansion_rows,
+    _join,
     _rows_hold,
     build_nu,
     build_tensor_square,
@@ -47,7 +52,7 @@ from xpforge.tensor import (
     tensor_square_abelian_invariants,
 )
 from xpforge.weakcomm import build_xp, mirror_names
-from xpforge.words import Word, parse_presentation
+from xpforge.words import Word, free_reduce, parse_presentation
 
 PRESENTATIONS = {
     "C2": "gens a\nrels a^2",
@@ -350,8 +355,8 @@ def reference_relators(G, movers):
 def test_tensor_relators_match_the_scalar_reference(entry):
     G = harness.base_group(entry)
     movers = [g for g in dict.fromkeys(G.generators) if g != G.identity]
-    assert tensor_relators(G) == reference_relators(G, movers)
-    assert tensor_square_presentation(G).relators == tensor_relators(G)
+    assert tensor_relators(G) == [w.letters for w in reference_relators(G, movers)]
+    assert [w.letters for w in tensor_square_presentation(G).relators] == tensor_relators(G)
 
 
 @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
@@ -492,6 +497,101 @@ def test_kept_presentation_is_frozen(entry, monkeypatch):
         hashlib.sha256(repr(seen[k]).encode()).hexdigest() for k in ("relators", "definitions")
     )
     assert digests == KEPT_PRESENTATION_DIGESTS[entry.name]
+
+
+# -- the seam join of the elimination --------------------------------------
+
+
+def runs_of(letters):
+    """A freely reduced letter word as runs (x, e)."""
+    runs = []
+    for a in letters:
+        if runs and runs[-1][0] == abs(a):
+            runs[-1] = (abs(a), runs[-1][1] + (1 if a > 0 else -1))
+        else:
+            runs.append((abs(a), 1 if a > 0 else -1))
+    return tuple(runs)
+
+
+def letters_of(runs):
+    return tuple(x if e > 0 else -x for x, e in runs for _ in range(abs(e)))
+
+
+def inverse(letters):
+    return tuple(-a for a in reversed(letters))
+
+
+def letter_key(w):
+    """The least rotation of a cyclically reduced letter word or of its
+    inverse, letter by letter."""
+    v = inverse(w)
+    return min((min(w[i:] + w[:i], v[i:] + v[:i]) for i in range(len(w))), default=())
+
+
+def cyclically_reduced(letters):
+    w = free_reduce(letters)
+    while len(w) > 1 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return w
+
+
+reduced_words = st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), max_size=8).map(free_reduce)
+
+
+@st.composite
+def seam_parts(draw):
+    """Up to three freely reduced words, each often opening with the
+    inverse of a tail of the product before it, so that seams cancel
+    inside a run, at a run boundary or through a whole part."""
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        w = draw(reduced_words)
+        done = free_reduce(sum(parts, ()))
+        if done and draw(st.booleans()):
+            k = draw(st.integers(1, len(done)))
+            w = free_reduce(inverse(done[-k:]) + w)
+        parts.append(w)
+    return parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(seam_parts())
+@example([(1, 1, -2), (2, -1, -1)])  # every letter cancels
+@example([(1, 2, 2), (-2, -2, 1)])  # a run merges to exponent 0, then the next merges
+@example([(1, 2), (-2,), (-1, 3)])  # a whole middle part cancels into the first
+@example([(1, 3, 1), (1,)])  # cyclic reduction merges the last run into the first
+def test_seam_join_is_the_free_reduction_of_the_letters(parts):
+    flat = free_reduce(sum(parts, ()))
+    joined = _join([runs_of(p) for p in parts])
+    assert letters_of(joined) == flat
+    assert tuple(joined) == runs_of(flat)
+    # cyclic reduction: a rotation of the letter-level cyclic reduction,
+    # whose first and last runs differ
+    rw = _cyclic_reduce(joined)
+    c = cyclically_reduced(flat)
+    assert len(rw) <= 1 or rw[0][0] != rw[-1][0]
+    assert any(letters_of(rw) == c[i:] + c[:i] for i in range(max(len(c), 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_words, reduced_words, st.integers(0, 7), st.booleans())
+@example((1, 2, 1), (1, 1, 2), 0, False)  # a rotation that cuts inside a run
+def test_cyclic_key_on_runs_is_the_letter_key(u, w, turn, invert):
+    # two cyclically reduced words share a key when one is a rotation of
+    # the other or of its inverse, and only then, as on letters
+    c, d = cyclically_reduced(u), cyclically_reduced(w)
+    if not c:
+        return
+    i = turn % len(c)
+    rot = c[i:] + c[:i]
+    rot = inverse(rot) if invert else rot
+
+    def key(letters):
+        return _cyclic_key(_cyclic_reduce(list(runs_of(letters))))
+
+    assert key(rot) == key(c)
+    if d:
+        assert (key(d) == key(c)) == (letter_key(d) == letter_key(c))
 
 
 def test_build_reads_no_word_family(monkeypatch):
