@@ -166,7 +166,10 @@ class FiniteGroup:
         by letter, sharing one int object per element."""
         if self._cols is None:
             ints = list(range(self.order))
-            letters = np.unique(self._steps[self._steps < 2 * len(self.gen_cols)]) // 2
+            k = len(self.gen_cols)
+            used = np.zeros(k, dtype=bool)
+            used[self._steps[self._steps < 2 * k] // 2] = True
+            letters = np.flatnonzero(used)
             self._cols = {
                 int(k) + 1: list(map(ints.__getitem__, self.gen_cols[k].tolist())) for k in letters
             }
@@ -522,6 +525,14 @@ def _masked(G: FiniteGroup, mask: np.ndarray) -> Subgroup:
     return Subgroup(G, mask, _generate(G, np.flatnonzero(mask))[0])
 
 
+def _support(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
+    """The distinct elements of an index array, ascending: np.unique
+    through a mask, which loads no numpy.ma."""
+    hit = np.zeros(G.order, dtype=bool)
+    hit[elements] = True
+    return np.flatnonzero(hit)
+
+
 def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:
     """The subgroup generated by `seeds`."""
     gens, mask = _generate(G, seeds)
@@ -568,7 +579,7 @@ def commutator_subgroup(A, B, method: str = "generated") -> Subgroup:
     G = A.parent
     if method == "elementwise":
         a, b = (x.ravel() for x in np.meshgrid(np.flatnonzero(A.mask), np.flatnonzero(B.mask)))
-        return subgroup_closure(G, np.unique(G._commutators(a, b)))
+        return subgroup_closure(G, _support(G, G._commutators(a, b)))
     if method != "generated":
         raise ValueError(f"unknown method {method!r}")
     gens, mask = _generate(G, [G.comm(a, b) for a in A.gens for b in B.gens])
@@ -641,7 +652,7 @@ def power_subgroup(G: FiniteGroup, k: int) -> Subgroup:
     pows = np.zeros(G.order, dtype=np.int32)
     for _ in range(abs(k)):
         pows = G._products(pows, every)
-    return subgroup_closure(G, np.unique(pows))
+    return subgroup_closure(G, _support(G, pows))
 
 
 def pow_element(G: FiniteGroup, x, k: int):

@@ -102,8 +102,11 @@ def _projection_rows(sub: Subgroup) -> dict[str, dict]:
     singles = [(i,) for i in range(k)]
     pairs = list(itertools.combinations(range(k), 2)) if k > 2 else []
     for coords in singles + pairs:
-        shadow = np.unique(digits[list(coords)], axis=1).shape[1]
-        full = math.prod(amb.shape[i] for i in coords)
+        dims = [amb.shape[i] for i in coords]
+        full = math.prod(dims)
+        hit = np.zeros(full, dtype=bool)
+        hit[np.ravel_multi_index(digits[list(coords)], dims)] = True
+        shadow = int(np.count_nonzero(hit))
         key = "p" + "".join(str(i + 1) for i in coords)
         rows[key] = {
             "image_order": shadow,

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import xpforge
 from xpforge import harness
 from xpforge.catalog import builtin_catalog, catalog_entry, load_catalog_dir
 from xpforge.cli import main
@@ -231,3 +235,38 @@ def test_tower_suite_matches_demo():
     assert via_suite.ok
     entries = {r["entry"] for r in via_suite.rows}
     assert "C9->C3" in entries  # the p=3 chain is included regardless of entries
+
+
+# ---------------------------------------------------------------- imports
+
+NO_MASKED_ARRAYS = """
+import os, sys
+from xpforge import cli, harness
+from xpforge.catalog import builtin_catalog
+from xpforge.tensor import SizeGateError
+
+absent = "numpy.ma" not in sys.modules
+for e in builtin_catalog():
+    harness.tensor_of(e).h2_invariants()
+    harness.xp_of(e).h2_invariants()
+    try:
+        harness.nu_of(e).h2_invariants()
+    except SizeGateError:
+        pass
+code = cli.main(["verify", "--suite", "all", "--out", os.devnull])
+print(code, absent, "numpy.ma" in sys.modules)
+"""
+
+
+def test_builds_and_verify_all_load_no_masked_arrays():
+    # np.unique without return flags imports numpy.ma on first use, about
+    # 9 ms and 1.3 MB once a process; numpy 1.x imports it with numpy, so
+    # the check holds where the import left it out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xpforge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS], env=env, capture_output=True, text=True, check=True
+    )
+    code, absent, loaded = out.stdout.split()
+    assert code == "0"
+    assert absent == "False" or loaded == "False"
