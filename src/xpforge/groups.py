@@ -166,9 +166,9 @@ class FiniteGroup:
         by letter, sharing one int object per element."""
         if self._cols is None:
             ints = list(range(self.order))
-            k = len(self.gen_cols)
-            used = np.zeros(k, dtype=bool)
-            used[self._steps[self._steps < 2 * k] // 2] = True
+            ngens = len(self.gen_cols)
+            used = np.zeros(ngens, dtype=bool)
+            used[self._steps[self._steps < 2 * ngens] // 2] = True
             letters = np.flatnonzero(used)
             self._cols = {
                 int(k) + 1: list(map(ints.__getitem__, self.gen_cols[k].tolist())) for k in letters

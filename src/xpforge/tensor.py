@@ -244,10 +244,6 @@ def _kept_letters(base: FiniteGroup) -> list[int]:
     return np.flatnonzero(hit).tolist()
 
 
-def _inverse(runs) -> tuple:
-    return tuple((x, -e) for x, e in reversed(runs))
-
-
 def _join(parts) -> list:
     """The product of freely reduced words given as runs (x, e), kept
     symbol x to the power e != 0, as freely reduced runs.  Only the seam
@@ -293,7 +289,7 @@ def _eliminate(words: list[tuple], kept: list[int], nsymbols: int):
                 (i,) = unknown
                 a, r = w[i], w[i + 1 :] + w[:i]
                 runs[-a] = tuple(_join([runs[b] for b in r]))
-                runs[a] = _inverse(runs[-a])
+                runs[a] = tuple((x, -e) for x, e in reversed(runs[-a]))
                 definitions.append((a, r))
                 used.add(k)
                 defined = True
