@@ -17,14 +17,17 @@ coset (`reps`).
 
 coset.shortlex_bfs, the level-at-a-time BFS that also standardizes coset
 tables, gives every element its shortlex word in the generators, held as
-an array of steps.  Each group runs it once: a PermGroup takes the levels
-that standardize found on its table, every other group searches its own
-columns, and neither keeps the levels.  The arithmetic is defined once on
-the steps: right_action composes generator columns along one word,
-_products and _inverses walk index arrays along many, and the scalar mul
-and inv walk list columns (or read an inverse list) built on their first
-call, along the tuple words, which a fresh BFS builds on first use by
-prefix sharing.
+an array of steps (`_steps`), the one word form a group keeps.  Each
+group runs it once: a PermGroup takes the levels that standardize found
+on its table, every other group searches its own columns, and neither
+keeps the levels.  The arithmetic is defined once on the steps:
+right_action composes generator columns along one word, and _products,
+_inverses, _commutators, _conjugates and _element_orders walk index
+arrays along many.  Every caller in the constructions hands them whole
+candidate lists; the scalar mul, inv, comm, conj and element_order are
+one-element views of them.  A word is spelled only on demand: word_of
+reads one element's column of steps, and `words` spells them all from a
+fresh BFS without keeping them.
 
 A homomorphism is held as an index array: the image of every domain
 element, the generator images composed along its word.  Its verification
@@ -114,6 +117,14 @@ class FiniteGroup:
     the levels that coset.shortlex_bfs gives on gen_cols from 0 (a
     regular table's, from standardize); they build the word steps and are
     not kept.
+
+    `_steps` is the one word form: column x holds the letters of x's
+    shortlex word as rows of _acts().  The array operations (_products,
+    _inverses, _commutators, _conjugates, _element_orders) walk index
+    arrays along it; mul, inv, comm, conj and element_order are
+    one-element views of them, and no tuple word is kept: word_of spells
+    one element's word from its steps, and `words` spells every word on
+    each read.
     """
 
     identity = 0
@@ -139,10 +150,6 @@ class FiniteGroup:
             steps[:t, found] = steps[:t, src]
             steps[t, found] = 2 * gen
         self._steps = steps
-        # the words and the scalar mul and inv are built on first use
-        self._words = None
-        self._cols = None
-        self._inv = None
         self._self_check()
 
     # -- arithmetic -------------------------------------------------------------
@@ -154,39 +161,33 @@ class FiniteGroup:
     @property
     def words(self) -> list[tuple[int, ...]]:
         """Shortlex canonical words (positive 1-based letters), one per
-        element index, built on first use by prefix sharing from a fresh
-        BFS (the levels of construction are not kept)."""
-        if self._words is None:
-            self._words = words_from_levels(self.order, shortlex_bfs(self.gen_cols))
-        return self._words
+        element index, spelled by prefix sharing from a fresh BFS on each
+        read and not kept.  No construction reads them; word_of spells
+        one."""
+        return words_from_levels(self.order, shortlex_bfs(self.gen_cols))
 
-    @property
-    def cols(self) -> dict[int, list]:
-        """The columns of the letters that the words use, as lists keyed
-        by letter, sharing one int object per element."""
-        if self._cols is None:
-            ints = list(range(self.order))
-            ngens = len(self.gen_cols)
-            used = np.zeros(ngens, dtype=bool)
-            used[self._steps[self._steps < 2 * ngens] // 2] = True
-            letters = np.flatnonzero(used)
-            self._cols = {
-                int(k) + 1: list(map(ints.__getitem__, self.gen_cols[k].tolist())) for k in letters
-            }
-        return self._cols
+    def word_of(self, e) -> tuple[int, ...]:
+        """The shortlex word of e (positive 1-based letters), spelled from
+        its column of steps."""
+        pad = 2 * len(self.gen_cols)
+        return tuple(s // 2 + 1 for s in self._steps[:, e].tolist() if s < pad)
 
     def mul(self, a, b):
-        """a walks the word of b through the generator columns."""
-        cols = self._cols or self.cols
-        x = a
-        for k in (self._words or self.words)[b]:
-            x = cols[k][x]
-        return x
+        return int(self._products([a], [b])[0])
 
     def inv(self, a):
-        if self._inv is None:
-            self._inv = self._inverses(np.arange(self.order)).tolist()
-        return self._inv[a]
+        return int(self._inverses([a])[0])
+
+    def conj(self, a, b):
+        """a^b = b^-1 a b."""
+        return int(self._conjugates([a], [b])[0])
+
+    def comm(self, a, b):
+        """[a, b] = a^-1 b^-1 a b."""
+        return int(self._commutators([a], [b])[0])
+
+    def element_order(self, a) -> int:
+        return int(self._element_orders([a])[0])
 
     def right_action(self, g) -> np.ndarray:
         """Index of x*g for every element x: the generator columns
@@ -236,36 +237,39 @@ class FiniteGroup:
         pair by pair."""
         return self._products(self._inverses(self._products(B, A)), self._products(A, B))
 
+    def _conjugates(self, A, B) -> np.ndarray:
+        """Index of a^b = b^-1 * (a*b) for index arrays A and B, pair by
+        pair."""
+        return self._products(self._inverses(B), self._products(A, B))
+
+    def _element_orders(self, A) -> np.ndarray:
+        """The order of each a in an index array A: the powers of every a
+        multiplied out side by side, each dropping out at the identity."""
+        A = np.asarray(A, dtype=np.intp)
+        orders = np.ones(len(A), dtype=np.int64)
+        live = np.flatnonzero(A != self.identity)
+        power = A[live]
+        k = 1
+        while live.size:
+            k += 1
+            power = self._products(power, A[live])
+            done = power == self.identity
+            orders[live[done]] = k
+            live, power = live[~done], power[~done]
+        return orders
+
+    def _all_commute(self, X) -> bool:
+        """Whether the elements of X commute pairwise."""
+        X = np.asarray(X, dtype=np.intp)
+        i, j = np.triu_indices(len(X), 1)
+        return np.array_equal(self._products(X[i], X[j]), self._products(X[j], X[i]))
+
     def multiplication_table(self) -> np.ndarray:
         """The n x n array of x*y, row x and column y."""
         return np.stack([self.right_action(y) for y in self.elements], axis=1)
 
-    def conj(self, a, b):
-        """a^b = b^-1 a b."""
-        return self.mul(self.inv(b), self.mul(a, b))
-
-    def comm(self, a, b):
-        """[a, b] = a^-1 b^-1 a b."""
-        return self.mul(self.inv(self.mul(b, a)), self.mul(a, b))
-
-    def element_order(self, a) -> int:
-        k = 1
-        x = a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(
-            self.mul(g, h) == self.mul(h, g)
-            for i, g in enumerate(gens)
-            for h in gens[i + 1 :]
-        )
-
-    def word_of(self, e) -> tuple[int, ...]:
-        return self.words[e]
+        return self._all_commute(self.generators)
 
     def eval_letters(self, letters, images=None):
         """Evaluate a signed-letter word over `images` (default: own
@@ -442,16 +446,10 @@ class Subgroup:
 
     def is_normal(self) -> bool:
         G = self.parent
-        return all(G.conj(h, g) in self for h in self.gens for g in G.generators)
+        return bool(self.mask[G._conjugates(*_pairs(self.gens, G.generators))].all())
 
     def is_abelian(self) -> bool:
-        G = self.parent
-        gens = self.gens
-        return all(
-            G.mul(a, b) == G.mul(b, a)
-            for i, a in enumerate(gens)
-            for b in gens[i + 1 :]
-        )
+        return self.parent._all_commute(self.gens)
 
     def as_group(self, name=None) -> SubgroupAsGroup:
         return SubgroupAsGroup(self, name=name)
@@ -505,18 +503,30 @@ def _generate(G: FiniteGroup, candidates) -> tuple[dict, np.ndarray]:
         _extend(G, gens, mask, rest[0])
 
 
+def _pairs(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of every pair (a, b), a from A and b from B, in the
+    order of a loop over A around a loop over B."""
+    A = np.asarray(A, dtype=np.intp)
+    B = np.asarray(B, dtype=np.intp)
+    return np.repeat(A, len(B)), np.tile(B, len(A))
+
+
 def _close_under_conjugation(G: FiniteGroup, gens: dict, mask: np.ndarray, conjugators) -> None:
     """Grow <gens> in place until the conjugators normalize it.
 
     H^c lies in H exactly when every generator of H does, so only the
-    generators are conjugated, including those this loop appends.
+    generators are conjugated, including those this loop appends.  They
+    are conjugated a round at a time, in one batch: the generators not
+    yet conjugated, each by every conjugator in turn, so the candidates
+    reach _extend in the order of a loop over one generator at a time.
     """
-    i = 0
-    while i < len(gens):
-        h = list(gens)[i]
-        for c in conjugators:
-            _extend(G, gens, mask, G.conj(h, c))
-        i += 1
+    conjugators = list(conjugators)
+    done = 0
+    while done < len(gens):
+        fresh = list(gens)[done:]
+        done = len(gens)
+        for x in G._conjugates(*_pairs(fresh, conjugators)).tolist():
+            _extend(G, gens, mask, x)
 
 
 def _masked(G: FiniteGroup, mask: np.ndarray) -> Subgroup:
@@ -582,7 +592,7 @@ def commutator_subgroup(A, B, method: str = "generated") -> Subgroup:
         return subgroup_closure(G, _support(G, G._commutators(a, b)))
     if method != "generated":
         raise ValueError(f"unknown method {method!r}")
-    gens, mask = _generate(G, [G.comm(a, b) for a in A.gens for b in B.gens])
+    gens, mask = _generate(G, G._commutators(*_pairs(A.gens, B.gens)))
     _close_under_conjugation(G, gens, mask, dict.fromkeys(A.gens + B.gens))
     return Subgroup(G, mask, gens)
 
@@ -664,7 +674,7 @@ def pow_element(G: FiniteGroup, x, k: int):
 
 
 def exponent(G: FiniteGroup) -> int:
-    return reduce(math.lcm, (G.element_order(x) for x in G.elements), 1)
+    return reduce(math.lcm, set(G._element_orders(G.elements).tolist()), 1)
 
 
 def p_group_data(G: FiniteGroup) -> tuple[int, int]:

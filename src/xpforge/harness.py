@@ -407,7 +407,8 @@ def _random_fibre_specs(entries, limits):
         Q = quotient(G, normal_closure(G, [w]))
         p1 = Q.projection
         g0 = rng.choice(G.elements)
-        p2 = Homomorphism(G, Q, [p1(G.conj(x, g0)) for x in G.generators])
+        moved = G._conjugates(G.generators, [g0] * len(G.generators))
+        p2 = Homomorphism(G, Q, p1._image[moved].tolist())
         sub = fibre_product(FibreSpec(p1, p2))
         if sub.order * Q.order != G.order * G.order:
             return False, {"failed_on": e.name}

@@ -261,7 +261,7 @@ def abelian_invariants(G) -> list[int]:
     n = G.order
     if n == 1:
         return []
-    order_counts = Counter(G.element_order(x) for x in G.elements)
+    order_counts = Counter(G._element_orders(G.elements).tolist())
     primary: dict[int, list[int]] = {}
     for p in _factorize(n):
         fks = []
@@ -613,7 +613,10 @@ def bar_boundaries(G):
     idx1 = {x: i for i, x in enumerate(els)}
     pairs = list(itertools.product(els, els))
     idx2 = {pq: i for i, pq in enumerate(pairs)}
-    mul = G.mul
+    table = G.multiplication_table().tolist()
+
+    def mul(g, h):
+        return table[g][h]
 
     d2: dict[tuple[int, int], int] = defaultdict(int)
     for r, (g, h) in enumerate(pairs):

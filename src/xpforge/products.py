@@ -77,7 +77,7 @@ def antipodal_spec(H: FiniteGroup) -> FibreSpec:
     """Abelianization map of H against its composite with inversion."""
     A = quotient(H, derived_subgroup(H))
     p = A.projection
-    anti = Homomorphism(H, A, [A.inv(p(x)) for x in H.generators])
+    anti = Homomorphism(H, A, A._inverses(p._image[H.generators]).tolist())
     return FibreSpec(p, anti)
 
 
@@ -86,7 +86,9 @@ def s_subgroup(H: FiniteGroup, ambient: TupleGroup | None = None) -> Subgroup:
     to equal the antipodal fibre product."""
     if ambient is None:
         ambient = direct_product(H, H)
-    sub = subgroup_closure(ambient, [ambient.pack((h, H.inv(h))) for h in H.elements])
+    every = np.arange(H.order)
+    pairs = np.ravel_multi_index((every, H._inverses(every)), ambient.shape)
+    sub = subgroup_closure(ambient, pairs)
     if sub != fibre_product(antipodal_spec(H), ambient=ambient):
         raise RuntimeError("antidiagonal closure differs from the fibre product")
     return sub

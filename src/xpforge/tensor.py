@@ -343,14 +343,29 @@ def _kept_relators(words: list[tuple], runs: list, used, cap: int) -> list[Word]
 def _symbol_images(T: PermGroup, kept: list[int], definitions, nsymbols: int) -> np.ndarray:
     """The element of every symbol, indexed by symbol letter, entry 0 the
     identity: the kept symbols are T's generators, and each definition
-    a * r = 1 is evaluated on the images before it."""
-    img = [T.identity] * nsymbols  # letter a at index a - 1, as eval_letters reads it
-    for j, a in enumerate(kept):
-        img[a - 1] = T.generators[j]
+    a * r = 1 is evaluated on the images before it.  A definition's r has
+    at most two letters, and its depth is one more than the deepest
+    symbol r uses (a kept symbol's depth is 0); the definitions of one
+    depth are evaluated together, in one batch of _inverses and
+    _products."""
+    img = np.zeros(nsymbols + 1, dtype=np.intp)  # 0: the letter of the identity
+    img[kept] = T.generators
+    depth = [0] * (nsymbols + 1)
+    batches: list = []
     for a, r in definitions:
-        x = T.eval_letters(r, img)
-        img[abs(a) - 1] = T.inv(x) if a > 0 else x
-    return np.array([T.identity] + img)
+        d = depth[abs(a)] = 1 + max((depth[abs(b)] for b in r), default=0)
+        if d > len(batches):
+            batches.append([])
+        batches[d - 1].append((a,) + r + (0,) * (2 - len(r)))
+    for batch in batches:
+        a, *r = np.array(batch, dtype=np.intp).T
+        factors = [img[abs(b)] for b in r]
+        for b, f in zip(r, factors):
+            f[b < 0] = T._inverses(f[b < 0])
+        x = T._products(*factors)
+        x[a > 0] = T._inverses(x[a > 0])
+        img[abs(a)] = x
+    return img
 
 
 def _nabla_words(base: FiniteGroup, kept: list[int]) -> list[Word]:
@@ -441,7 +456,8 @@ def build_tensor_square(
     n = base.order
     if not delta.mask[img[[1 + _symbol_number(n, g, g) for g in base.elements[1:]]]].all():
         raise RuntimeError("a diagonal symbol lies outside the subgroup of the generator pairs")
-    to_base = Homomorphism(T, base, [base.comm(g, h) for g, h in pairs])
+    g, h = np.array(pairs, dtype=np.intp).T
+    to_base = Homomorphism(T, base, base._commutators(g, h).tolist())
     return TensorSquare(
         base=base,
         group=T,
@@ -469,7 +485,8 @@ def nu_relators(base: FiniteGroup, scope: str) -> list[Word]:
     else:
         raise ValueError(f"unknown scope {scope!r}")
     n = base.presentation.ngens
-    word = [Word(w) for w in base.words]
+    conj = _conjugation_tables(base)[1].tolist()
+    word = [Word(base.word_of(x)) for x in base.elements]
     rels = []
     seen = set()
 
@@ -482,9 +499,7 @@ def nu_relators(base: FiniteGroup, scope: str) -> list[Word]:
         for h2 in slots:
             c12 = commutator(word[h1], mirror_word(word[h2], n))
             for h3 in slots:
-                target = commutator(
-                    word[base.conj(h1, h3)], mirror_word(word[base.conj(h2, h3)], n)
-                )
+                target = commutator(word[conj[h1][h3]], mirror_word(word[conj[h2][h3]], n))
                 emit(conjugate(c12, word[h3]) * ~target)
                 emit(conjugate(c12, mirror_word(word[h3], n)) * ~target)
     return rels
@@ -591,16 +606,11 @@ def build_nu(
         + [square.embed(1, g) for g in base.generators],
     )
     tensor_sub = to_square.kernel()
-    e = base.identity
-    delta = normal_closure(
-        X,
-        [X.comm(embed_left(g), embed_right(g)) for g in base.elements if g != e],
-    )
-    tensor_iso = Homomorphism(
-        tensor.group,
-        X,
-        [X.comm(embed_left(g), embed_right(h)) for g, h in tensor.symbols],
-    )
+    left, right = embed_left._image, embed_right._image
+    # [g, g'] for every nontrivial g (the elements after the identity 0)
+    delta = normal_closure(X, X._commutators(left[1:], right[1:]))
+    g, h = np.array(tensor.symbols, dtype=np.intp).T
+    tensor_iso = Homomorphism(tensor.group, X, X._commutators(left[g], right[h]).tolist())
     if not tensor_iso.is_injective() or tensor_iso.image() != tensor_sub:
         raise RuntimeError("direct tensor presentation does not match [P, P'] inside nu")
     return NuBundle(

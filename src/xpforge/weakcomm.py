@@ -90,7 +90,9 @@ def _short_words(base: FiniteGroup) -> list[Word]:
     """The words w whose relators [w, mirror(w)] make the short family:
     every canonical word of at most 2 letters, then the ordered product
     of every set of k >= 3 distinct base generators."""
-    words = [Word(w) for w in base.words if 0 < len(w) <= 2]
+    length = (base._steps < 2 * len(base.gen_cols)).sum(axis=0)
+    short = np.flatnonzero((0 < length) & (length <= 2)).tolist()
+    words = [Word(base.word_of(x)) for x in short]
     n = base.presentation.ngens
     for k in range(3, n + 1):
         words += [Word(i + 1 for i in subset) for subset in combinations(range(n), k)]
@@ -214,7 +216,7 @@ def build_xp(
     embed_right = Homomorphism(base, X, right_images)
     bad = np.flatnonzero(X._commutators(embed_left._image, embed_right._image))
     if bad.size:
-        word = base.presentation.word_text(Word(base.words[bad[0]]))
+        word = base.presentation.word_text(Word(base.word_of(bad[0])))
         raise RuntimeError(
             f"short commutation family of X fails the full family at the element {word}"
         )
@@ -272,8 +274,9 @@ def fold_difference_generators(bundle: XPBundle, scope: str = "all") -> list:
         items = [g for g in base.generators if g != base.identity]
     else:
         raise ValueError(f"unknown scope {scope!r}")
-    il, ir = bundle.embed_left, bundle.embed_right
-    return [X.mul(il(g), X.inv(ir(g))) for g in items]
+    items = np.asarray(items, dtype=np.intp)
+    left, right = bundle.embed_left._image[items], bundle.embed_right._image[items]
+    return X._products(left, X._inverses(right)).tolist()
 
 
 def symmetrized_generators(base, extra=()) -> list:
@@ -281,8 +284,9 @@ def symmetrized_generators(base, extra=()) -> list:
     the identity dropped -- a symmetric generating set."""
     sym = []
     seen = set()
-    for g in list(base.generators) + list(extra):
-        for h in (g, base.inv(g)):
+    cands = list(base.generators) + list(extra)
+    for g, g_inv in zip(cands, base._inverses(np.asarray(cands, dtype=np.intp)).tolist()):
+        for h in (g, g_inv):
             if h != base.identity and h not in seen:
                 seen.add(h)
                 sym.append(h)
@@ -301,18 +305,19 @@ def z_set(bundle: XPBundle, generating_set=None) -> list:
         sym = list(dict.fromkeys(generating_set))
         if base.identity in sym:
             raise ValueError("generating set contains the identity")
-        if any(base.inv(g) not in sym for g in sym):
+        if any(g not in sym for g in base._inverses(np.asarray(sym, dtype=np.intp)).tolist()):
             raise ValueError("generating set is not symmetric")
         if subgroup_closure(base, sym).order != base.order:
             raise ValueError("set does not generate the base group")
-    il, ir = bundle.embed_left, bundle.embed_right
-    out = []
-    for x1 in sym:
-        for y in sym:
-            ell = X.mul(il(y), X.inv(ir(y)))
-            for x2 in sym:
-                out.append(X.comm(il(x1), X.comm(ell, ir(x2))))
-    return out
+    # one batch per bracket, each in the order of loops over x1, y, x2
+    # (x2 innermost): ell[y] = y * mirror(y)^-1, inner[y, x2] = [ell[y],
+    # mirror(x2)], and the result [x1, inner[y, x2]]
+    m = len(sym)
+    sym = np.asarray(sym, dtype=np.intp)
+    left, right = bundle.embed_left._image[sym], bundle.embed_right._image[sym]
+    ell = X._products(left, X._inverses(right))
+    inner = X._commutators(np.repeat(ell, m), np.tile(right, m))
+    return X._commutators(np.repeat(left, m * m), np.tile(inner, m)).tolist()
 
 
 def swap_pairing_holds(bundle: XPBundle) -> bool:

@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 import pytest
 
-from xpforge import groups
+from xpforge import groups, harness
+from xpforge.catalog import builtin_catalog, catalog_entry
 from xpforge.groups import (
     Homomorphism,
     HomomorphismError,
@@ -43,6 +44,8 @@ from xpforge.groups import (
 from xpforge.tensor import build_nu
 from xpforge.weakcomm import build_xp
 from xpforge.words import parse_presentation
+
+from scalar_oracle import ScalarGroup
 
 PRESENTATIONS = {
     "C2": "gens a\nrels a^2",
@@ -104,7 +107,8 @@ def test_determinism_of_construction():
     a = group_from_presentation(parse_presentation(PRESENTATIONS["D8"]))
     b = group_from_presentation(parse_presentation(PRESENTATIONS["D8"]))
     assert a.words == b.words
-    assert a.cols == b.cols
+    assert np.array_equal(a.gen_cols, b.gen_cols)
+    assert np.array_equal(a._steps, b._steps)
 
 
 @pytest.mark.parametrize(
@@ -198,8 +202,9 @@ def test_commutator_subgroup_methods_agree(name):
 @pytest.mark.parametrize("name", ["D8", "Q8", "Heis27", "S4"])
 def test_normal_closure_matches_brute_force(name):
     G = grp(name)
+    conj = ScalarGroup(G).conj
     for w in G.elements:
-        conjugates = [G.conj(w, g) for g in G.elements]
+        conjugates = [conj(w, g) for g in G.elements]
         assert normal_closure(G, [w]) == subgroup_closure(G, conjugates)
 
 
@@ -501,22 +506,27 @@ def one_group_of_each_kind(kind):
 @pytest.mark.parametrize("kind", ["perm", "tuple", "subgroup", "quotient"])
 def test_right_action_matches_mul(kind):
     G = one_group_of_each_kind(kind)
+    S = ScalarGroup(G)
     assert G.order > 4
     for g in G.elements:
-        want = [G.mul(x, g) for x in G.elements]
+        want = [S.mul(x, g) for x in G.elements]
         assert G.right_action(g).tolist() == want
 
 
 @pytest.mark.parametrize("kind", ["perm", "tuple", "subgroup", "quotient"])
 def test_index_arithmetic_matches_mul_and_inv(kind):
-    # the self-check's array forms of _mul and _inv, on every pair
+    # the array forms against the scalar loops, on every pair; the
+    # scalar mul and inv are one-element views of the array forms
     G = one_group_of_each_kind(kind)
+    S = ScalarGroup(G)
     n = G.order
     A, B = (a.ravel() for a in np.indices((n, n)))
-    want = [G.mul(a, b) for a, b in zip(A.tolist(), B.tolist())]
+    want = [S.mul(a, b) for a, b in zip(A.tolist(), B.tolist())]
     assert G._products(A, B).tolist() == want
     every = np.arange(n)
-    assert G._inverses(every).tolist() == [G.inv(x) for x in G.elements]
+    assert G._inverses(every).tolist() == [S.inv(x) for x in G.elements]
+    assert [G.mul(a, b) for a, b in zip(A.tolist()[::7], B.tolist()[::7])] == want[::7]
+    assert [G.inv(x) for x in G.elements] == [S.inv(x) for x in G.elements]
 
 
 def _members(S):
@@ -548,32 +558,34 @@ def test_subgroup_masks_match_scalar_definitions(kind):
     # each subgroup: (it, its elements by scalar mul, the candidates its
     # generators are greedily drawn from, None where they are not)
     G = one_group_of_each_kind(kind)
+    oracle = ScalarGroup(G)
     every = list(G.elements)
-    brute_center = {x for x in every if all(G.mul(x, y) == G.mul(y, x) for y in every)}
+    brute_center = {x for x in every if all(oracle.mul(x, y) == oracle.mul(y, x) for y in every)}
     subs = {"center": (center(G), brute_center, sorted(brute_center))}
     for k in (2, 3):
-        pows = sorted({pow_element(G, x, k) for x in every})
-        subs[f"power {k}"] = (power_subgroup(G, k), _closure_by_mul(G, pows), pows)
+        pows = sorted({pow_element(oracle, x, k) for x in every})
+        subs[f"power {k}"] = (power_subgroup(G, k), _closure_by_mul(oracle, pows), pows)
     seeds = [x for x in every if x % 5 == 3][:2]
     C = subgroup_closure(G, seeds)
-    subs["closure"] = (C, _closure_by_mul(G, seeds), seeds)
+    subs["closure"] = (C, _closure_by_mul(oracle, seeds), seeds)
     N = normal_closure(G, [G.generators[0]])
-    meet = _closure_by_mul(G, seeds) & _members(N)
+    meet = _closure_by_mul(oracle, seeds) & _members(N)
     subs["intersection"] = (intersection(C, N), meet, sorted(meet))
     # G -> Q x Q, x -> (xN, xN): kernel N, image the diagonal
     Q = quotient(G, N)
     P = direct_product(Q, Q)
     f = Homomorphism(G, P, [P.pack((Q.projection(g),) * 2) for g in G.generators])
-    ker = {x for x in every if _word_image(f, x) == 0}
+    images = _word_images(f)
+    ker = {x for x in every if images[x] == 0}
     subs["kernel"] = (f.kernel(), ker, sorted(ker))
-    subs["image"] = (f.image(), {_word_image(f, x) for x in every}, None)
+    subs["image"] = (f.image(), set(images), None)
     assert f.image().order == Q.order < P.order
     for what, (S, want, candidates) in subs.items():
         assert _members(S) == want, what
         assert S.order == len(want), what
         assert subgroup_closure(S.parent, S.gens) == S, what
         if candidates is not None:
-            assert list(S.gens) == _greedy(S.parent, candidates), what
+            assert list(S.gens) == _greedy(oracle, candidates), what
 
 
 def test_subgroups_of_different_parents_do_not_compare():
@@ -638,13 +650,12 @@ def test_self_check_catches_a_broken_law(law, monkeypatch):
         group_from_presentation(parse_presentation(PRESENTATIONS["D8"]))
 
 
-def _word_image(f, x):
-    """The image of x as the product of generator images along its
-    canonical word."""
-    r = f.codomain.identity
-    for k in f.domain.word_of(x):
-        r = f.codomain.mul(r, f.images[k - 1])
-    return r
+def _word_images(f):
+    """The image of every domain element as the product of generator
+    images along its canonical word, by scalar mul."""
+    cod = ScalarGroup(f.codomain)
+    words = ScalarGroup(f.domain).words
+    return [functools.reduce(cod.mul, (f.images[k - 1] for k in w), cod.identity) for w in words]
 
 
 @pytest.mark.parametrize("which", ["alpha", "beta", "rho", "tensor_iso"])
@@ -653,7 +664,7 @@ def test_images_follow_the_canonical_words(which):
         f = build_nu(grp("D8")).tensor_iso
     else:
         f = getattr(xp_bundle("Q8"), which)
-    assert all(f(x) == _word_image(f, x) for x in f.domain.elements)
+    assert [f(x) for x in f.domain.elements] == _word_images(f)
     # the image, read off the image array, is what the generator images close to
     im = f.image()
     assert im == subgroup_closure(f.codomain, f.images)
@@ -689,7 +700,7 @@ def test_product_law_is_proved_on_every_domain_kind(kind):
     with pytest.raises(HomomorphismError, match="product law"):
         Homomorphism(A, B, bad)
     f = Homomorphism(A, B, good)
-    assert all(f(x) == _word_image(f, x) for x in A.elements)
+    assert [f(x) for x in A.elements] == _word_images(f)
     assert f.kernel().order * f.image().order == A.order
 
 
@@ -764,3 +775,87 @@ def test_permgroup_words_are_the_words_of_its_steps(name):
     assert isinstance(G, PermGroup)
     assert G.words == _decoded_words(G)
     assert G.table.words == G.words
+
+
+# every catalog base, one doubled group and one pairing group: the batch
+# operations against the scalar loops they replaced (tests/scalar_oracle.py)
+ORACLE_SUBJECTS = [e.name for e in builtin_catalog()] + ["X(C3xC3)", "nu(C3)"]
+
+
+def oracle_subject(name):
+    if name.startswith("X("):
+        return harness.xp_of(catalog_entry(name[2:-1])).group
+    if name.startswith("nu("):
+        return harness.nu_of(catalog_entry(name[3:-1])).group
+    return harness.base_group(catalog_entry(name))
+
+
+def trivial_group():
+    return group_from_presentation(parse_presentation("gens a\nrels a"))
+
+
+@pytest.mark.parametrize("name", ORACLE_SUBJECTS)
+def test_element_orders_and_exponent_match_the_scalar_loops(name):
+    G = oracle_subject(name)
+    S = ScalarGroup(G)
+    orders = [S.element_order(x) for x in G.elements]
+    assert G._element_orders(G.elements).tolist() == orders
+    assert exponent(G) == S.exponent()
+    assert G.is_abelian() == S.is_abelian()
+    x = G.order - 1
+    assert G.element_order(x) == orders[x]
+
+
+# on these two, conjugating by one conjugator at a time instead of one
+# generator at a time draws other generators
+@pytest.mark.parametrize("name", ORACLE_SUBJECTS + ["X(C2xC4)", "nu(D8)"])
+def test_closures_draw_the_generators_of_the_scalar_loops(name):
+    # the batched conjugation and commutator candidates reach the greedy
+    # generating set in the order of the one-at-a-time loops
+    G = oracle_subject(name)
+    S = ScalarGroup(G)
+    W, D = whole_subgroup(G), derived_subgroup(G)
+    cyclic = subgroup_closure(G, [G.generators[0]])
+    spread = [x for x in G.elements if x % 7 == 3][:3]
+    pair = [x for x in G.elements if x % 5 == 2][:2]
+    for A, B in [(W, W), (W, D), (cyclic, W), (D, cyclic), (trivial_subgroup(G), W)]:
+        got, want = commutator_subgroup(A, B), S.commutator_subgroup(A, B)
+        assert got.gens == want.gens and got == want
+    for seeds in ([G.generators[-1]], spread, pair, []):
+        got, want = normal_closure(G, seeds), S.normal_closure(seeds)
+        assert got.gens == want.gens and got == want
+    for sub in (W, D, cyclic, subgroup_closure(G, spread), trivial_subgroup(G)):
+        assert sub.is_normal() == S.is_normal(sub)
+
+
+def test_is_normal_on_a_normal_and_a_non_normal_subgroup():
+    G = grp("D8")
+    S = ScalarGroup(G)
+    a, b = G.generators
+    for sub, normal in ((subgroup_closure(G, [a]), True), (subgroup_closure(G, [b]), False)):
+        assert sub.is_normal() is normal
+        assert S.is_normal(sub) is normal
+
+
+def test_no_conjugators_leave_the_generated_subgroup():
+    G = grp("S4")
+    S = ScalarGroup(G)
+    seeds = [G.generators[0]]
+    gens, mask = groups._generate(G, seeds)
+    groups._close_under_conjugation(G, gens, mask, [])
+    want = S.closed_under_conjugation(seeds, [])
+    assert tuple(gens) == want.gens and np.array_equal(mask, want.mask)
+    assert want == subgroup_closure(G, seeds) != normal_closure(G, seeds)
+
+
+@pytest.mark.parametrize("G", [trivial_group(), direct_product()], ids=["one-generator", "no-generator"])
+def test_batch_operations_on_the_trivial_group(G):
+    assert G.order == 1
+    assert G._element_orders(G.elements).tolist() == [1]
+    assert exponent(G) == 1 and G.is_abelian()
+    assert (G.mul(0, 0), G.inv(0), G.comm(0, 0), G.conj(0, 0), G.element_order(0)) == (0, 0, 0, 0, 1)
+    assert G.word_of(0) == () and G.words == [()]
+    W, E = whole_subgroup(G), trivial_subgroup(G)
+    assert commutator_subgroup(W, E).gens == commutator_subgroup(E, E).gens == ()
+    assert normal_closure(G, []).gens == normal_closure(G, [0]).gens == ()
+    assert E.is_normal() and W.is_normal()

@@ -270,3 +270,52 @@ def test_builds_and_verify_all_load_no_masked_arrays():
     code, absent, loaded = out.stdout.split()
     assert code == "0"
     assert absent == "False" or loaded == "False"
+
+
+WORDS_NEVER_BUILT = """
+import os
+from xpforge import cli, coset, groups, harness
+from xpforge.catalog import builtin_catalog, catalog_entry
+from xpforge.tensor import SizeGateError
+
+calls = {"words_from_levels": 0, "FiniteGroup.words": 0}
+spell, words = coset.words_from_levels, groups.FiniteGroup.words
+
+
+def counted_spell(*args):
+    calls["words_from_levels"] += 1
+    return spell(*args)
+
+
+def counted_words(self):
+    calls["FiniteGroup.words"] += 1
+    return words.fget(self)
+
+
+coset.words_from_levels = groups.words_from_levels = counted_spell
+groups.FiniteGroup.words = property(counted_words)
+for e in builtin_catalog():
+    harness.tensor_of(e).h2_invariants()
+    harness.xp_of(e).h2_invariants()
+    try:
+        harness.nu_of(e).h2_invariants()
+    except SizeGateError:
+        pass
+code = cli.main(["verify", "--suite", "all", "--out", os.devnull])
+print(code, calls["words_from_levels"], calls["FiniteGroup.words"])
+harness.base_group(catalog_entry("D8")).words  # the counters count
+print(calls["words_from_levels"], calls["FiniteGroup.words"])
+"""
+
+
+def test_builds_and_verify_all_spell_no_tuple_words():
+    # every construction and check runs on the word steps and the batch
+    # operations; the words of a whole group are spelled only on request
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xpforge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", WORDS_NEVER_BUILT], env=env, capture_output=True, text=True, check=True
+    )
+    run, probe = out.stdout.splitlines()
+    assert run.split() == ["0", "0", "0"]
+    assert probe.split() == ["1", "1"]

@@ -54,6 +54,8 @@ from xpforge.tensor import (
 from xpforge.weakcomm import build_xp, mirror_names
 from xpforge.words import Word, free_reduce, parse_presentation
 
+from scalar_oracle import ScalarGroup
+
 PRESENTATIONS = {
     "C2": "gens a\nrels a^2",
     "C3": "gens a\nrels a^3",
@@ -167,16 +169,16 @@ def test_symbols_biadditive_for_abelian_base():
 def test_symbols_are_numbered_generators_with_the_defining_relations():
     # a nonabelian base whose commutators have order 3, so that s(g, h)
     # and s(h, g) cannot stand in for each other
-    G = base("Mod27")
+    G = ScalarGroup(base("Mod27"))
     T = tensor("Mod27")
     names = T.group.presentation.generators
     for k, (g, h) in enumerate(T.symbols):
         assert T.symbol(g, h) == T.group.generators[k]
         assert names[k] == f"s{g}_{h}"
-    for k, (g, h) in enumerate(tensor_module._tensor_symbols(G)):
+    for k, (g, h) in enumerate(tensor_module._tensor_symbols(G.group)):
         assert T.symbol(g, h) == T.images[k + 1]
         assert T.to_base(T.symbol(g, h)) == G.comm(g, h)
-    mul, conj = T.group.mul, G.conj
+    mul, conj = ScalarGroup(T.group).mul, G.conj
     for g1 in G.elements:
         for g in G.elements:
             for h in G.elements:
@@ -337,7 +339,8 @@ def reference_relators(G, movers):
             seen.add(w.letters)
             rels.append(w)
 
-    mul, conj = G.mul, G.conj
+    S = ScalarGroup(G)
+    mul, conj = S.mul, S.conj
     for g1 in els:
         for g in movers:
             for h in els:
@@ -373,7 +376,8 @@ def test_expansion_certificate_agrees_with_the_word_family(entry):
     assert [w for w in spelled if w] == full
     img = harness.tensor_of(entry).images
     assert _rows_hold(T, rows, img)
-    assert all(T.eval_letters(w.letters, img[1:].tolist()) == T.identity for w in full)
+    S = ScalarGroup(T)
+    assert all(S.eval_letters(w.letters, img[1:].tolist()) == T.identity for w in full)
     if len(img) == 2:
         return
     k = next(k for k in range(2, len(img)) if img[k] != img[1])
@@ -381,7 +385,7 @@ def test_expansion_certificate_agrees_with_the_word_family(entry):
     swapped[[1, k]] = img[[k, 1]]
     assert not _rows_hold(T, rows, swapped)
     gens = swapped[1:].tolist()
-    assert not all(T.eval_letters(w.letters, gens) == T.identity for w in full)
+    assert not all(S.eval_letters(w.letters, gens) == T.identity for w in full)
 
 
 def test_certificate_multiplies_in_row_order():
@@ -655,9 +659,9 @@ def test_fold_restricted_to_tensor_reads_the_multiplier():
 
 
 def test_conjugation_compatibility_sampled():
-    G = base("D8")
+    G = ScalarGroup(base("D8"))
     b = nu("D8")
-    N = b.group
+    N = ScalarGroup(b.group)
     il, ir = b.embed_left, b.embed_right
     rng = random.Random(0xC0FFEE)
     els = list(G.elements)

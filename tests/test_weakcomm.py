@@ -34,10 +34,13 @@ from xpforge.weakcomm import (
     mirror_names,
     mirror_word,
     swap_pairing_holds,
+    symmetrized_generators,
     xp_presentation,
     z_set,
 )
 from xpforge.words import Word, parse_presentation
+
+from scalar_oracle import ScalarGroup, scalar_z_set
 
 PRESENTATIONS = {
     "C2": "gens a\nrels a^2",
@@ -193,6 +196,23 @@ def test_z_set_closure_recovers_r_in_rank_three():
     assert b.R.order == 2
 
 
+@pytest.mark.parametrize("name", ["C2", "D8", "Q8", "C3xC3", "E8", "Heis27"])
+def test_z_set_is_the_list_of_the_scalar_loops(name):
+    # the batched brackets keep the loop order x1, y, x2 (x2 innermost),
+    # for the default set and for one with a spare element
+    b = harness.xp_of(catalog_entry(name)) if name == "Heis27" else bundle(name)
+    base = b.base
+    sym = symmetrized_generators(base)
+    assert z_set(b) == scalar_z_set(b, sym)
+    spare = next((g for g in base.elements if g != base.identity and g not in sym), None)
+    if spare is not None:
+        wider = symmetrized_generators(base, extra=[spare])
+        assert z_set(b, wider) == scalar_z_set(b, wider)
+    if len(sym) > 1 and ScalarGroup(base).inv(sym[0]) != sym[0]:
+        with pytest.raises(ValueError, match="not symmetric"):
+            z_set(b, sym[:1])
+
+
 def test_generator_only_pairing_can_present_an_infinite_group():
     # dropping the non-generator pairing relators is not harmless: for K4
     # the enumeration no longer closes at any reasonable size
@@ -260,9 +280,8 @@ def test_commutation_certificate_agrees_with_the_word_family(entry):
     if X.is_abelian():
         assert len(G.generators) == 1
         return
-    g, y = next(
-        (g, y) for g in G.elements for y in X.elements if X.comm(left[g], y) != X.identity
-    )
+    comm = ScalarGroup(X).comm
+    g, y = next((g, y) for g in G.elements for y in X.elements if comm(left[g], y) != X.identity)
     moved = right.copy()
     moved[g] = y
     assert np.flatnonzero(X._commutators(left, moved)).tolist() == [g]
