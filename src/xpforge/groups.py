@@ -259,10 +259,10 @@ class FiniteGroup:
         return orders
 
     def _all_commute(self, X) -> bool:
-        """Whether the elements of X commute pairwise."""
-        X = np.asarray(X, dtype=np.intp)
-        i, j = np.triu_indices(len(X), 1)
-        return np.array_equal(self._products(X[i], X[j]), self._products(X[j], X[i]))
+        """Whether the elements of X commute pairwise: the table of their
+        products is symmetric."""
+        table = self._products(*_pairs(X, X)).reshape(len(X), len(X))
+        return np.array_equal(table, table.T)
 
     def multiplication_table(self) -> np.ndarray:
         """The n x n array of x*y, row x and column y."""

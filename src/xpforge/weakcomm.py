@@ -90,9 +90,7 @@ def _short_words(base: FiniteGroup) -> list[Word]:
     """The words w whose relators [w, mirror(w)] make the short family:
     every canonical word of at most 2 letters, then the ordered product
     of every set of k >= 3 distinct base generators."""
-    length = (base._steps < 2 * len(base.gen_cols)).sum(axis=0)
-    short = np.flatnonzero((0 < length) & (length <= 2)).tolist()
-    words = [Word(base.word_of(x)) for x in short]
+    words = [Word(w) for w in map(base.word_of, base.elements) if 0 < len(w) <= 2]
     n = base.presentation.ngens
     for k in range(3, n + 1):
         words += [Word(i + 1 for i in subset) for subset in combinations(range(n), k)]
