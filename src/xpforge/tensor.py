@@ -346,25 +346,25 @@ def _symbol_images(T: PermGroup, kept: list[int], definitions, nsymbols: int) ->
     a * r = 1 is evaluated on the images before it.  A definition's r has
     at most two letters, and its depth is one more than the deepest
     symbol r uses (a kept symbol's depth is 0); the definitions of one
-    depth are evaluated together, in one batch of _inverses and
-    _products."""
+    depth are evaluated together, in one batch of _products, with the
+    inverse of every element of T read off one array."""
     img = np.zeros(nsymbols + 1, dtype=np.intp)  # 0: the letter of the identity
     img[kept] = T.generators
     depth = [0] * (nsymbols + 1)
     batches: list = []
     for a, r in definitions:
-        d = depth[abs(a)] = 1 + max((depth[abs(b)] for b in r), default=0)
+        x, y = (*r, 0, 0)[:2]  # r padded with 0, the letter of depth 0
+        d = depth[abs(a)] = 1 + max(depth[abs(x)], depth[abs(y)])
         if d > len(batches):
             batches.append([])
-        batches[d - 1].append((a,) + r + (0,) * (2 - len(r)))
+        batches[d - 1].append((a, x, y))
+    inv = T._inverses(np.arange(T.order))
     for batch in batches:
-        a, *r = np.array(batch, dtype=np.intp).T
-        factors = [img[abs(b)] for b in r]
-        for b, f in zip(r, factors):
-            f[b < 0] = T._inverses(f[b < 0])
-        x = T._products(*factors)
-        x[a > 0] = T._inverses(x[a > 0])
-        img[abs(a)] = x
+        rows = np.array(batch, dtype=np.intp)
+        vals = img[abs(rows)]
+        vals = np.where(rows < 0, inv[vals], vals)
+        x = T._products(vals[:, 1], vals[:, 2])
+        img[abs(rows[:, 0])] = np.where(rows[:, 0] > 0, inv[x], x)
     return img
 
 
