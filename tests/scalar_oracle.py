@@ -26,7 +26,6 @@ class ScalarGroup:
         self.identity = G.identity
         self.elements = G.elements
         self.generators = G.generators
-        self.order = G.order
         self.words = words_from_levels(G.order, shortlex_bfs(G.gen_cols))
         self.cols = {k + 1: col for k, col in enumerate(G.gen_cols.tolist())}
         self.inv_cols = {}
@@ -70,8 +69,8 @@ class ScalarGroup:
     def exponent(self):
         return reduce(math.lcm, (self.element_order(x) for x in self.elements), 1)
 
-    def is_abelian(self, X=None):
-        X = list(self.generators if X is None else X)
+    def is_abelian(self):
+        X = self.generators
         return all(self.mul(g, h) == self.mul(h, g) for i, g in enumerate(X) for h in X[i + 1 :])
 
     def eval_letters(self, letters, images=None):
