@@ -218,19 +218,24 @@ def standardize(cols: np.ndarray, rel_cols) -> tuple[np.ndarray, list]:
 
     `cols` holds all 2*ngens columns (ncols x n), column 2*i+1 the inverse
     of column 2*i, and `rel_cols` the relators as column tuples.  Raises
-    RuntimeError unless every column is a permutation, every relator acts
-    as the identity, and the BFS along the positive columns from point 0
-    reaches every point.  Returns the table renumbered in that BFS order
-    and the levels of that BFS renumbered with it (new found, new src,
-    gen): the levels that shortlex_bfs gives on the returned table, so
-    that no caller searches it again.
+    RuntimeError unless every entry is a point, column 2*i+1 undoes
+    column 2*i at every point (so both are permutations, inverse to each
+    other, as _words_close assumes of every inverse letter), every
+    relator acts as the identity, and the BFS along the positive columns
+    from point 0 reaches every point.  Returns the table renumbered in
+    that BFS order and the levels of that BFS renumbered with it (new
+    found, new src, gen): the levels that shortlex_bfs gives on the
+    returned table, so that no caller searches it again.
     """
     n = cols.shape[1]
     idx = np.arange(n, dtype=np.int32)
-    step = max(1, CHUNK_CELLS // max(n, 1))
+    step = 2 * max(1, CHUNK_CELLS // max(2 * n, 1))
+    if cols.size and not 0 <= cols.min() <= cols.max() < n:
+        raise RuntimeError("a table entry is not a point")
     for s in range(0, len(cols), step):
-        if not (np.sort(cols[s : s + step], axis=1) == idx).all():
-            raise RuntimeError("a table column is not a permutation")
+        pair = cols[s : s + step]
+        if not (np.take_along_axis(pair[1::2], pair[0::2], axis=1) == idx).all():
+            raise RuntimeError("a table column is not the inverse of its generator's")
     if not _words_close(cols, _by_length(rel_cols)):
         raise RuntimeError("a relator does not close on the table")
     levels = shortlex_bfs(cols[0::2])

@@ -61,6 +61,12 @@ normal closure in <A, B> of the commutators of generators (Holt-Eick-
 O'Brien, Handbook of Computational Group Theory, 2005, sections 3.3 and
 4.1).
 
+A group never changes after construction, so the facts the checks read
+again and again are computed once and kept in the group's memo
+(FiniteGroup._remember): the whole subgroup, G', Z(G) and the
+multiplication table, each shared and read-only.  direct_product keeps
+each product it builds for as long as something else holds it.
+
 Every group checks itself at construction on index arrays: the identity
 law, the inverse law for every element at once, and associativity on
 sampled triples.  All operations are deterministic: elements are ordered
@@ -72,6 +78,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -124,7 +131,8 @@ class FiniteGroup:
     arrays along it; mul, inv, comm, conj and element_order are
     one-element views of them, and no tuple word is kept: word_of spells
     one element's word from its steps, and `words` spells every word on
-    each read.
+    each read.  `_memo` keeps the facts computed once per group, by
+    _remember.
     """
 
     identity = 0
@@ -132,6 +140,7 @@ class FiniteGroup:
 
     def __init__(self, generators, gen_cols, name=None, presentation=None, levels=None):
         n = gen_cols.shape[1]
+        self._memo = {}
         self.elements = range(n)
         self.generators = list(generators)
         self.gen_cols = gen_cols
@@ -265,21 +274,27 @@ class FiniteGroup:
         return np.array_equal(table, table.T)
 
     def multiplication_table(self) -> np.ndarray:
-        """The n x n array of x*y, row x and column y."""
-        return np.stack([self.right_action(y) for y in self.elements], axis=1)
+        """The n x n array of x*y, row x and column y; read-only, computed
+        once per group."""
+        return self._remember(
+            "table", lambda: np.stack([self.right_action(y) for y in self.elements], axis=1)
+        )
 
     def is_abelian(self) -> bool:
         return self._all_commute(self.generators)
 
-    def eval_letters(self, letters, images=None):
-        """Evaluate a signed-letter word over `images` (default: own
-        generators)."""
-        if images is None:
-            images = self.generators
-        x = self.identity
-        for a in letters:
-            x = self.mul(x, images[a - 1]) if a > 0 else self.mul(x, self.inv(images[-a - 1]))
-        return x
+    def _remember(self, fact: str, compute):
+        """The stored answer for `fact`, from compute() on the first
+        request.  A group never changes after construction, so the stored
+        answer is the one a fresh computation would give; its arrays (a
+        subgroup's mask) are made read-only, so no caller can change it
+        for the next."""
+        if fact not in self._memo:
+            answer = compute()
+            for a in answer if isinstance(answer, tuple) else (answer,):
+                (a.mask if isinstance(a, Subgroup) else a).flags.writeable = False
+            self._memo[fact] = answer
+        return self._memo[fact]
 
     # -- construction-time sanity ----------------------------------------------
 
@@ -554,7 +569,9 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def whole_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, np.ones(G.order, dtype=bool), _generate(G, G.generators)[0])
+    return G._remember(
+        "whole", lambda: Subgroup(G, np.ones(G.order, dtype=bool), _generate(G, G.generators)[0])
+    )
 
 
 def normal_closure(G: FiniteGroup, seeds) -> Subgroup:
@@ -599,25 +616,32 @@ def commutator_subgroup(A, B, method: str = "generated") -> Subgroup:
 
 def center(G: FiniteGroup) -> Subgroup:
     """The elements x with x*g = g*x for every generator g: the generator
-    columns against g*x, all generators in one batch of products."""
-    n = G.order
-    gens = np.array(G.generators, dtype=np.intp)
-    left = G._products(np.repeat(gens, n), np.tile(np.arange(n), len(gens)))
-    return _masked(G, (G.gen_cols == left.reshape(-1, n)).all(axis=0))
+    columns against g*x, all generators in one batch of products.
+    Computed once per group."""
+
+    def compute():
+        n = G.order
+        gens = np.array(G.generators, dtype=np.intp)
+        left = G._products(np.repeat(gens, n), np.tile(np.arange(n), len(gens)))
+        return _masked(G, (G.gen_cols == left.reshape(-1, n)).all(axis=0))
+
+    return G._remember("center", compute)
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    return commutator_subgroup(whole_subgroup(G), whole_subgroup(G))
+    """G' = [G, G], computed once per group."""
+    return G._remember("derived", lambda: commutator_subgroup(whole_subgroup(G), whole_subgroup(G)))
 
 
 def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
-    """G = gamma_1 >= gamma_2 = [G, gamma_1] >= ... until it stabilizes."""
+    """G = gamma_1 >= gamma_2 = [G, gamma_1] >= ... until it stabilizes;
+    gamma_2 is the stored G'."""
     series = [whole_subgroup(G)]
-    while True:
-        nxt = commutator_subgroup(whole_subgroup(G), series[-1])
-        if nxt == series[-1]:
-            return series
+    nxt = derived_subgroup(G)
+    while nxt != series[-1]:
         series.append(nxt)
+        nxt = commutator_subgroup(series[0], nxt)
+    return series
 
 
 def derived_series(G: FiniteGroup) -> list[Subgroup]:
@@ -663,14 +687,6 @@ def power_subgroup(G: FiniteGroup, k: int) -> Subgroup:
     for _ in range(abs(k)):
         pows = G._products(pows, every)
     return subgroup_closure(G, _support(G, pows))
-
-
-def pow_element(G: FiniteGroup, x, k: int):
-    r = G.identity
-    b = x if k >= 0 else G.inv(x)
-    for _ in range(abs(k)):
-        r = G.mul(r, b)
-    return r
 
 
 def exponent(G: FiniteGroup) -> int:
@@ -906,5 +922,17 @@ def group_from_normal_subgroup(
     return G, Subgroup(G, coset == 0, [h for h in dict.fromkeys(gens) if h != G.identity])
 
 
+# (factors, name) -> their direct product, while something else holds it
+_PRODUCTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def direct_product(*groups: FiniteGroup, name=None) -> TupleGroup:
-    return TupleGroup(groups, name=name)
+    """The direct product of `groups`.  A request for the same factors
+    and name returns the product already built while something still
+    holds it; the entry goes with the last holder, so the memo alone
+    never keeps a product alive."""
+    key = (groups, name)
+    product = _PRODUCTS.get(key)
+    if product is None:
+        product = _PRODUCTS[key] = TupleGroup(groups, name=name)
+    return product

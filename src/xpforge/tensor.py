@@ -165,10 +165,15 @@ def _symbol_number(n: int, g: int, h: int) -> int:
 
 
 def _conjugation_tables(base: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
-    """The n x n arrays of x*y and of x^y, row x and column y."""
-    mul = base.multiplication_table()
-    inv = np.argmax(mul == base.identity, axis=1)
-    return mul, mul[inv[None, :], mul]
+    """The n x n arrays of x*y and of x^y, row x and column y; read-only,
+    computed once per base."""
+
+    def compute():
+        mul = base.multiplication_table()
+        inv = np.argmax(mul == base.identity, axis=1)
+        return mul, mul[inv[None, :], mul]
+
+    return base._remember("conjugation_tables", compute)
 
 
 def _expansion_rows(base: FiniteGroup, movers) -> np.ndarray:

@@ -8,6 +8,9 @@ shares no word steps with FiniteGroup, so a batch operation that walked
 the wrong word, or multiplied in the wrong order, disagrees with it.  The
 closure and Z-set loops below are the one-element-at-a-time forms of the
 engine's batched ones, in the candidate order the engine must keep.
+eval_letters and pow_element walk a word or a power one product at a
+time, on any group with mul and inv (a FiniteGroup's one-element views,
+or a ScalarGroup's loops); no program code needs them.
 """
 
 import math
@@ -15,6 +18,26 @@ from functools import reduce
 
 from xpforge import groups
 from xpforge.coset import shortlex_bfs, words_from_levels
+
+
+def eval_letters(G, letters, images=None):
+    """Evaluate a signed-letter word over `images` (default: G's
+    generators) with G's one-element mul and inv."""
+    if images is None:
+        images = G.generators
+    x = G.identity
+    for a in letters:
+        x = G.mul(x, images[a - 1]) if a > 0 else G.mul(x, G.inv(images[-a - 1]))
+    return x
+
+
+def pow_element(G, x, k: int):
+    """x^k by k one-element products (|k| of x^-1 for k < 0)."""
+    r = G.identity
+    b = x if k >= 0 else G.inv(x)
+    for _ in range(abs(k)):
+        r = G.mul(r, b)
+    return r
 
 
 class ScalarGroup:
@@ -76,12 +99,7 @@ class ScalarGroup:
     def eval_letters(self, letters, images=None):
         """Evaluate a signed-letter word over `images` (default: the
         generators)."""
-        if images is None:
-            images = self.generators
-        x = self.identity
-        for a in letters:
-            x = self.mul(x, images[a - 1]) if a > 0 else self.mul(x, self.inv(images[-a - 1]))
-        return x
+        return eval_letters(self, letters, images)
 
     # -- the engine's closures, one candidate at a time ------------------------
 

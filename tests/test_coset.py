@@ -634,3 +634,16 @@ def test_table_levels_are_handed_over_once():
     assert table._levels is None
     assert _same_levels(table.take_levels(), first)
     assert table.words == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 1), (1, 1, 2)]
+
+
+def test_standardize_checks_that_each_odd_column_inverts_its_generator():
+    # C3 on three points: the inverse column of a is a^-1; repeating a
+    # there gives two permutations that a sort of each column accepts
+    a = np.array([1, 2, 0], dtype=np.int32)
+    std, _ = coset.standardize(np.array([a, np.argsort(a)], dtype=np.int32), [])
+    assert std.tolist() == [[1, 2, 0], [2, 0, 1]]
+    with pytest.raises(RuntimeError, match="not the inverse"):
+        coset.standardize(np.array([a, a]), [])
+    for bad in ([[1, 2, -3], [2, 0, 1]], [[1, 2, 3], [3, 0, 1]]):
+        with pytest.raises(RuntimeError, match="not a point"):
+            coset.standardize(np.array(bad, dtype=np.int32), [])

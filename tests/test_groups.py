@@ -6,7 +6,9 @@ subgroups, element-order multisets) frozen directly.
 """
 
 import functools
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from xpforge.groups import (
     PermGroup,
     QuotientGroup,
     Subgroup,
+    TupleGroup,
     center,
     commutator_subgroup,
     derived_series,
@@ -34,18 +37,17 @@ from xpforge.groups import (
     nilpotency_class,
     normal_closure,
     p_group_data,
-    pow_element,
     power_subgroup,
     quotient,
     subgroup_closure,
     trivial_subgroup,
     whole_subgroup,
 )
-from xpforge.tensor import build_nu
+from xpforge.tensor import _conjugation_tables, build_nu
 from xpforge.weakcomm import build_xp
 from xpforge.words import parse_presentation
 
-from scalar_oracle import ScalarGroup
+from scalar_oracle import ScalarGroup, eval_letters, pow_element
 
 PRESENTATIONS = {
     "C2": "gens a\nrels a^2",
@@ -93,7 +95,7 @@ def test_words_match_table_and_evaluate_back():
     G = grp("Q8")
     assert G.words == G.table.words
     for e in G.elements:
-        assert G.eval_letters(G.word_of(e)) == e
+        assert eval_letters(G, G.word_of(e)) == e
 
 
 def test_words_are_shortlex_increasing():
@@ -601,7 +603,7 @@ def test_words_and_generator_columns_on_every_kind(kind):
     assert G.identity == 0
     assert G.elements == range(G.order)
     for x in G.elements:
-        assert G.eval_letters(G.word_of(x)) == x
+        assert eval_letters(G, G.word_of(x)) == x
     for col, g in zip(G.gen_cols, G.generators):
         assert col.tolist() == G.right_action(g).tolist()
 
@@ -859,3 +861,72 @@ def test_batch_operations_on_the_trivial_group(G):
     assert commutator_subgroup(W, E).gens == commutator_subgroup(E, E).gens == ()
     assert normal_closure(G, []).gens == normal_closure(G, [0]).gens == ()
     assert E.is_normal() and W.is_normal()
+
+
+# ------------------------------------------------------------ the per-group memo
+
+MEMO_SUBJECTS = ORACLE_SUBJECTS[:-2] + ["X(Q8)", "nu(Q8)"]
+# nu(Q8) has order 4096: its multiplication table would take 64 MB, and
+# its square 16.7 million elements
+TABLE_SUBJECTS = MEMO_SUBJECTS[:-1]
+
+
+def _fresh_whole(G):
+    return Subgroup(G, np.ones(G.order, dtype=bool), groups._generate(G, G.generators)[0])
+
+
+@pytest.mark.parametrize("name", MEMO_SUBJECTS)
+def test_memoized_subgroups_are_shared_read_only_and_fresh(name):
+    # each against a computation that never reads the memo: the commutator
+    # subgroup of freshly built whole subgroups, and the centre's test of
+    # every element against the generator columns, one generator at a time
+    G = oracle_subject(name)
+    n = G.order
+    left = np.array([G._products(np.full(n, g), np.arange(n)) for g in G.generators])
+    fresh = {
+        whole_subgroup: _fresh_whole(G),
+        derived_subgroup: commutator_subgroup(_fresh_whole(G), _fresh_whole(G)),
+        center: groups._masked(G, (G.gen_cols == left.reshape(-1, n)).all(axis=0)),
+    }
+    for fact, want in fresh.items():
+        got = fact(G)
+        assert got.gens == want.gens and got == want, fact.__name__
+        assert fact(G) is got, fact.__name__
+        with pytest.raises(ValueError):
+            got.mask[0] = False
+    series = lower_central_series(G)
+    assert series[0] is whole_subgroup(G)
+    assert len(series) == 1 or series[1] is derived_subgroup(G)
+
+
+@pytest.mark.parametrize("name", TABLE_SUBJECTS)
+def test_memoized_tables_are_shared_read_only_and_fresh(name):
+    G = oracle_subject(name)
+    every = np.arange(G.order)
+    fresh = np.stack([G.right_action(y) for y in G.elements], axis=1)
+    table = G.multiplication_table()
+    assert np.array_equal(table, fresh) and G.multiplication_table() is table
+    mul, conj = _conjugation_tables(G)
+    x, y = (a.ravel() for a in np.meshgrid(every, every, indexing="ij"))
+    assert mul is table and np.array_equal(conj.ravel(), G._conjugates(x, y))
+    assert _conjugation_tables(G)[1] is conj
+    for memoized in (table, conj):
+        with pytest.raises(ValueError):
+            memoized[0, 0] = 0
+
+
+@pytest.mark.parametrize("name", TABLE_SUBJECTS)
+def test_direct_products_are_shared_only_while_held(name):
+    G = oracle_subject(name)
+    key = ((G, G), "memo-test")
+    P = direct_product(G, G, name="memo-test")
+    assert direct_product(G, G, name="memo-test") is P
+    assert direct_product(G, G) is not P
+    assert np.array_equal(P.gen_cols, TupleGroup([G, G]).gen_cols)
+    assert groups._PRODUCTS[key] is P
+    # a memoized fact refers back to P, so only the collector frees it
+    derived_subgroup(P)
+    gone = weakref.ref(P)
+    del P
+    gc.collect()
+    assert gone() is None and key not in groups._PRODUCTS
