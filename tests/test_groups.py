@@ -865,7 +865,7 @@ def test_batch_operations_on_the_trivial_group(G):
 
 # ------------------------------------------------------------ the per-group memo
 
-MEMO_SUBJECTS = ORACLE_SUBJECTS[:-2] + ["X(Q8)", "nu(Q8)"]
+MEMO_SUBJECTS = [e.name for e in builtin_catalog()] + ["X(Q8)", "nu(Q8)"]
 # nu(Q8) has order 4096: its multiplication table would take 64 MB, and
 # its square 16.7 million elements
 TABLE_SUBJECTS = MEMO_SUBJECTS[:-1]
