@@ -13,7 +13,9 @@ all-zero digits, the least parent index.  A codec is kept only where
 coordinates mean something: TupleGroup packs and unpacks factor
 coordinates, SubgroupAsGroup maps its indices to the parent's and back
 (`at`, `own`), and QuotientGroup keeps the least parent index of each
-coset (`reps`).
+coset (`reps`).  Only the fibre products and the antidiagonal subgroup
+build a TupleGroup; a map into a product, like rho on X(G), is held as
+one homomorphism per coordinate instead.
 
 coset.shortlex_bfs, the level-at-a-time BFS that also standardizes coset
 tables, gives every element its shortlex word in the generators, held as
@@ -64,8 +66,7 @@ O'Brien, Handbook of Computational Group Theory, 2005, sections 3.3 and
 A group never changes after construction, so the facts the checks read
 again and again are computed once and kept in the group's memo
 (FiniteGroup._remember): the whole subgroup, G', Z(G) and the
-multiplication table, each shared and read-only.  direct_product keeps
-each product it builds for as long as something else holds it.
+multiplication table, each shared and read-only.
 
 Every group checks itself at construction on index arrays: the identity
 law, the inverse law for every element at once, and associativity on
@@ -78,7 +79,6 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 from functools import reduce
 
 import numpy as np
@@ -591,24 +591,15 @@ def _as_subgroup(X) -> Subgroup:
     return whole_subgroup(X) if isinstance(X, FiniteGroup) else X
 
 
-def commutator_subgroup(A, B, method: str = "generated") -> Subgroup:
-    """[A, B]: the subgroup generated by all commutators [a, b].
-
-    'generated' (the only path the engine uses) takes the normal closure
-    in <A, B> of the commutators of generators, closing under conjugation
-    by the generators of A and B.  'elementwise' closes all |A|*|B|
-    commutators; it is the oracle the tests compare against.
-    """
+def commutator_subgroup(A, B) -> Subgroup:
+    """[A, B]: the subgroup generated by all commutators [a, b], as the
+    normal closure in <A, B> of the commutators of generators, closing
+    under conjugation by the generators of A and B."""
     A = _as_subgroup(A)
     B = _as_subgroup(B)
     if A.parent is not B.parent:
         raise ValueError("subgroups of different parents")
     G = A.parent
-    if method == "elementwise":
-        a, b = (x.ravel() for x in np.meshgrid(np.flatnonzero(A.mask), np.flatnonzero(B.mask)))
-        return subgroup_closure(G, _support(G, G._commutators(a, b)))
-    if method != "generated":
-        raise ValueError(f"unknown method {method!r}")
     gens, mask = _generate(G, G._commutators(*_pairs(A.gens, B.gens)))
     _close_under_conjugation(G, gens, mask, dict.fromkeys(A.gens + B.gens))
     return Subgroup(G, mask, gens)
@@ -922,17 +913,5 @@ def group_from_normal_subgroup(
     return G, Subgroup(G, coset == 0, [h for h in dict.fromkeys(gens) if h != G.identity])
 
 
-# (factors, name) -> their direct product, while something else holds it
-_PRODUCTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def direct_product(*groups: FiniteGroup, name=None) -> TupleGroup:
-    """The direct product of `groups`.  A request for the same factors
-    and name returns the product already built while something still
-    holds it; the entry goes with the last holder, so the memo alone
-    never keeps a product alive."""
-    key = (groups, name)
-    product = _PRODUCTS.get(key)
-    if product is None:
-        product = _PRODUCTS[key] = TupleGroup(groups, name=name)
-    return product
+def direct_product(*groups: FiniteGroup) -> TupleGroup:
+    return TupleGroup(groups)

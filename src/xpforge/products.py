@@ -12,12 +12,12 @@ im_rho_verify checks the product-coordinate description of the image of
 rho for a doubled-group bundle: a triple lies in the image exactly when
 g1 * g2^-1 * g3 falls in the derived subgroup of the base.  The check
 runs on index arrays: the base's multiplication table (built from its
-right actions) and boolean masks for G' and for im(rho) over the cube's
-index space.  Small bases are checked exhaustively; larger ones by
-sampling in both directions from numpy's generator
-np.random.default_rng(seed), with a fixed default seed.  The report also
-tabulates every single and pairwise projection of the image, which are
-all onto.
+right actions), the mask of G', and the bundle's mask of im(rho) over the
+|G|^3 triples; no product group is built.  Small bases are checked
+exhaustively; larger ones by sampling in both directions from numpy's
+generator np.random.default_rng(seed), with a fixed default seed.  The
+report also tabulates every single and pairwise projection of the image,
+which are all onto.
 """
 
 from __future__ import annotations
@@ -94,17 +94,16 @@ def s_subgroup(H: FiniteGroup, ambient: TupleGroup | None = None) -> Subgroup:
     return sub
 
 
-def _projection_rows(sub: Subgroup) -> dict[str, dict]:
-    amb = sub.parent
-    if not isinstance(amb, TupleGroup):
-        raise ValueError("subdirect diagnostics need a product ambient")
-    k = len(amb.factors)
-    digits = np.stack(np.unravel_index(np.flatnonzero(sub.mask), amb.shape))
+def _projection_rows(mask: np.ndarray, shape) -> dict[str, dict]:
+    """The single (and, past two factors, pairwise) projections of the
+    subset `mask` of a product of groups of orders `shape`, mixed radix."""
+    k = len(shape)
+    digits = np.stack(np.unravel_index(np.flatnonzero(mask), shape))
     rows: dict[str, dict] = {}
     singles = [(i,) for i in range(k)]
     pairs = list(itertools.combinations(range(k), 2)) if k > 2 else []
     for coords in singles + pairs:
-        dims = [amb.shape[i] for i in coords]
+        dims = [shape[i] for i in coords]
         full = math.prod(dims)
         hit = np.zeros(full, dtype=bool)
         hit[np.ravel_multi_index(digits[list(coords)], dims)] = True
@@ -158,39 +157,39 @@ class SubdirectReport:
 def described_set_mismatches(
     G: FiniteGroup,
     der: Subgroup,
-    im: Subgroup,
+    im: np.ndarray,
     samples: int = SAMPLES_PER_DIRECTION,
     seed: int = _SAMPLE_SEED,
 ) -> tuple[str, int, int]:
-    """Compare `im`, a subgroup of G x G x G, with the set of triples whose
-    g1 * g2^-1 * g3 lies in `der`; returns (mode, checked, mismatches).
+    """Compare `im`, a mask over the triples of G x G x G with (g1, g2,
+    g3) at (g1*n + g2)*n + g3, with the set of triples whose g1 * g2^-1 *
+    g3 lies in `der`; returns (mode, checked, mismatches).
 
     Exhaustive over all |G|^3 triples for |G| <= EXHAUSTIVE_BASE_ORDER;
-    otherwise `samples` elements of `im` checked against the description,
+    otherwise `samples` triples of `im` checked against the description,
     then `samples` described triples checked for membership in `im`.
     """
     n = G.order
     table = G.multiplication_table()
     inv = np.argmax(table == G.identity, axis=1)
 
-    # the cube index of (g1, g2, g3) is (g1*n + g2)*n + g3
     def described(t):
         g1, rest = np.divmod(t, n * n)
         g2, g3 = np.divmod(rest, n)
         return der.mask[table[table[g1, inv[g2]], g3]]
 
     if n <= EXHAUSTIVE_BASE_ORDER:
-        mismatches = np.count_nonzero(described(np.arange(n**3)) != im.mask)
+        mismatches = np.count_nonzero(described(np.arange(n**3)) != im)
         return "exhaustive", n**3, int(mismatches)
     rng = np.random.default_rng(seed)
-    in_im = np.flatnonzero(im.mask)
+    in_im = np.flatnonzero(im)
     mismatches = np.count_nonzero(~described(in_im[rng.integers(in_im.size, size=samples)]))
     g1 = rng.integers(n, size=samples)
     g2 = rng.integers(n, size=samples)
     in_der = np.flatnonzero(der.mask)
     d = in_der[rng.integers(in_der.size, size=samples)]
     g3 = table[inv[table[g1, inv[g2]]], d]
-    mismatches += np.count_nonzero(~im.mask[(g1 * n + g2) * n + g3])
+    mismatches += np.count_nonzero(~im[(g1 * n + g2) * n + g3])
     return "sampled", 2 * samples, int(mismatches)
 
 
@@ -202,16 +201,15 @@ def im_rho_verify(
     """Check the coordinate description of im(rho) for a doubled-group
     bundle and tabulate its projections."""
     G = xb.base
-    cube = xb.rho.codomain
-    im = xb.rho.image()
     der = derived_subgroup(G)
-    mode, checked, mismatches = described_set_mismatches(G, der, im, samples, seed)
-    index = cube.order // im.order
+    mode, checked, mismatches = described_set_mismatches(G, der, xb.im_rho, samples, seed)
+    order = int(np.count_nonzero(xb.im_rho))
+    index = G.order**3 // order
     ab_order = G.order // der.order
     return SubdirectReport(
-        ambient_orders=[f.order for f in cube.factors],
-        subgroup_order=im.order,
-        projections=_projection_rows(im),
+        ambient_orders=[G.order] * 3,
+        subgroup_order=order,
+        projections=_projection_rows(xb.im_rho, (G.order,) * 3),
         equality_mode=mode,
         samples_checked=checked,
         mismatches=mismatches,

@@ -73,13 +73,15 @@ conjugation-compatibility relators instead of the diagonal pairing:
     [h1, h2']^h3 = [h1^h3, (h2^h3)'] = [h1, h2']^(h3')
 
 (primes marking the mirror copy).  Inside nu, the subgroup [P, P'] is the
-kernel of the fold-to-both-coordinates map and realizes the tensor
-square -- checked here by an explicit isomorphism from the direct
-presentation.  The diagonal subgroup Delta (closure of the [g, g']) is
-central; T/Delta is the exterior square; and (ker alpha cap [P, P'])
-modulo Delta recovers the Schur multiplier.  nu is enumerated only when
-the predicted order |P|^2 * |T| stays under a size gate, since it grows
-much faster than the constructions around it.
+kernel of the map nu -> P x P that separates the copies, and realizes the
+tensor square -- checked here by an explicit isomorphism from the direct
+presentation.  NuBundle holds that map as its two coordinates, the copy
+projections of weakcomm.copy_projections, and `tensor` as their joint
+kernel; no product group is built.  The diagonal subgroup Delta
+(closure of the [g, g']) is central; T/Delta is the exterior square; and
+(ker alpha cap [P, P']) modulo Delta recovers the Schur multiplier.  nu
+is enumerated only when the predicted order |P|^2 * |T| stays under a
+size gate, since it grows much faster than the constructions around it.
 
 nu is enumerated once, from the relators with all three slots over the
 base generators: Ellis and Leonard (Computing Schur multipliers and
@@ -106,9 +108,9 @@ from .groups import (
     Homomorphism,
     PermGroup,
     Subgroup,
+    _masked,
     center,
     derived_subgroup,
-    direct_product,
     exponent,
     group_from_fold,
     group_from_normal_subgroup,
@@ -118,7 +120,7 @@ from .groups import (
     quotient_invariants,
 )
 from .homology import invariants_from_cyclic_orders
-from .weakcomm import mirror_names, mirror_word
+from .weakcomm import copy_projections, mirror_names, mirror_word
 from .words import Presentation, Word, commutator, conjugate
 
 NU_SIZE_GATE = 20_000
@@ -533,7 +535,7 @@ class NuBundle:
     embed_left: Homomorphism
     embed_right: Homomorphism
     alpha: Homomorphism  # fold both copies onto the base
-    to_square: Homomorphism  # separate the copies; kernel is the tensor
+    projections: tuple[Homomorphism, Homomorphism]  # rho1, rho3; joint kernel is the tensor
     tensor: Subgroup
     delta: Subgroup
     tensor_square: TensorSquare  # the standalone direct presentation
@@ -603,14 +605,8 @@ def build_nu(
     embed_left = Homomorphism(base, X, X.generators[:n])
     embed_right = Homomorphism(base, X, X.generators[n:])
     alpha = Homomorphism(X, base, base.generators + base.generators)
-    square = direct_product(base, base, name="basexbase")
-    to_square = Homomorphism(
-        X,
-        square,
-        [square.embed(0, g) for g in base.generators]
-        + [square.embed(1, g) for g in base.generators],
-    )
-    tensor_sub = to_square.kernel()
+    projections = copy_projections(X, base)
+    tensor_sub = _masked(X, (projections[0]._image == 0) & (projections[1]._image == 0))
     left, right = embed_left._image, embed_right._image
     # [g, g'] for every nontrivial g (the elements after the identity 0)
     delta = normal_closure(X, X._commutators(left[1:], right[1:]))
@@ -624,7 +620,7 @@ def build_nu(
         embed_left=embed_left,
         embed_right=embed_right,
         alpha=alpha,
-        to_square=to_square,
+        projections=projections,
         tensor=tensor_sub,
         delta=delta,
         tensor_square=tensor,

@@ -35,10 +35,15 @@ The bundle keeps the structural maps this construction is studied through:
 
 * embed_left / embed_right: the two copies of P inside X (both injective);
 * alpha: X -> P, both copies folded onto P; its kernel is L;
-* beta: X -> P x P, the copies separated; its kernel is D;
-* rho: X -> P^3, left copy to (g, g, 1), mirror copy to (1, g, g);
-  its kernel is W;
+* rho: X -> P^3, left copy to (g, g, 1), mirror copy to (1, g, g), held
+  as its three coordinate maps (rho1, alpha, rho3): rho1 keeps the left
+  copy and kills the mirror one, rho3 the other way round.  Its kernel
+  is W, and its image is kept as a mask over the |P|^3 triples (im_rho);
+* beta = (rho1, rho3): X -> P x P, the copies separated; its kernel is D;
 * R = [left copy, [L, right copy]], a normal subgroup contained in W.
+
+No product group is built: a kernel is where every coordinate is 1, and
+the image is read off the coordinates of every element of X.
 
 W is abelian, equals the intersection of L and D, and W/R recovers the
 Schur multiplier of P; [L, D] = 1 and the cross pairing is symmetric
@@ -59,8 +64,8 @@ from .groups import (
     Homomorphism,
     PermGroup,
     Subgroup,
+    _masked,
     commutator_subgroup,
-    direct_product,
     group_from_fold,
     quotient_invariants,
     subgroup_closure,
@@ -149,22 +154,14 @@ class XPBundle:
     embed_left: Homomorphism
     embed_right: Homomorphism
     alpha: Homomorphism
-    beta: Homomorphism
-    rho: Homomorphism
+    rho: tuple[Homomorphism, Homomorphism, Homomorphism]  # (rho1, alpha, rho3)
+    im_rho: np.ndarray  # read-only; the triple (g1, g2, g3) at (g1*n + g2)*n + g3
     left_copy: Subgroup
     right_copy: Subgroup
     L: Subgroup
     D: Subgroup
     W: Subgroup
     R: Subgroup
-
-    @property
-    def square(self) -> FiniteGroup:
-        return self.beta.codomain
-
-    @property
-    def cube(self) -> FiniteGroup:
-        return self.rho.codomain
 
     def h2_invariants(self) -> list[int]:
         """Invariant factors of W/R (the multiplier reading of this
@@ -179,8 +176,19 @@ class XPBundle:
             "D": self.D.order,
             "W": self.W.order,
             "R": self.R.order,
-            "im_rho": self.rho.image().order,
+            "im_rho": int(np.count_nonzero(self.im_rho)),
         }
+
+
+def copy_projections(X: FiniteGroup, base: FiniteGroup) -> tuple[Homomorphism, Homomorphism]:
+    """rho1 and rho3 of a group X on two copies of base's generators: X
+    onto base through the first, resp. the second, copy, the other copy
+    sent to the identity."""
+    ones = [base.identity] * len(base.generators)
+    return (
+        Homomorphism(X, base, base.generators + ones),
+        Homomorphism(X, base, ones + base.generators),
+    )
 
 
 def build_xp(
@@ -219,27 +227,17 @@ def build_xp(
             f"short commutation family of X fails the full family at the element {word}"
         )
     alpha = Homomorphism(X, base, base.generators + base.generators)
-    square = direct_product(base, base, name="basexbase")
-    beta = Homomorphism(
-        X,
-        square,
-        [square.embed(0, g) for g in base.generators]
-        + [square.embed(1, g) for g in base.generators],
-    )
-    cube = direct_product(base, base, base, name="basecubed")
-    e = base.identity
-    rho = Homomorphism(
-        X,
-        cube,
-        [cube.pack((g, g, e)) for g in base.generators]
-        + [cube.pack((e, g, g)) for g in base.generators],
-    )
+    rho1, rho3 = copy_projections(X, base)
+    rho = (rho1, alpha, rho3)
+    im_rho = np.zeros(base.order**3, dtype=bool)
+    im_rho[np.ravel_multi_index([f._image for f in rho], (base.order,) * 3)] = True
+    im_rho.flags.writeable = False
 
     left_copy = subgroup_closure(X, left_images)
     right_copy = subgroup_closure(X, right_images)
     L = alpha.kernel()
-    D = beta.kernel()
-    W = rho.kernel()
+    D = _masked(X, (rho1._image == 0) & (rho3._image == 0))
+    W = _masked(X, D.mask & (alpha._image == 0))
     inner = commutator_subgroup(L, right_copy)
     R = commutator_subgroup(left_copy, inner)
     return XPBundle(
@@ -248,8 +246,8 @@ def build_xp(
         embed_left=embed_left,
         embed_right=embed_right,
         alpha=alpha,
-        beta=beta,
         rho=rho,
+        im_rho=im_rho,
         left_copy=left_copy,
         right_copy=right_copy,
         L=L,

@@ -11,10 +11,15 @@ engine's batched ones, in the candidate order the engine must keep.
 eval_letters and pow_element walk a word or a power one product at a
 time, on any group with mul and inv (a FiniteGroup's one-element views,
 or a ScalarGroup's loops); no program code needs them.
+elementwise_commutator_subgroup closes all |A|*|B| commutators, the
+oracle for groups.commutator_subgroup, which closes only those of
+generators.
 """
 
 import math
 from functools import reduce
+
+import numpy as np
 
 from xpforge import groups
 from xpforge.coset import shortlex_bfs, words_from_levels
@@ -38,6 +43,13 @@ def pow_element(G, x, k: int):
     for _ in range(abs(k)):
         r = G.mul(r, b)
     return r
+
+
+def elementwise_commutator_subgroup(A, B):
+    """[A, B] as the closure of every commutator [a, b], a in A, b in B."""
+    G = A.parent
+    a, b = (x.ravel() for x in np.meshgrid(np.flatnonzero(A.mask), np.flatnonzero(B.mask)))
+    return groups.subgroup_closure(G, groups._support(G, G._commutators(a, b)))
 
 
 class ScalarGroup:

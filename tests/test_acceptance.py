@@ -204,7 +204,7 @@ def test_criterion_08_doubled_group_orders():
             via_identity = (G.order**3 // ab) * xb.W.order
             got[name] = xb.group.order
             ok = ok and xb.group.order == via_identity == want
-            ok = ok and xb.rho.image().order == G.order**3 // ab
+            ok = ok and xb.im_rho.sum() == G.order**3 // ab
         elapsed = time.monotonic() - t0
         rec["ok"] = ok and elapsed < 60.0
         rec["note"] = f"{got}, {elapsed:.2f}s"

@@ -27,6 +27,7 @@ from xpforge.groups import (
     derived_subgroup,
     exponent,
     group_from_presentation,
+    intersection,
     is_powerful,
     nilpotency_class,
     normal_closure,
@@ -652,8 +653,6 @@ def test_fold_restricted_to_tensor_reads_the_multiplier():
     # the fold kernel meets the tensor exactly in the full multiplier
     # preimage: its size is |H2| * |Delta|
     b = nu("C3xC3")
-    from xpforge.groups import intersection
-
     ker = intersection(b.alpha.kernel(), b.tensor)
     assert ker.order == 3 * b.delta.order
 
@@ -675,8 +674,12 @@ def test_conjugation_compatibility_sampled():
 
 def test_separating_map_kernel_is_the_tensor():
     b = nu("Q8")
-    assert b.to_square.kernel() == b.tensor
-    assert b.to_square.is_surjective()
+    rho1, rho3 = b.projections
+    assert intersection(rho1.kernel(), rho3.kernel()) == b.tensor
+    n = b.base.order
+    pairs = np.zeros(n * n, dtype=bool)
+    pairs[rho1._image * n + rho3._image] = True
+    assert pairs.all()
     assert b.group.order == b.base.order**2 * b.tensor.order
 
 

@@ -16,6 +16,8 @@ from xpforge import harness, weakcomm
 from xpforge.catalog import builtin_catalog, catalog_entry
 from xpforge.coset import CosetTable, EnumerationError, EnumerationLimits, enumerate_cosets
 from xpforge.groups import (
+    Homomorphism,
+    TupleGroup,
     commutator_subgroup,
     derived_subgroup,
     direct_product,
@@ -26,7 +28,13 @@ from xpforge.groups import (
     subgroup_closure,
 )
 from xpforge.homology import schur_multiplier_bar
-from xpforge.tensor import NU_SIZE_GATE, build_tensor_square, nu_presentation, predicted_nu_order
+from xpforge.tensor import (
+    NU_SIZE_GATE,
+    build_nu,
+    build_tensor_square,
+    nu_presentation,
+    predicted_nu_order,
+)
 from xpforge.weakcomm import (
     build_xp,
     fold_difference_generators,
@@ -91,9 +99,10 @@ def test_orders(name):
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_order_law(name):
     b = bundle(name)
-    assert b.group.order == b.rho.image().order * b.W.order
+    im_order = np.count_nonzero(b.im_rho)
+    assert b.group.order == im_order * b.W.order
     ab = base(name).order // derived_subgroup(base(name)).order
-    assert b.rho.image().order == base(name).order ** 3 // ab
+    assert im_order == base(name).order ** 3 // ab
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -128,20 +137,25 @@ def test_embeddings_and_fold():
     G = base("D8")
     assert b.embed_left.is_injective()
     assert b.embed_right.is_injective()
+    rho1, _, rho3 = b.rho
     for g in G.elements:
         assert b.alpha(b.embed_left(g)) == g
         assert b.alpha(b.embed_right(g)) == g
-        assert b.square.coords(b.beta(b.embed_left(g))) == (g, G.identity)
-        assert b.square.coords(b.beta(b.embed_right(g))) == (G.identity, g)
-        assert b.cube.coords(b.rho(b.embed_left(g))) == (g, g, G.identity)
-        assert b.cube.coords(b.rho(b.embed_right(g))) == (G.identity, g, g)
+        assert (rho1(b.embed_left(g)), rho3(b.embed_left(g))) == (g, G.identity)
+        assert (rho1(b.embed_right(g)), rho3(b.embed_right(g))) == (G.identity, g)
+        assert tuple(f(b.embed_left(g)) for f in b.rho) == (g, g, G.identity)
+        assert tuple(f(b.embed_right(g)) for f in b.rho) == (G.identity, g, g)
 
 
 def test_alpha_beta_surjectivity():
     b = bundle("Q8")
+    n = b.base.order
+    rho1, _, rho3 = b.rho
     assert b.alpha.is_surjective()
-    assert b.beta.is_surjective()
-    assert not b.rho.is_surjective()
+    beta_image = np.zeros(n * n, dtype=bool)
+    beta_image[rho1._image * n + rho3._image] = True
+    assert beta_image.all()
+    assert not b.im_rho.all()
 
 
 @pytest.mark.parametrize("name", ["K4", "D8", "Q8", "E8"])
@@ -423,3 +437,61 @@ def test_orders_report():
         "R": 1,
         "im_rho": 16,
     }
+
+
+# ------------------------------------------- maps into products, by coordinates
+
+PRODUCT_MAP_BASES = {e.name: e.presentation() for e in builtin_catalog()} | {
+    "C1": parse_presentation("gens a\nrels a"),
+    "C2 on two generators": parse_presentation("gens a, b\nrels a, b^2"),
+}
+
+
+def _product_maps(G, X):
+    """beta: X -> G x G and rho: X -> G x G x G as homomorphisms into
+    direct products, the left copy to (g, 1) and (g, g, 1), the mirror
+    copy to (1, g) and (1, g, g)."""
+    square, cube = TupleGroup([G, G]), TupleGroup([G, G, G])
+    e = G.identity
+    left = [square.pack((g, e)) for g in G.generators]
+    right = [square.pack((e, g)) for g in G.generators]
+    beta = Homomorphism(X, square, left + right)
+    left = [cube.pack((g, g, e)) for g in G.generators]
+    right = [cube.pack((e, g, g)) for g in G.generators]
+    return beta, Homomorphism(X, cube, left + right)
+
+
+@pytest.mark.parametrize("name", PRODUCT_MAP_BASES)
+def test_coordinate_maps_agree_with_maps_into_products(name, monkeypatch):
+    # D, W and im rho of X, and the tensor subgroup of nu, read off the
+    # coordinate maps into G equal the kernels and image of the maps into
+    # the direct products, in mask and generating set; and neither build
+    # constructs a product.  nu is built for every base of order <= 9
+    # except C1, whose tensor square the build refuses.
+    G = group_from_presentation(PRODUCT_MAP_BASES[name])
+    built = []
+    init = TupleGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TupleGroup, "__init__", counting)
+    xb = build_xp(G)
+    nb = build_nu(G) if 1 < G.order <= 9 else None
+    assert built == []
+    monkeypatch.undo()
+
+    beta, rho = _product_maps(G, xb.group)
+    for new, old in ((xb.D, beta.kernel()), (xb.W, rho.kernel())):
+        assert new == old and new.gens == old.gens
+    image = rho.image()
+    assert np.array_equal(xb.im_rho, image.mask)
+    shape = image.parent.shape
+    triples = [np.ravel_multi_index([f(x) for f in xb.rho], shape) for x in xb.group.generators]
+    assert [t for t in dict.fromkeys(triples) if t] == list(image.gens)
+    with pytest.raises(ValueError):
+        xb.im_rho[0] = False
+    if nb is not None:
+        to_square = _product_maps(G, nb.group)[0]
+        assert nb.tensor == to_square.kernel() and nb.tensor.gens == to_square.kernel().gens
