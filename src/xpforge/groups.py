@@ -94,7 +94,13 @@ from .coset import (
     word_to_cols,
     words_from_levels,
 )
-from .homology import abelian_invariants, abelian_schreier
+from .homology import (
+    abelian_schreier,
+    invariant_factors,
+    letter_counts,
+    relation_rows,
+    torsion_factors,
+)
 from .words import Presentation, Word
 
 _ASSOC_SAMPLES = 64
@@ -662,12 +668,22 @@ def quotient(G: FiniteGroup, N: Subgroup, name=None) -> QuotientGroup:
 
 def quotient_invariants(N: Subgroup, M: Subgroup) -> list[int]:
     """Invariant factors of the abelian section N/M, for subgroups M <= N
-    of one group with M normal in N: N becomes a group of its own, M is
-    moved into its indices, and the quotient is read by
-    abelian_invariants."""
+    of one group, with no quotient group built.  N becomes a group on d
+    generators n_i; unless M's generators conjugated by the n_i and the
+    commutators [n_i, n_j] all lie in M, a ValueError says M is not
+    normal in N or N/M is not abelian.  Then N/M = N^ab/M is Z^d modulo
+    N's relation rows and the letter counts of M's generators."""
     NG = N.as_group()
-    M_own = Subgroup(NG, M.mask[NG.at], NG.own[list(M.gens)].tolist())
-    return abelian_invariants(quotient(NG, M_own))
+    inside = M.mask[NG.at]
+    m_gens = NG.own[list(M.gens)]
+    conj = NG._conjugates(*_pairs(m_gens, NG.generators))
+    comm = NG._commutators(*_pairs(NG.generators, NG.generators))
+    if not inside[conj].all():
+        raise ValueError("the subgroup is not normal in the section")
+    if not inside[comm].all():
+        raise ValueError("the section is not abelian")
+    rows = relation_rows(NG) + [tuple(r) for r in letter_counts(NG)[m_gens].tolist()]
+    return torsion_factors(invariant_factors(rows))
 
 
 def power_subgroup(G: FiniteGroup, k: int) -> Subgroup:

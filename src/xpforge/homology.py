@@ -18,17 +18,20 @@ defines almost every edge from one relator walk, and only the walks
 left over reach a small Hermite normal form, in int64 with a checked
 bound.
 
-The second homology of a finite group G on d generators (repeats and
-the identity count) is read off the relation module of its Cayley graph:
-Hopf's formula (R & F')/[F, R] through Gruenberg's resolution
+H_1 and H_2 of a finite group G on d generators (repeats and the
+identity count) are read off one relation module, that of its Cayley
+graph: Hopf's formula (R & F')/[F, R] through Gruenberg's resolution
 0 -> R_ab -> ZG^d -> I_G -> 0 (Brown, Cohomology of Groups, GTM 87,
 section II.5).  H_1 of the graph is R_ab, spanned by one loop per edge
-around the shortlex BFS tree, and the edges modulo I_G*R_ab make
+around the shortlex BFS tree.  Z^d modulo the loops' images
+(relation_rows) is H_1(G) = G^ab; the edges modulo I_G*R_ab make
 Z^(|G|+d-1) + H_2, so H_2 is the torsion of that cokernel and the rank
-of I_G*R_ab is checked at run time.  The cost is the Smith form of about
-d^2*|G| short rows.  The normalized bar complex stays as an independent
-oracle: H_2 is the torsion of coker(d3) because ker(d2) is a pure
-sublattice of C_2, and it costs |G|^3.
+of I_G*R_ab is checked at run time (a Smith form of about d^2*|G| short
+rows).  Every abelian invariant, of a group, of a section N/M (groups.
+quotient_invariants) or of a sum of cyclic groups, is one Smith form.
+The normalized bar complex stays as an independent oracle: H_2 is the
+torsion of coker(d3) because ker(d2) is a pure sublattice of C_2, and it
+costs |G|^3.
 """
 
 from __future__ import annotations
@@ -41,19 +44,6 @@ from math import gcd, prod
 import numpy as np
 
 from .coset import CHUNK_CELLS, _by_length, shortlex_bfs, word_to_cols
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,70 +224,45 @@ def torsion_factors(factors: list[int]) -> list[int]:
 
 def invariants_from_cyclic_orders(orders) -> list[int]:
     """Invariant-factor form of a direct sum of cyclic groups of the given
-    orders."""
-    primary: dict[int, list[int]] = defaultdict(list)
-    for n in orders:
-        for p, e in _factorize(n).items():
-            primary[p].append(e)
-    for exps in primary.values():
-        exps.sort(reverse=True)
-    width = max((len(v) for v in primary.values()), default=0)
-    ds = []
-    for i in range(width):
-        d = 1
-        for p, exps in primary.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        ds.append(d)
-    return ds[::-1]
+    orders: the Smith form of their diagonal matrix."""
+    return torsion_factors(invariant_factors({(i, i): n for i, n in enumerate(orders)}))
+
+
+def letter_counts(G) -> np.ndarray:
+    """Row x: how often each generator occurs in the shortlex word of x,
+    counted from its steps; the pad past a word's end counts in a last,
+    dropped column."""
+    d = len(G.generators)
+    counts = np.zeros((G.order, d + 1), dtype=np.int64)
+    every = np.arange(G.order)
+    for step in G._steps:
+        counts[every, step >> 1] += 1
+    return counts[:, :d]
+
+
+def relation_rows(G) -> list[tuple[int, ...]]:
+    """The distinct vectors c(x) + e_i - c(x*g_i) in Z^d, c the letter
+    counts: each is the image in Z^d, the free abelian group on the d
+    generators, of the loop that edge x -> x*g_i closes with the shortlex
+    tree.  By Schreier those loops generate the relators R of the free
+    group, so the rows span the image of R, and Z^d over their span is
+    G^ab."""
+    c = letter_counts(G)
+    unit = np.eye(len(G.generators), dtype=np.int64)
+    rows: dict[tuple[int, ...], None] = {}
+    # one generator's n rows at a time; dict.fromkeys drops the repeats
+    # (np.unique(axis=0) would import numpy.ma)
+    for e_i, col in zip(unit, G.gen_cols):
+        rows.update(dict.fromkeys(map(tuple, (c + e_i - c[col]).tolist())))
+    return list(rows)
 
 
 def abelian_invariants(G) -> list[int]:
-    """Invariant factors of a finite abelian group, from element-order
-    counts (the number of solutions of x^(p^k) = 1 determines the p-primary
-    partition)."""
+    """Invariant factors of a finite abelian group, 1s dropped: the
+    torsion of Z^d modulo its relation rows."""
     if not G.is_abelian():
         raise ValueError("abelian_invariants needs an abelian group")
-    n = G.order
-    if n == 1:
-        return []
-    order_counts = Counter(G._element_orders(G.elements).tolist())
-    primary: dict[int, list[int]] = {}
-    for p in _factorize(n):
-        fks = []
-        prev = 1
-        k = 1
-        while True:
-            ck = sum(
-                cnt
-                for o, cnt in order_counts.items()
-                if _divides_prime_power(o, p, k)
-            )
-            if ck == prev:
-                break
-            ratio = ck // prev
-            fk = 0
-            while ratio % p == 0:
-                ratio //= p
-                fk += 1
-            if ratio != 1 or ck != prev * p**fk:
-                raise RuntimeError("inconsistent element-order counts")
-            fks.append(fk)
-            prev = ck
-            k += 1
-        # conjugate partition: component i has exponent #{k : f_k > i}
-        exps = [sum(1 for f in fks if f > i) for i in range(fks[0])] if fks else []
-        if exps:
-            primary[p] = exps
-    return invariants_from_cyclic_orders(p**e for p, exps in primary.items() for e in exps)
-
-
-def _divides_prime_power(o: int, p: int, k: int) -> bool:
-    e = 0
-    while o % p == 0:
-        o //= p
-        e += 1
-    return o == 1 and e <= k
+    return torsion_factors(invariant_factors(relation_rows(G)))
 
 
 def exterior_square_invariants(invariants) -> list[int]:

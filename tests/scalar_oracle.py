@@ -13,10 +13,13 @@ time, on any group with mul and inv (a FiniteGroup's one-element views,
 or a ScalarGroup's loops); no program code needs them.
 elementwise_commutator_subgroup closes all |A|*|B| commutators, the
 oracle for groups.commutator_subgroup, which closes only those of
-generators.
+generators.  element_order_invariants reads the invariant factors of an
+abelian group off its element orders, the oracle for homology.
+abelian_invariants, which reads them off a Smith form.
 """
 
 import math
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -50,6 +53,41 @@ def elementwise_commutator_subgroup(A, B):
     G = A.parent
     a, b = (x.ravel() for x in np.meshgrid(np.flatnonzero(A.mask), np.flatnonzero(B.mask)))
     return groups.subgroup_closure(G, groups._support(G, G._commutators(a, b)))
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def element_order_invariants(G) -> list[int]:
+    """Invariant factors of a finite abelian group from its element
+    orders.  For each prime p, the x with x^(p^k) = 1 number
+    p^(f_1 + ... + f_k), f_k the count of p-primary cyclic factors of
+    order at least p^k; the conjugate of f is the p-primary partition.
+    The largest primary factors of every prime then multiply into the
+    largest invariant factor, and so on down."""
+    counts = Counter(G._element_orders(G.elements).tolist())
+    primary = []
+    for p in _prime_factors(G.order):
+        f, prev, k = [], 1, 1
+        while True:
+            ck = sum(c for o, c in counts.items() if p**k % o == 0)
+            if ck == prev:
+                break
+            fk = round(math.log(ck // prev, p))
+            assert ck == prev * p**fk, "inconsistent element-order counts"
+            f.append(fk)
+            prev, k = ck, k + 1
+        primary.append([p ** sum(1 for x in f if x > i) for i in range(f[0] if f else 0)])
+    width = max(map(len, primary), default=0)
+    return [math.prod(q[i] for q in primary if i < len(q)) for i in reversed(range(width))]
 
 
 class ScalarGroup:

@@ -40,6 +40,7 @@ from xpforge.groups import (
     trivial_subgroup,
     whole_subgroup,
 )
+from xpforge.homology import abelian_invariants
 from xpforge.tensor import _conjugation_tables, build_nu
 from xpforge.weakcomm import build_xp
 from xpforge.words import parse_presentation
@@ -857,6 +858,7 @@ def test_batch_operations_on_the_trivial_group(G):
     assert exponent(G) == 1 and G.is_abelian()
     assert (G.mul(0, 0), G.inv(0), G.comm(0, 0), G.conj(0, 0), G.element_order(0)) == (0, 0, 0, 0, 1)
     assert G.word_of(0) == () and G.words == [()]
+    assert abelian_invariants(G) == []
     W, E = whole_subgroup(G), trivial_subgroup(G)
     assert commutator_subgroup(W, E).gens == commutator_subgroup(E, E).gens == ()
     assert normal_closure(G, []).gens == normal_closure(G, [0]).gens == ()

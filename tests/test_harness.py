@@ -176,6 +176,26 @@ def test_a_group_that_is_not_a_p_group_fails_its_rows(tmp_path):
     assert row["detail"] == {"error": "order 6 is not a prime power"}
 
 
+def test_randomized_specs_draw_from_the_entries_that_build(tmp_path):
+    # s3 fails its own row, and the randomized row draws from c2 alone;
+    # it fails only once no entry builds, with a build error
+    (tmp_path / "c2.pres").write_text("gens a\nrels a^2\n")
+    (tmp_path / "s3.pres").write_text("gens a, b\nrels a^3, b^2, (a*b)^2\n")
+    rows = run_suite("fibre", load_catalog_dir(str(tmp_path))).rows
+    assert [(r["entry"], r["status"]) for r in rows] == [
+        ("c2", "pass"),
+        ("s3", "fail"),
+        ("randomized-specs", "pass"),
+    ]
+    assert rows[-1]["detail"] == {"specs_checked": 10, "seed": harness._FIBRE_SEED}
+    (tmp_path / "c2.pres").unlink()
+    _, row = run_suite("fibre", load_catalog_dir(str(tmp_path))).rows
+    assert (row["entry"], row["status"]) == ("randomized-specs", "fail")
+    assert row["detail"] == {"error": "order 6 is not a prime power"}
+    (row,) = run_suite("fibre", []).rows
+    assert row["detail"] == {"error": "no catalog entry to draw from"}
+
+
 def test_schur_runs_the_third_route_at_every_order():
     # the relation-module route has no order bound and reports under "bar"
     (row,) = run_suite("schur", [catalog_entry("C8")]).rows

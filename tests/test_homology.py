@@ -7,6 +7,7 @@ relation-module route is held to the bar-resolution oracle.
 """
 
 import functools
+import itertools
 import random
 from math import gcd, prod
 
@@ -15,10 +16,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xpforge import homology, tensor
-from xpforge.catalog import builtin_catalog
+from xpforge import groups, harness, homology, tensor
+from xpforge.catalog import builtin_catalog, catalog_entry
 from xpforge.coset import EnumerationError, EnumerationLimits, enumerate_cosets
-from xpforge.groups import TupleGroup, derived_subgroup, group_from_presentation, quotient
+from xpforge.groups import (
+    Subgroup,
+    TupleGroup,
+    derived_subgroup,
+    group_from_presentation,
+    intersection,
+    quotient,
+    quotient_invariants,
+    subgroup_closure,
+    trivial_subgroup,
+    whole_subgroup,
+)
 from xpforge.homology import (
     _dense_invariants,
     abelian_invariants,
@@ -32,8 +44,10 @@ from xpforge.homology import (
     schur_multiplier_bar,
     torsion_factors,
 )
-from xpforge.tensor import build_tensor_square
+from xpforge.tensor import SizeGateError, build_tensor_square
 from xpforge.words import Presentation, Word, commutator, parse_presentation
+
+from scalar_oracle import element_order_invariants
 
 PRESENTATIONS = {
     "C1": "gens a\nrels a",
@@ -200,6 +214,91 @@ def test_abelian_invariants_of_products():
     G = direct_product(grp("C2"), grp("C4"), grp("C12"))
     # primary parts: 2-part (1, 2, 2), 3-part (1) -> 2 | 4 | 12
     assert abelian_invariants(G) == [2, 4, 12]
+
+
+def cyclic(name):
+    text = PRESENTATIONS["C12"] if name == "C12" else catalog_entry(name).presentation_text
+    return group_of(text)
+
+
+CYCLIC = ("C2", "C3", "C4", "C8", "C9", "C12")
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+def test_abelian_invariants_of_the_abelianizations_match_the_element_orders(entry):
+    G = group_of(entry.presentation_text)
+    A = quotient(G, derived_subgroup(G))
+    assert abelian_invariants(A) == element_order_invariants(A)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        *itertools.combinations_with_replacement(CYCLIC, 2),
+        ("C2", "C4", "C12"),
+        ("C2", "C2", "C8"),
+        ("C3", "C9", "C12"),
+        ("C4", "C9", "C12"),
+    ],
+    ids="x".join,
+)
+def test_abelian_invariants_of_cyclic_products_match_the_element_orders(names):
+    G = TupleGroup([cyclic(n) for n in names])
+    assert abelian_invariants(G) == element_order_invariants(G)
+
+
+def multiplier_builds(entry):
+    """X(G), T(G) and, unless gated, nu(G) of a catalog entry."""
+    builds = [harness.xp_of(entry), harness.tensor_of(entry)]
+    try:
+        builds.append(harness.nu_of(entry))
+    except SizeGateError:
+        pass
+    return builds
+
+
+def multiplier_sections(entry):
+    """The sections N/M whose invariants are the multiplier: W/R in X(G),
+    ker kappa/Delta in T(G), and (ker alpha & tensor)/Delta in nu(G)."""
+    xb, T, *nu = multiplier_builds(entry)
+    sections = [(xb.W, xb.R), (T.to_base.kernel(), T.delta)]
+    return sections + [(intersection(nb.alpha.kernel(), nb.tensor), nb.delta) for nb in nu]
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+def test_quotient_invariants_read_the_multiplier_sections(entry):
+    # each section, also as a quotient group held to the element orders;
+    # Q8's W/R is the trivial section, on no generators
+    for N, M in multiplier_sections(entry):
+        NG = N.as_group()
+        Q = quotient(NG, Subgroup(NG, M.mask[NG.at], NG.own[list(M.gens)].tolist()))
+        h2 = quotient_invariants(N, M)
+        assert h2 == abelian_invariants(Q) == element_order_invariants(Q) == list(entry.expected_h2)
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+def test_multiplier_readings_build_no_quotient_group(entry, monkeypatch):
+    builds = multiplier_builds(entry)
+    calls = []
+    init = groups.QuotientGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.QuotientGroup, "__init__", counted)
+    assert [b.h2_invariants() for b in builds] == [list(entry.expected_h2)] * len(builds)
+    assert calls == []
+
+
+def test_quotient_invariants_refuse_a_non_normal_or_non_abelian_section():
+    D8 = grp("D8")
+    whole = whole_subgroup(D8)
+    assert quotient_invariants(whole, derived_subgroup(D8)) == [2, 2]
+    with pytest.raises(ValueError, match="not normal"):
+        quotient_invariants(whole, subgroup_closure(D8, [D8.generators[1]]))
+    with pytest.raises(ValueError, match="not abelian"):
+        quotient_invariants(whole, trivial_subgroup(D8))
 
 
 @pytest.mark.parametrize(
