@@ -669,13 +669,15 @@ def quotient(G: FiniteGroup, N: Subgroup, name=None) -> QuotientGroup:
 def quotient_invariants(N: Subgroup, M: Subgroup) -> list[int]:
     """Invariant factors of the abelian section N/M, for subgroups M <= N
     of one group, with no quotient group built.  N becomes a group on d
-    generators n_i; unless M's generators conjugated by the n_i and the
-    commutators [n_i, n_j] all lie in M, a ValueError says M is not
-    normal in N or N/M is not abelian.  Then N/M = N^ab/M is Z^d modulo
-    N's relation rows and the letter counts of M's generators."""
+    generators n_i.  M's generators must lie in N, and they conjugated by
+    the n_i, and the commutators [n_i, n_j], must lie in M (M normal in
+    N, N/M abelian); a ValueError says which fails.  Then N/M = N^ab/M is
+    Z^d modulo N's relation rows and the letter counts of M's generators."""
     NG = N.as_group()
     inside = M.mask[NG.at]
     m_gens = NG.own[list(M.gens)]
+    if (m_gens < 0).any():
+        raise ValueError("the subgroup is not inside the section")
     conj = NG._conjugates(*_pairs(m_gens, NG.generators))
     comm = NG._commutators(*_pairs(NG.generators, NG.generators))
     if not inside[conj].all():

@@ -291,12 +291,14 @@ def test_multiplier_readings_build_no_quotient_group(entry, monkeypatch):
     assert calls == []
 
 
-def test_quotient_invariants_refuse_a_non_normal_or_non_abelian_section():
+def test_quotient_invariants_refuse_a_section_that_is_not_one():
     D8 = grp("D8")
     whole = whole_subgroup(D8)
     assert quotient_invariants(whole, derived_subgroup(D8)) == [2, 2]
     with pytest.raises(ValueError, match="not normal"):
         quotient_invariants(whole, subgroup_closure(D8, [D8.generators[1]]))
+    with pytest.raises(ValueError, match="not inside"):
+        quotient_invariants(subgroup_closure(D8, [D8.generators[1]]), whole)
     with pytest.raises(ValueError, match="not abelian"):
         quotient_invariants(whole, trivial_subgroup(D8))
 
