@@ -249,11 +249,16 @@ def relation_rows(G) -> list[tuple[int, ...]]:
     G^ab."""
     c = letter_counts(G)
     unit = np.eye(len(G.generators), dtype=np.int64)
+    whole_row = np.dtype((np.void, unit.itemsize * len(unit)))
     rows: dict[tuple[int, ...], None] = {}
-    # one generator's n rows at a time; dict.fromkeys drops the repeats
-    # (np.unique(axis=0) would import numpy.ma)
+    # one generator's n rows at a time: np.unique on a byte view of the
+    # rows finds each distinct row's first occurrence (np.unique(axis=0),
+    # or np.unique without return flags, would import numpy.ma), and
+    # dict.fromkeys drops the repeats across generators
     for e_i, col in zip(unit, G.gen_cols):
-        rows.update(dict.fromkeys(map(tuple, (c + e_i - c[col]).tolist())))
+        block = c + e_i - c[col]
+        first = np.sort(np.unique(block.view(whole_row).ravel(), return_index=True)[1])
+        rows.update(dict.fromkeys(map(tuple, block[first].tolist())))
     return list(rows)
 
 

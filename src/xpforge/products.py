@@ -14,10 +14,17 @@ g1 * g2^-1 * g3 falls in the derived subgroup of the base.  The check
 runs on index arrays: the base's multiplication table (built from its
 right actions), the mask of G', and the bundle's mask of im(rho) over the
 |G|^3 triples; no product group is built.  Small bases are checked
-exhaustively; larger ones by sampling in both directions from numpy's
-generator np.random.default_rng(seed), with a fixed default seed.  The
-report also tabulates every single and pairwise projection of the image,
-which are all onto.
+exhaustively; larger ones by sampling in both directions.  The draws come
+from a counter-based splitmix64 stream (Steele, Lea and Flood, "Fast
+splittable pseudorandom number generators", OOPSLA 2014) computed in numpy
+uint64 arithmetic, with a fixed default seed: sample i reads hashes 2i and
+2i+1, and each 32-bit half h of a hash is scaled to its bound as
+(h * bound) >> 32, so a sample's draws do not depend on how many are taken.
+The samples are checked in chunks of 2**14 through the flattened
+multiplication table, which keeps the transients near 1 MB whatever the
+sample size, and numpy.random is never imported.  The report also
+tabulates every single and pairwise projection of the image, which are all
+onto.
 """
 
 from __future__ import annotations
@@ -43,6 +50,12 @@ from .groups import (
 EXHAUSTIVE_BASE_ORDER = 8
 SAMPLES_PER_DIRECTION = 100_000
 _SAMPLE_SEED = 0x5D17EC7
+_SAMPLE_CHUNK = 1 << 14
+
+# splitmix64: hash j of a seed is mix(seed + (j + 1) * gamma) mod 2**64
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 @dataclass
@@ -154,6 +167,22 @@ class SubdirectReport:
         }
 
 
+def _splitmix64(seed: int, start: int, stop: int) -> np.ndarray:
+    """Hashes start..stop-1 of the splitmix64 stream of `seed`, as uint64
+    (numpy wraps uint64 arrays modulo 2**64)."""
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64) * _GAMMA + np.uint64(seed)
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def _scaled(half: np.ndarray, bound: int) -> np.ndarray:
+    """32-bit draws scaled to indices below `bound`, (h * bound) >> 32."""
+    if not 0 < bound < 1 << 32:
+        raise ValueError(f"cannot draw below {bound}: the bound must be 1 to 2**32 - 1")
+    return (half * np.uint64(bound) >> np.uint64(32)).astype(np.intp)
+
+
 def described_set_mismatches(
     G: FiniteGroup,
     der: Subgroup,
@@ -167,29 +196,39 @@ def described_set_mismatches(
 
     Exhaustive over all |G|^3 triples for |G| <= EXHAUSTIVE_BASE_ORDER;
     otherwise `samples` triples of `im` checked against the description,
-    then `samples` described triples checked for membership in `im`.
+    then `samples` described triples checked for membership in `im`, all
+    drawn from the splitmix64 stream of `seed` (a non-negative integer
+    below 2**64).
     """
     n = G.order
     table = G.multiplication_table()
     inv = np.argmax(table == G.identity, axis=1)
+    flat = table.ravel()
 
-    def described(t):
-        g1, rest = np.divmod(t, n * n)
-        g2, g3 = np.divmod(rest, n)
-        return der.mask[table[table[g1, inv[g2]], g3]]
+    def described(g1, g2, g3):
+        return der.mask[flat[flat[g1 * n + inv[g2]] * n + g3]]
 
     if n <= EXHAUSTIVE_BASE_ORDER:
-        mismatches = np.count_nonzero(described(np.arange(n**3)) != im)
+        mismatches = np.count_nonzero(described(*np.unravel_index(np.arange(n**3), (n,) * 3)) != im)
         return "exhaustive", n**3, int(mismatches)
-    rng = np.random.default_rng(seed)
     in_im = np.flatnonzero(im)
-    mismatches = np.count_nonzero(~described(in_im[rng.integers(in_im.size, size=samples)]))
-    g1 = rng.integers(n, size=samples)
-    g2 = rng.integers(n, size=samples)
     in_der = np.flatnonzero(der.mask)
-    d = in_der[rng.integers(in_der.size, size=samples)]
-    g3 = table[inv[table[g1, inv[g2]]], d]
-    mismatches += np.count_nonzero(~im[(g1 * n + g2) * n + g3])
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be a non-negative integer below 2**64, not {seed}")
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, not {samples}")
+    mismatches = 0
+    for start in range(0, samples, _SAMPLE_CHUNK):
+        h = _splitmix64(seed, 2 * start, 2 * min(start + _SAMPLE_CHUNK, samples))
+        hi, lo = h >> np.uint64(32), h & np.uint64(0xFFFFFFFF)
+        # a triple of im, checked against the description
+        triple = in_im[_scaled(hi[0::2], in_im.size)]
+        mismatches += np.count_nonzero(~described(*np.unravel_index(triple, (n,) * 3)))
+        # a described triple (g1, g2, (g1 g2^-1)^-1 d), checked for membership in im
+        g1, g2 = _scaled(lo[0::2], n), _scaled(hi[1::2], n)
+        d = in_der[_scaled(lo[1::2], in_der.size)]
+        g3 = flat[inv[flat[g1 * n + inv[g2]]] * n + d]
+        mismatches += np.count_nonzero(~im[(g1 * n + g2) * n + g3])
     return "sampled", 2 * samples, int(mismatches)
 
 

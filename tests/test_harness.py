@@ -260,36 +260,46 @@ def test_tower_suite_matches_demo():
 # ---------------------------------------------------------------- imports
 
 NO_MASKED_ARRAYS = """
-import os, sys
+import json, os, sys
 from xpforge import cli, harness
 from xpforge.catalog import builtin_catalog
+from xpforge.products import im_rho_verify
 from xpforge.tensor import SizeGateError
 
-absent = "numpy.ma" not in sys.modules
+def loaded():
+    return {m: m in sys.modules for m in ("numpy.ma", "numpy.random")}
+
+at_import = loaded()
 for e in builtin_catalog():
     harness.tensor_of(e).h2_invariants()
     harness.xp_of(e).h2_invariants()
+    im_rho_verify(harness.xp_of(e))
     try:
         harness.nu_of(e).h2_invariants()
     except SizeGateError:
         pass
+after_builds = loaded()
 code = cli.main(["verify", "--suite", "all", "--out", os.devnull])
-print(code, absent, "numpy.ma" in sys.modules)
+print(json.dumps([code, at_import, after_builds, loaded()]))
 """
 
 
 def test_builds_and_verify_all_load_no_masked_arrays():
     # np.unique without return flags imports numpy.ma on first use, about
-    # 9 ms and 1.3 MB once a process; numpy 1.x imports it with numpy, so
-    # the check holds where the import left it out
+    # 9 ms and 1.3 MB once a process, and numpy.random costs about 12 ms
+    # and 6 MB (the im rho sampler draws from its own splitmix64 stream
+    # instead); numpy 1.x imports both with numpy, so the check holds where
+    # the import left them out
     src = os.path.dirname(os.path.dirname(os.path.abspath(xpforge.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", NO_MASKED_ARRAYS], env=env, capture_output=True, text=True, check=True
     )
-    code, absent, loaded = out.stdout.split()
-    assert code == "0"
-    assert absent == "False" or loaded == "False"
+    code, at_import, after_builds, after_verify = json.loads(out.stdout)
+    assert code == 0
+    for module, preloaded in at_import.items():
+        assert preloaded or not after_builds[module], module
+        assert preloaded or not after_verify[module], module
 
 
 WORDS_NEVER_BUILT = """

@@ -24,9 +24,12 @@ from xpforge.groups import (
     whole_subgroup,
 )
 from xpforge.products import (
+    _SAMPLE_CHUNK,
     FibreSpec,
     SubdirectReport,
     _projection_rows,
+    _scaled,
+    _splitmix64,
     antipodal_spec,
     described_set_mismatches,
     fibre_product,
@@ -259,6 +262,107 @@ def test_described_set_check_fails_in_both_sampled_directions():
     assert 300 < second[2] < 500
     assert described_set_mismatches(G, der, cube, samples=500, seed=1) == first
     assert described_set_mismatches(G, whole_subgroup(G), im, samples=500, seed=1) == second
+
+
+@pytest.mark.parametrize("samples", [1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1])
+def test_sampled_check_across_chunk_edges(samples):
+    xb = xp("C3xC3")
+    G = xb.base
+    assert described_set_mismatches(G, derived_subgroup(G), xb.im_rho, samples=samples) == (
+        "sampled",
+        2 * samples,
+        0,
+    )
+
+
+def test_sampled_check_reads_the_stream_in_sample_order():
+    # sample i reads hashes 2i and 2i+1 of the seed's stream, whatever the
+    # chunking: the high half of hash 2i picks a triple of im, and the low
+    # half with hash 2i+1 picks g1, g2 and d of a described triple.  Each
+    # wrong description fails about 8/9 of one direction and none of the
+    # other, so its count follows every draw of that direction
+    xb = xp("C3xC3")
+    G = xb.base
+    n = G.order
+    mul = G.multiplication_table().tolist()
+    inv = [G.inv(g) for g in range(n)]
+    cube = np.ones(n**3, dtype=bool)
+    samples = 2 * _SAMPLE_CHUNK + 300
+    h = _splitmix64(11, 0, 2 * samples).tolist()
+    first_direction = second_direction = 0
+    for i in range(samples):
+        first, second = h[2 * i], h[2 * i + 1]
+        # in the whole cube, against the trivial G'
+        t = (first >> 32) * n**3 >> 32
+        g1, g2, g3 = t // (n * n), t // n % n, t % n
+        first_direction += mul[mul[g1][inv[g2]]][g3] != G.identity
+        # with the whole group as G', checked in im(rho)
+        g1 = (first & 0xFFFFFFFF) * n >> 32
+        g2 = (second >> 32) * n >> 32
+        d = (second & 0xFFFFFFFF) * n >> 32
+        g3 = mul[inv[mul[g1][inv[g2]]]][d]
+        second_direction += not xb.im_rho[(g1 * n + g2) * n + g3]
+    assert 0 < first_direction < samples and 0 < second_direction < samples
+    trivial = derived_subgroup(G)
+    assert described_set_mismatches(G, trivial, cube, samples=samples, seed=11) == (
+        "sampled",
+        2 * samples,
+        first_direction,
+    )
+    assert described_set_mismatches(G, whole_subgroup(G), xb.im_rho, samples=samples, seed=11) == (
+        "sampled",
+        2 * samples,
+        second_direction,
+    )
+
+
+def test_sampled_check_repeats_under_a_seed_and_differs_across_seeds():
+    xb = xp("C3xC3")
+    G = xb.base
+    cube = np.ones(G.order**3, dtype=bool)
+    der = derived_subgroup(G)
+    runs = {
+        seed: described_set_mismatches(G, der, cube, samples=2000, seed=seed)
+        for seed in (0, 1, 2**64 - 1)
+    }
+    assert described_set_mismatches(G, der, cube, samples=2000, seed=1) == runs[1]
+    assert len({m for _, _, m in runs.values()}) == 3
+    assert not np.array_equal(_splitmix64(0, 0, 64), _splitmix64(1, 0, 64))
+
+
+def test_sampled_check_refuses_a_seed_or_bound_out_of_range():
+    xb = xp("C3xC3")
+    G = xb.base
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            described_set_mismatches(G, derived_subgroup(G), xb.im_rho, samples=10, seed=seed)
+    half = np.array([0, 2**32 - 1], dtype=np.uint64)
+    assert _scaled(half, 2**32 - 1).tolist() == [0, 2**32 - 2]
+    for bound in (0, 2**32):
+        with pytest.raises(ValueError, match="bound"):
+            _scaled(half, bound)
+
+
+def test_splitmix64_matches_the_reference_stream():
+    # the reference generator's state advances by gamma before each output;
+    # seed 1234567 gives the published first outputs
+    assert _splitmix64(1234567, 0, 5).tolist() == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+        4593380528125082431,
+        16408922859458223821,
+    ]
+    mask = 2**64 - 1
+    for seed in (0, 7, 2**64 - 1):
+        state, expected = seed, []
+        for _ in range(40):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ state >> 30) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ z >> 27) * 0x94D049BB133111EB) & mask
+            expected.append(z ^ z >> 31)
+        assert _splitmix64(seed, 0, 40).tolist() == expected
+        assert _splitmix64(seed, 17, 40).tolist() == expected[17:]
 
 
 def test_im_rho_reports_repeat_under_a_seed():
