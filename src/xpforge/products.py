@@ -211,12 +211,12 @@ def described_set_mismatches(
     if n <= EXHAUSTIVE_BASE_ORDER:
         mismatches = np.count_nonzero(described(*np.unravel_index(np.arange(n**3), (n,) * 3)) != im)
         return "exhaustive", n**3, int(mismatches)
-    in_im = np.flatnonzero(im)
-    in_der = np.flatnonzero(der.mask)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be a non-negative integer below 2**64, not {seed}")
     if samples < 0:
         raise ValueError(f"samples must be non-negative, not {samples}")
+    in_im = np.flatnonzero(im)
+    in_der = np.flatnonzero(der.mask)
     mismatches = 0
     for start in range(0, samples, _SAMPLE_CHUNK):
         h = _splitmix64(seed, 2 * start, 2 * min(start + _SAMPLE_CHUNK, samples))

@@ -336,7 +336,9 @@ def test_sampled_check_refuses_a_seed_or_bound_out_of_range():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
             described_set_mismatches(G, derived_subgroup(G), xb.im_rho, samples=10, seed=seed)
-    half = np.array([0, 2**32 - 1], dtype=np.uint64)
+    with pytest.raises(ValueError, match="samples"):
+        described_set_mismatches(G, derived_subgroup(G), xb.im_rho, samples=-1)
+    half =np.array([0, 2**32 - 1], dtype=np.uint64)
     assert _scaled(half, 2**32 - 1).tolist() == [0, 2**32 - 2]
     for bound in (0, 2**32):
         with pytest.raises(ValueError, match="bound"):
