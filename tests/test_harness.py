@@ -286,8 +286,8 @@ print(json.dumps([code, at_import, after_builds, loaded()]))
 
 def test_builds_and_verify_all_load_no_masked_arrays():
     # np.unique without return flags imports numpy.ma on first use, about
-    # 9 ms and 1.3 MB once a process, and numpy.random costs about 12 ms
-    # and 6 MB (the im rho sampler draws from its own splitmix64 stream
+    # 9 ms and 1.3 MB once a process, and numpy.random costs about 11 ms
+    # and 5.3 MB (the im rho sampler draws from its own splitmix64 stream
     # instead); numpy 1.x imports both with numpy, so the check holds where
     # the import left them out
     src = os.path.dirname(os.path.dirname(os.path.abspath(xpforge.__file__)))
