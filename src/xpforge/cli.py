@@ -8,8 +8,8 @@
 
 Exit codes: 0 everything checked out, 1 a verification check failed,
 2 usage or resource errors (bad arguments, unreadable input, enumeration
-limits exceeded) or a build whose own certification failed.  All JSON
-payloads carry "schema": 1.
+limits or memory exceeded) or a build whose own certification failed.
+All JSON payloads carry "schema": 1.
 """
 
 from __future__ import annotations
@@ -238,6 +238,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; a lower --max-cosets stops enumeration sooner", file=sys.stderr)
         return 2
 
 

@@ -13,9 +13,9 @@ all-zero digits, the least parent index.  A codec is kept only where
 coordinates mean something: TupleGroup packs and unpacks factor
 coordinates, SubgroupAsGroup maps its indices to the parent's and back
 (`at`, `own`), and QuotientGroup keeps the least parent index of each
-coset (`reps`).  Only the fibre products and the antidiagonal subgroup
-build a TupleGroup; a map into a product, like rho on X(G), is held as
-one homomorphism per coordinate instead.
+coset (`reps`).  No construction builds a TupleGroup: a map into a
+product, like rho on X(G), is one homomorphism per coordinate, and a
+fibre product is a mask over pair indices.
 
 coset.shortlex_bfs, the level-at-a-time BFS that also standardizes coset
 tables, gives every element its shortlex word in the generators, held as
@@ -57,6 +57,8 @@ candidate joins them only when it lies outside the mask, and the mask
 then grows from the subgroup it already holds (_extend, the incremental
 orbit algorithm): g moves the old points, the generators move only the
 points each level adds, and the search ends when a level adds none.
+_extend sees only a right-action function, so the antidiagonal
+subgroup runs the same closure on the pair indices of H x H.
 Normal closures and commutator subgroups add one helper that closes
 under conjugation by conjugating generators, not elements: [A, B] is the
 normal closure in <A, B> of the commutators of generators (Holt-Eick-
@@ -380,15 +382,6 @@ class TupleGroup(FiniteGroup):
         coords[i] = x
         return self.pack(coords)
 
-    def project(self, positions) -> "Homomorphism":
-        """Projection onto the sub-product of the given factor positions."""
-        digits = [self.coords(a) for a in self.generators]
-        if len(positions) == 1:
-            (i,) = positions
-            return Homomorphism(self, self.factors[i], [c[i] for c in digits])
-        target = TupleGroup([self.factors[i] for i in positions])
-        return Homomorphism(self, target, [target.pack([c[i] for i in positions]) for c in digits])
-
 
 class SubgroupAsGroup(FiniteGroup):
     """A subgroup promoted to a standalone group.  Its elements are the
@@ -479,9 +472,9 @@ class Subgroup:
         return f"<Subgroup of order {self.order} in {self.parent!r}>"
 
 
-def _extend(G: FiniteGroup, gens: dict, mask: np.ndarray, g) -> None:
-    """Add `g` to `gens`, which maps each generator to its right action,
-    and grow `mask`, the subgroup they generate, in place; nothing
+def _extend(act, gens: dict, mask: np.ndarray, g) -> None:
+    """Add `g` to `gens`, which maps each generator to its right action
+    act(g), and grow `mask`, the subgroup they generate, in place; nothing
     changes when mask[g] is already set.
 
     Precondition: `mask` is exactly <gens> (which _generate guarantees,
@@ -497,9 +490,9 @@ def _extend(G: FiniteGroup, gens: dict, mask: np.ndarray, g) -> None:
     """
     if mask[g]:
         return
-    act = gens[int(g)] = G.right_action(g)
+    moved = gens[int(g)] = act(g)
     acts = np.array(list(gens.values()))
-    new = act[mask]
+    new = moved[mask]
     new = new[~mask[new]]
     while new.size:
         mask[new] = True
@@ -509,19 +502,19 @@ def _extend(G: FiniteGroup, gens: dict, mask: np.ndarray, g) -> None:
             new = new[np.concatenate(([True], new[1:] != new[:-1]))]
 
 
-def _generate(G: FiniteGroup, candidates) -> tuple[dict, np.ndarray]:
+def _generate(act, points: int, candidates) -> tuple[dict, np.ndarray]:
     """Greedy generating set drawn from `candidates` (order-stable) and
-    the mask of the subgroup it generates: the next generator is the
-    first candidate outside the mask."""
+    the mask over `points` points, identity 0, of the subgroup it
+    generates: the next generator is the first candidate outside the mask."""
     gens: dict = {}
-    mask = np.zeros(G.order, dtype=bool)
-    mask[G.identity] = True
+    mask = np.zeros(points, dtype=bool)
+    mask[0] = True
     rest = np.asarray(candidates, dtype=np.intp)
     while True:
         rest = rest[~mask[rest]]
         if not rest.size:
             return gens, mask
-        _extend(G, gens, mask, rest[0])
+        _extend(act, gens, mask, rest[0])
 
 
 def _pairs(A, B) -> tuple[np.ndarray, np.ndarray]:
@@ -547,13 +540,13 @@ def _close_under_conjugation(G: FiniteGroup, gens: dict, mask: np.ndarray, conju
         fresh = list(gens)[done:]
         done = len(gens)
         for x in G._conjugates(*_pairs(fresh, conjugators)).tolist():
-            _extend(G, gens, mask, x)
+            _extend(G.right_action, gens, mask, x)
 
 
 def _masked(G: FiniteGroup, mask: np.ndarray) -> Subgroup:
     """The subgroup with the given mask, generated greedily by its
     elements in index order."""
-    return Subgroup(G, mask, _generate(G, np.flatnonzero(mask))[0])
+    return Subgroup(G, mask, _generate(G.right_action, G.order, np.flatnonzero(mask))[0])
 
 
 def _support(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
@@ -566,7 +559,7 @@ def _support(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
 
 def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:
     """The subgroup generated by `seeds`."""
-    gens, mask = _generate(G, seeds)
+    gens, mask = _generate(G.right_action, G.order, seeds)
     return Subgroup(G, mask, gens)
 
 
@@ -575,14 +568,16 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def whole_subgroup(G: FiniteGroup) -> Subgroup:
-    return G._remember(
-        "whole", lambda: Subgroup(G, np.ones(G.order, dtype=bool), _generate(G, G.generators)[0])
-    )
+    def compute():
+        gens = _generate(G.right_action, G.order, G.generators)[0]
+        return Subgroup(G, np.ones(G.order, dtype=bool), gens)
+
+    return G._remember("whole", compute)
 
 
 def normal_closure(G: FiniteGroup, seeds) -> Subgroup:
     """Smallest normal subgroup of G containing `seeds`."""
-    gens, mask = _generate(G, seeds)
+    gens, mask = _generate(G.right_action, G.order, seeds)
     _close_under_conjugation(G, gens, mask, G.generators)
     return Subgroup(G, mask, gens)
 
@@ -606,7 +601,7 @@ def commutator_subgroup(A, B) -> Subgroup:
     if A.parent is not B.parent:
         raise ValueError("subgroups of different parents")
     G = A.parent
-    gens, mask = _generate(G, G._commutators(*_pairs(A.gens, B.gens)))
+    gens, mask = _generate(G.right_action, G.order, G._commutators(*_pairs(A.gens, B.gens)))
     _close_under_conjugation(G, gens, mask, dict.fromkeys(A.gens + B.gens))
     return Subgroup(G, mask, gens)
 
@@ -930,6 +925,3 @@ def group_from_normal_subgroup(
     gens = [G.table.trace(0, w.letters) for w in subgroup_words]
     return G, Subgroup(G, coset == 0, [h for h in dict.fromkeys(gens) if h != G.identity])
 
-
-def direct_product(*groups: FiniteGroup) -> TupleGroup:
-    return TupleGroup(groups)

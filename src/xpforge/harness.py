@@ -249,15 +249,15 @@ def fibre_law(G: FiniteGroup) -> tuple[bool, dict]:
     """|S| * |G^ab| = |G|^2 for the antidiagonal subgroup S of G x G;
     s_subgroup raises RuntimeError when S is not the antipodal fibre
     product."""
-    S = s_subgroup(G)
+    s_order = int(s_subgroup(G).sum())
     ab = G.order // derived_subgroup(G).order
     facts = {
         "ambient_order": G.order**2,
-        "antidiagonal_order": S.order,
+        "antidiagonal_order": s_order,
         "abelianization_order": ab,
         "expected": G.order**2 // ab,
     }
-    return S.order * ab == G.order**2, facts
+    return s_order * ab == G.order**2, facts
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +419,7 @@ def _random_fibre_specs(entries, limits):
         moved = G._conjugates(G.generators, [g0] * len(G.generators))
         p2 = Homomorphism(G, Q, p1._image[moved].tolist())
         sub = fibre_product(FibreSpec(p1, p2))
-        if sub.order * Q.order != G.order * G.order:
+        if sub.sum() * Q.order != G.order * G.order:
             return False, {"failed_on": e.name}
         checked += 1
     return True, {"specs_checked": checked, "seed": _FIBRE_SEED}

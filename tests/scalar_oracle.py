@@ -157,12 +157,12 @@ class ScalarGroup:
         """The greedy subgroup of the seeds, grown by conjugating one
         generator at a time by every conjugator in turn."""
         G = self.group
-        gens, mask = groups._generate(G, seeds)
+        gens, mask = groups._generate(G.right_action, G.order, seeds)
         i = 0
         while i < len(gens):
             h = list(gens)[i]
             for c in conjugators:
-                groups._extend(G, gens, mask, self.conj(h, c))
+                groups._extend(G.right_action, gens, mask, self.conj(h, c))
             i += 1
         return groups.Subgroup(G, mask, gens)
 

@@ -10,13 +10,14 @@ import random
 import time
 from contextlib import contextmanager
 
+import numpy as np
+
 from xpforge.catalog import builtin_catalog, catalog_entry
 from xpforge.coset import EnumerationLimits
 from xpforge.groups import (
     Homomorphism,
     commutator_subgroup,
     derived_subgroup,
-    direct_product,
     exponent,
     group_from_presentation,
     is_powerful,
@@ -228,10 +229,7 @@ def test_criterion_10_antidiagonal_and_fibre_order_law():
         bad = []
         for name in ("C4", "D8", "Q8"):
             H = base_group(catalog_entry(name))
-            ambient = direct_product(H, H)
-            s = s_subgroup(H, ambient)
-            fp = fibre_product(antipodal_spec(H), ambient)
-            if s != fp:
+            if not np.array_equal(s_subgroup(H), fibre_product(antipodal_spec(H))):
                 bad.append(name)
         rng = random.Random(0xACC_E97)
         pool = ["C4", "C8", "C2xC2", "C2xC4", "D8", "Q8"]
@@ -243,7 +241,7 @@ def test_criterion_10_antidiagonal_and_fibre_order_law():
             g0 = rng.choice(G.elements)
             p2 = Homomorphism(G, Q, [p1(G.conj(x, g0)) for x in G.generators])
             sub = fibre_product(FibreSpec(p1, p2))
-            if sub.order * Q.order == G.order * G.order:
+            if np.count_nonzero(sub) * Q.order == G.order * G.order:
                 laws += 1
         rec["ok"] = not bad and laws == 10
         rec["note"] = f"3 antidiagonals, {laws}/10 order laws" + (f"; {bad}" if bad else "")

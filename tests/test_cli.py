@@ -4,12 +4,13 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from xpforge import coset, harness, products, tensor, weakcomm
+from xpforge import cli, coset, harness, products, tensor, weakcomm
 from xpforge.catalog import catalog_entry
 from xpforge.cli import main
-from xpforge.groups import FiniteGroup, subgroup_closure
+from xpforge.groups import FiniteGroup
 from xpforge.words import Word
 
 
@@ -363,10 +364,20 @@ def test_failed_x_certification_is_one_line_exit_2(capsys, monkeypatch):
 def test_failed_fibre_construction_is_one_line_exit_2(capsys, monkeypatch):
     # a fibre product that differs from the antidiagonal closure fails
     # s_subgroup's own check: one error line, no payload, exit 2
-    monkeypatch.setattr(products, "fibre_product", lambda spec, ambient: subgroup_closure(ambient, []))
+    monkeypatch.setattr(products, "fibre_product", lambda spec: np.zeros(spec.p1.domain.order**2, dtype=bool))
     code, out, err = run_cli(["fibre", "catalog:D8"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: antidiagonal closure differs from the fibre product\n"
+
+
+def test_out_of_memory_is_one_line_exit_2(capsys, monkeypatch):
+    def no_memory(G, limits=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_xp", no_memory)
+    code, out, err = run_cli(["xp", "catalog:C2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: out of memory")
 
 
 def test_unknown_strategy_exits_2():

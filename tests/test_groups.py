@@ -19,11 +19,11 @@ from xpforge.groups import (
     PermGroup,
     QuotientGroup,
     Subgroup,
+    TupleGroup,
     center,
     commutator_subgroup,
     derived_series,
     derived_subgroup,
-    direct_product,
     exponent,
     group_from_presentation,
     intersection,
@@ -368,7 +368,7 @@ def test_is_powerful(name, flag):
 
 
 def test_direct_product_basics():
-    G = direct_product(grp("C4"), grp("S3"))
+    G = TupleGroup([grp("C4"), grp("S3")])
     assert G.order == 24
     assert len(G.generators) == 3
     assert not G.is_abelian()
@@ -380,7 +380,7 @@ def test_direct_product_basics():
 
 def test_tuple_codec_round_trips_and_multiplies_by_coordinates():
     C4, S3 = grp("C4"), grp("S3")
-    G = direct_product(C4, S3)
+    G = TupleGroup([C4, S3])
     assert G.shape == (4, 6)
     # the last factor varies fastest, as in itertools.product
     every = list(itertools.product(range(4), range(6)))
@@ -392,15 +392,6 @@ def test_tuple_codec_round_trips_and_multiplies_by_coordinates():
     for x, y in itertools.product(G.elements, repeat=2):
         (a, b), (c, d) = G.coords(x), G.coords(y)
         assert G.coords(G.mul(x, y)) == (C4.mul(a, c), S3.mul(b, d))
-
-
-def test_direct_product_projections():
-    G = direct_product(grp("C4"), grp("C8"))
-    p0 = G.project([0])
-    assert p0.is_surjective()
-    assert p0.kernel().order == 8
-    p01 = G.project([0, 1])
-    assert p01.is_injective() and p01.is_surjective()
 
 
 def test_hom_d8_onto_c2():
@@ -439,7 +430,7 @@ def test_hom_rejects_images_that_are_not_codomain_indices(bad):
 
 def test_hom_product_law_check_without_presentation():
     # tuple groups carry no presentation, so the product law does the work
-    A = direct_product(grp("C8"), grp("C4"))
+    A = TupleGroup([grp("C8"), grp("C4")])
     C8 = grp("C8")
     g = C8.generators[0]
     with pytest.raises(HomomorphismError, match="product law"):
@@ -449,7 +440,7 @@ def test_hom_product_law_check_without_presentation():
 
 
 def test_hom_sampled_check_catches_bad_map_on_large_domain():
-    A = direct_product(grp("C8"), grp("C8"), grp("C2"))
+    A = TupleGroup([grp("C8"), grp("C8"), grp("C2")])
     assert A.order == 128
     C8 = grp("C8")
     g = C8.generators[0]
@@ -495,7 +486,7 @@ def one_group_of_each_kind(kind):
     if kind == "perm":
         return grp("D8")
     if kind == "tuple":
-        return direct_product(grp("C4"), grp("C2"))
+        return TupleGroup([grp("C4"), grp("C2")])
     if kind == "subgroup":
         return xp_bundle("D8").alpha.kernel().as_group()  # L, order 32
     M = grp("Mod27")
@@ -572,7 +563,7 @@ def test_subgroup_masks_match_scalar_definitions(kind):
     subs["intersection"] = (intersection(C, N), meet, sorted(meet))
     # G -> Q x Q, x -> (xN, xN): kernel N, image the diagonal
     Q = quotient(G, N)
-    P = direct_product(Q, Q)
+    P = TupleGroup([Q, Q])
     f = Homomorphism(G, P, [P.pack((Q.projection(g),) * 2) for g in G.generators])
     images = _word_images(f)
     ker = {x for x in every if images[x] == 0}
@@ -680,8 +671,8 @@ def _bad_and_good_maps(kind):
     C8 = grp("C8")
     g = C8.generators[0]
     if kind == "tuple":
-        A = direct_product(grp("C8"), grp("C8"), grp("C2"))
-        B = direct_product(C8, C8)
+        A = TupleGroup([grp("C8"), grp("C8"), grp("C2")])
+        B = TupleGroup([C8, C8])
         x, y = B.embed(0, g), B.embed(1, g)
         # the C2 generator must go to an element of order dividing 2
         return A, B, [x, y, B.mul(pow_element(B, x, 4), y)], [x, y, pow_element(B, B.mul(x, y), 4)]
@@ -744,10 +735,10 @@ def test_closures_grow_as_from_scratch(name, monkeypatch, unique_bfs):
     # from the identity over every generator that _extend ran before
     G = xp_bundle("Heis27").group if name == "X(Heis27)" else build_nu(grp("Q8")).group
 
-    def from_scratch(G, gens, mask, g):
+    def from_scratch(act, gens, mask, g):
         if mask[g]:
             return
-        gens[int(g)] = G.right_action(g)
+        gens[int(g)] = act(g)
         for found, _, _ in unique_bfs(np.array(list(gens.values()))):
             mask[found] = True
 
@@ -844,14 +835,14 @@ def test_no_conjugators_leave_the_generated_subgroup():
     G = grp("S4")
     S = ScalarGroup(G)
     seeds = [G.generators[0]]
-    gens, mask = groups._generate(G, seeds)
+    gens, mask = groups._generate(G.right_action, G.order, seeds)
     groups._close_under_conjugation(G, gens, mask, [])
     want = S.closed_under_conjugation(seeds, [])
     assert tuple(gens) == want.gens and np.array_equal(mask, want.mask)
     assert want == subgroup_closure(G, seeds) != normal_closure(G, seeds)
 
 
-@pytest.mark.parametrize("G", [trivial_group(), direct_product()], ids=["one-generator", "no-generator"])
+@pytest.mark.parametrize("G", [trivial_group(), TupleGroup([])], ids=["one-generator", "no-generator"])
 def test_batch_operations_on_the_trivial_group(G):
     assert G.order == 1
     assert G._element_orders(G.elements).tolist() == [1]
@@ -873,7 +864,8 @@ TABLE_SUBJECTS = MEMO_SUBJECTS[:-1]
 
 
 def _fresh_whole(G):
-    return Subgroup(G, np.ones(G.order, dtype=bool), groups._generate(G, G.generators)[0])
+    gens = groups._generate(G.right_action, G.order, G.generators)[0]
+    return Subgroup(G, np.ones(G.order, dtype=bool), gens)
 
 
 @pytest.mark.parametrize("name", MEMO_SUBJECTS)

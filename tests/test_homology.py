@@ -209,9 +209,7 @@ def test_abelian_invariants_rejects_nonabelian():
 
 
 def test_abelian_invariants_of_products():
-    from xpforge.groups import direct_product
-
-    G = direct_product(grp("C2"), grp("C4"), grp("C12"))
+    G = TupleGroup([grp("C2"), grp("C4"), grp("C12")])
     # primary parts: 2-part (1, 2, 2), 3-part (1) -> 2 | 4 | 12
     assert abelian_invariants(G) == [2, 4, 12]
 

@@ -8,18 +8,23 @@ and index 2, for D8 index 4 with every pairwise projection onto.
 """
 
 import functools
+import json
 import random
 
 import numpy as np
 import pytest
 
+from xpforge import harness
+from xpforge.catalog import builtin_catalog
+from xpforge.cli import main
 from xpforge.groups import (
     Homomorphism,
+    TupleGroup,
     derived_subgroup,
-    direct_product,
     group_from_presentation,
     normal_closure,
     quotient,
+    subgroup_closure,
     trivial_subgroup,
     whole_subgroup,
 )
@@ -56,6 +61,12 @@ def base(name):
     return group_from_presentation(parse_presentation(PRESENTATIONS[name]), name=name)
 
 
+def pairs(mask, shape):
+    """The (g1, g2) of every pair index in `mask`, over factors of orders
+    `shape`."""
+    return zip(*(c.tolist() for c in np.unravel_index(np.flatnonzero(mask), shape)))
+
+
 def reduction_mod_square(G):
     """G -> G/<squares of generators>-closure; C4 -> C2 for cyclic C4."""
     sq = normal_closure(G, [G.mul(g, g) for g in G.generators])
@@ -66,37 +77,36 @@ def test_fibre_over_trivial_quotient_is_the_whole_product():
     G = base("C4")
     Q = quotient(G, whole_subgroup(G))
     assert Q.order == 1
-    sub = fibre_product(FibreSpec(Q.projection, Q.projection))
-    assert sub.order == 16
+    mask = fibre_product(FibreSpec(Q.projection, Q.projection))
+    assert mask.shape == (16,) and mask.all()
 
 
 def test_fibre_of_two_c4_reductions_has_order_8():
     p = reduction_mod_square(base("C4"))
     assert p.codomain.order == 2
-    sub = fibre_product(FibreSpec(p, p))
-    assert sub.order == 8
-    rows = _projection_rows(sub.mask, sub.parent.shape)
+    mask = fibre_product(FibreSpec(p, p))
+    assert np.count_nonzero(mask) == 8
+    rows = _projection_rows(mask, (4, 4))
     assert rows["p1"]["surjective"] and rows["p2"]["surjective"]
 
 
 def test_fibre_of_identities_is_the_diagonal():
     G = base("C4")
     ident = Homomorphism(G, G, G.generators)
-    sub = fibre_product(FibreSpec(ident, ident))
-    assert sub.order == G.order
-    got = {sub.parent.coords(x) for x in sub.parent.elements if x in sub}
-    assert got == {(g, g) for g in G.elements}
+    mask = fibre_product(FibreSpec(ident, ident))
+    assert np.count_nonzero(mask) == G.order
+    assert set(pairs(mask, (4, 4))) == {(g, g) for g in G.elements}
 
 
 def test_fibre_of_different_domains_pairs_coordinates():
-    # C8 x C4 over C2: the ambient index is a*4 + b, not a*8 + b
+    # C8 x C4 over C2: the pair index is a*4 + b, not a*8 + b
     C8, C4 = base("C8"), base("C4")
     p2 = reduction_mod_square(C4)
     p1 = Homomorphism(C8, p2.codomain, [p2(C4.generators[0])])
-    sub = fibre_product(FibreSpec(p1, p2))
-    assert sub.order == 16
+    mask = fibre_product(FibreSpec(p1, p2))
+    assert mask.shape == (32,) and np.count_nonzero(mask) == 16
     want = {(a, b) for a in C8.elements for b in C4.elements if p1(a) == p2(b)}
-    assert {sub.parent.coords(x) for x in sub.parent.elements if x in sub} == want
+    assert set(pairs(mask, (8, 4))) == want
 
 
 def test_fibre_spec_rejects_bad_maps():
@@ -110,13 +120,6 @@ def test_fibre_spec_rejects_bad_maps():
         FibreSpec(ident, p2)  # codomains differ
 
 
-def test_fibre_rejects_foreign_ambient():
-    p = reduction_mod_square(base("C4"))
-    amb = direct_product(base("C8"), base("C8"))
-    with pytest.raises(ValueError):
-        fibre_product(FibreSpec(p, p), ambient=amb)
-
-
 def test_order_law_on_randomized_specs():
     rng = random.Random(0xF1B7E)
     pool = ["C4", "C8", "K4", "C2xC4", "D8", "Q8"]
@@ -128,9 +131,9 @@ def test_order_law_on_randomized_specs():
         p1 = Q.projection
         g0 = rng.choice(G.elements)
         p2 = Homomorphism(G, Q, [p1(G.conj(x, g0)) for x in G.generators])
-        sub = fibre_product(FibreSpec(p1, p2))
-        assert sub.order * Q.order == G.order * G.order
-        rows = _projection_rows(sub.mask, sub.parent.shape)
+        mask = fibre_product(FibreSpec(p1, p2))
+        assert np.count_nonzero(mask) * Q.order == G.order * G.order
+        rows = _projection_rows(mask, (G.order, G.order))
         assert rows["p1"]["surjective"] and rows["p2"]["surjective"]
         done += 1
 
@@ -142,30 +145,52 @@ def test_antidiagonal_subgroup_frozen(name, order):
     # construction raises internally if the closure and the fibre
     # product over the abelianization were to disagree
     H = base(name)
-    sub = s_subgroup(H)
-    assert sub.order == order
-    assert sub.order == H.order**2 * derived_subgroup(H).order // H.order
+    mask = s_subgroup(H)
+    assert mask.shape == (H.order**2,)
+    assert np.count_nonzero(mask) == order
+    assert order == H.order**2 * derived_subgroup(H).order // H.order
 
 
 def test_antidiagonal_of_c4_is_the_antidiagonal_set():
     H = base("C4")
-    sub = s_subgroup(H)
-    got = {sub.parent.coords(x) for x in sub.parent.elements if x in sub}
-    assert got == {(h, H.inv(h)) for h in H.elements}
+    assert set(pairs(s_subgroup(H), (4, 4))) == {(h, H.inv(h)) for h in H.elements}
 
 
 def test_antidiagonal_contains_the_derived_square():
     H = base("D8")
-    sub = s_subgroup(H)
+    got = set(pairs(s_subgroup(H), (8, 8)))
     der = [x for x in H.elements if x in derived_subgroup(H)]
-    assert all(sub.parent.pack((x, y)) in sub for x in der for y in der)
+    assert {(x, y) for x in der for y in der} <= got
 
 
-def test_antidiagonal_respects_shared_ambient():
-    H = base("Q8")
-    amb = direct_product(H, H)
-    sub = s_subgroup(H, ambient=amb)
-    assert sub.parent is amb
+@pytest.mark.parametrize("name", ["C2", "C4", "C3xC3", "D8", "Q8"])
+def test_antidiagonal_closure_matches_the_closure_in_the_product(name):
+    # the pair-index closure against the subgroup closure in H x H built
+    # as a group, whose element indices are the same pair indices
+    H = base(name)
+    P = TupleGroup([H, H])
+    want = subgroup_closure(P, [P.pack((h, H.inv(h))) for h in H.elements])
+    assert np.array_equal(s_subgroup(H), want.mask)
+
+
+def test_fibre_suite_and_command_build_no_product_group(monkeypatch, capsys):
+    built = []
+    init = TupleGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TupleGroup, "__init__", counting)
+    harness.clear_caches()
+    try:
+        report = harness.run_suite("fibre", builtin_catalog())
+    finally:
+        harness.clear_caches()
+    assert report.ok
+    assert main(["fibre", "catalog:Q8"]) == 0
+    assert json.loads(capsys.readouterr().out)["antidiagonal_order"] == 16
+    assert built == []
 
 
 def test_antipodal_spec_shape():

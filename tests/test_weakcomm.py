@@ -20,7 +20,6 @@ from xpforge.groups import (
     TupleGroup,
     commutator_subgroup,
     derived_subgroup,
-    direct_product,
     group_from_fold,
     group_from_presentation,
     intersection,
@@ -419,7 +418,7 @@ def test_induced_map_rejects_mismatched_bundles():
 
 
 def test_build_requires_presentation():
-    G = direct_product(base("C2"), base("C2"))
+    G = TupleGroup([base("C2"), base("C2")])
     with pytest.raises(ValueError, match="presentation"):
         build_xp(G)
     with pytest.raises(ValueError, match="elements mode"):
