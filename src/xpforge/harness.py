@@ -15,10 +15,10 @@ nu group whose predicted order exceeds the size gate, so it is out of
 scope by construction rather than failed).  Any other error a check
 raises fails that row alone, with its message as the detail: an
 enumeration limit (EnumerationError, a RuntimeError, with the entry name
-attached), a map that is not a homomorphism, or an order that is not a
-prime power (ValueErrors).  The schur suite leaves out a gated nu route;
-its third route, the relation module of the Cayley graph, runs at every
-order.
+attached), a map that is not a homomorphism, an order that is not a
+prime power (ValueErrors), or a MemoryError ("out of memory").  The
+schur suite leaves out a gated nu route; its third route, the relation
+module of the Cayley graph, runs at every order.
 """
 
 from __future__ import annotations
@@ -181,6 +181,9 @@ def _row(suite: str, entry: str, check: str, fn) -> dict:
     except (RuntimeError, ValueError) as exc:
         status = "fail"
         detail = {"error": str(exc)}
+    except MemoryError:
+        status = "fail"
+        detail = {"error": "out of memory"}
     return {
         "suite": suite,
         "entry": entry,

@@ -13,10 +13,10 @@ so there is no overflow to worry about.
 abelian_schreier reads H^ab off the coset table of a subgroup H of
 finite index, with the coordinate in it of every edge of the table
 (abelianised Reidemeister-Schreier).  Its relation matrix has one row
-per relator and coset, so it is not handed to the Smith form: a sweep
-defines almost every edge from one relator walk, and only the walks
-left over reach a small Hermite normal form, in int64 with a checked
-bound.
+per relator and coset, so it is never formed whole: a sweep defines
+almost every edge from one relator walk, and the sums of the walks left
+over are folded, a chunk of rows at a time, into a running Hermite basis
+of their few columns, in int64 with a checked bound.
 
 H_1 and H_2 of a finite group G on d generators (repeats and the
 identity count) are read off one relation module, that of its Cayley
@@ -417,67 +417,59 @@ def _sweep(walks: list, known: np.ndarray, value: np.ndarray):
     return value, closed, free
 
 
-def _relations(walks: list, value: np.ndarray) -> np.ndarray:
-    """The nonzero sums of the walks, in chunks."""
+def _relations(walks: list, value: np.ndarray):
+    """The nonzero sums of the walks, yielded one walk length and
+    CHUNK_CELLS entries at a time: no more than a chunk is ever held."""
     K = value.shape[1]
     signed = np.empty((2 * len(value), K), dtype=np.int64)
     signed[0::2], signed[1::2] = value, -value
-    out = [np.zeros((0, K), dtype=np.int64)]
     step = max(1, CHUNK_CELLS // max(K, 1))
-    for W in walks:
+    for length in dict.fromkeys(W.shape[1] for W in walks):
+        W = np.concatenate([W for W in walks if W.shape[1] == length])
         for s in range(0, len(W), step):
             chunk = W[s : s + step]
             acc = signed[chunk[:, 0]]
             for t in range(1, chunk.shape[1]):
                 acc += signed[chunk[:, t]]
-            out.append(acc[acc.any(axis=1)])
-    return _bounded(np.concatenate(out))
+            yield _bounded(acc[acc.any(axis=1)])
 
 
-def _eliminate_units(R: np.ndarray, value: np.ndarray):
-    """Drop every coordinate that some relation has with coefficient
-    +-1: with that row scaled to r_j = 1, e_j = e_j - r in the quotient,
-    so v becomes v - v_j * r in every relation and every value."""
-    while R.size:
-        unit = np.abs(R) == 1
-        hit = np.flatnonzero(unit.any(axis=0))
-        if not hit.size:
-            break
-        j = hit[0]
-        rows = np.flatnonzero(unit[:, j])
-        r = rows[np.argmin(np.count_nonzero(R[rows], axis=1))]
-        row = R[r] * R[r, j]
-        R = _bounded(R - np.outer(R[:, j], row))
-        value = _bounded(value - np.outer(value[:, j], row))
-        R, value = np.delete(R, j, axis=1), np.delete(value, j, axis=1)
-        R = R[R.any(axis=1)]
-    return R, value
+def _fold(basis: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The Hermite basis of the lattice spanned by `basis` and the rows of
+    R.  A basis is K x K and upper triangular; row j is zero while no
+    vector of the lattice starts at column j, else it has a pivot d_j > 0
+    and every entry above a pivot lies in [0, d_j).  Column by column,
+    the rows are reduced against the one of least nonzero entry there
+    until only it is left, which becomes row j; then each entry above a
+    pivot is reduced."""
+    R = np.vstack([basis[basis.any(axis=1)], R])
+    basis = np.zeros_like(basis)
+    for j in range(len(basis)):
+        col = R[:, j]
+        nz = np.flatnonzero(col)
+        if not nz.size:
+            continue
+        while nz.size > 1:
+            piv = nz[np.argmin(np.abs(col[nz]))]
+            q = col // col[piv]
+            q[piv] = 0
+            R -= q[:, None] * R[piv]
+            _bounded(R)
+            nz = np.flatnonzero(col)
+        basis[j] = R[nz[0]] * np.sign(col[nz[0]])
+        R[nz[0]] = 0
+    for j in np.flatnonzero(np.diagonal(basis)):
+        basis[:j] = _bounded(basis[:j] - (basis[:j, j] // basis[j, j])[:, None] * basis[j])
+    return basis
 
 
 def _hnf(R: np.ndarray) -> np.ndarray:
     """The reduced Hermite normal form of a full-rank lattice, as its
-    square basis.  Column by column, the rows are reduced against the one
-    of least nonzero entry there until only it is left, which becomes a
-    basis row; then each entry above a pivot d_j is brought into [0, d_j).
-    Raises RuntimeError when a column runs out of rows (infinite
+    square basis.  Raises RuntimeError when a pivot is missing (infinite
     quotient)."""
-    K = R.shape[1]
-    basis = np.zeros((K, K), dtype=np.int64)
-    for j in range(K):
-        while True:
-            nz = np.flatnonzero(R[:, j])
-            if not nz.size:
-                raise RuntimeError("the subgroup's abelianization is infinite")
-            piv = nz[np.argmin(np.abs(R[nz, j]))]
-            others = nz[nz != piv]
-            if not others.size:
-                break
-            R[others] = _bounded(R[others] - (R[others, j] // R[piv, j])[:, None] * R[piv])
-        basis[j] = R[piv] * np.sign(R[piv, j])
-        R = np.delete(R, piv, axis=0)
-        R = R[R.any(axis=1)]
-    for j in range(K):
-        basis[:j] = _bounded(basis[:j] - (basis[:j, j] // basis[j, j])[:, None] * basis[j])
+    basis = _fold(np.zeros((R.shape[1],) * 2, dtype=np.int64), R)
+    if not np.diagonal(basis).all():
+        raise RuntimeError("the subgroup's abelianization is infinite")
     return basis
 
 
@@ -489,14 +481,13 @@ def abelian_schreier(table) -> AbelianSchreier:
 
     Each subgroup word w_j, walked from coset 0, is closed by a pseudo-
     edge crossed backward whose value is the unit vector e_j.  Tree edges
-    and pseudo-edges start known; _sweep defines the rest, and the walks
-    it did not use up give the relation lattice in Z^K.  Coordinates with
-    a unit coefficient in a relation are eliminated (Havas-Holt-Rees,
-    Linear Algebra Appl. 192, 1993), the rest is put in Hermite normal
-    form, every value is reduced into its box, and coordinates whose
-    diagonal is 1 (always 0 in the box) are dropped.  Everything is
-    exact; a coordinate beyond COORD_BOUND or an infinite H^ab raises
-    RuntimeError.
+    and pseudo-edges start known; _sweep defines the rest, and the sums
+    of the walks it did not use up span the relation lattice in Z^K.
+    They are folded chunk by chunk into its reduced Hermite normal form,
+    every value is reduced into its box, and the coordinates whose
+    diagonal is 1 (always 0 in the box; a relation with a unit
+    coefficient leaves one) are dropped.  Everything is exact; a coordinate beyond
+    COORD_BOUND or an infinite H^ab raises RuntimeError.
     """
     cols = table.col_arrays()
     m, k = table.ngens, table.n
@@ -519,10 +510,13 @@ def abelian_schreier(table) -> AbelianSchreier:
         walk = _walks(cols, letters, np.zeros(1, dtype=np.intp))
         walks.setdefault(length + 1, []).append(np.hstack([walk, closing]))
         pseudo += 2 * len(letters)
-    value, closed, free = _sweep([np.concatenate(ws) for ws in walks.values()], known, value)
+    # popped, so that each length's walks are held once, not twice
+    value, closed, free = _sweep([np.concatenate(walks.pop(n)) for n in list(walks)], known, value)
 
-    R, value = _eliminate_units(_relations(closed, value), value)
-    hnf = _hnf(R)
+    basis = np.zeros((value.shape[1],) * 2, dtype=np.int64)
+    for R in _relations(closed, value):
+        basis = _fold(basis, R)
+    hnf = _hnf(basis)  # raises unless every pivot is there
     keep = np.diagonal(hnf) > 1
     coords = _reduce(hnf, value[:nedges])[:, keep].reshape(m, k, -1)
     return AbelianSchreier(hnf[keep][:, keep], coords, free)

@@ -176,6 +176,28 @@ def test_a_group_that_is_not_a_p_group_fails_its_rows(tmp_path):
     assert row["detail"] == {"error": "order 6 is not a prime power"}
 
 
+def test_a_memory_error_fails_its_row_alone(tmp_path, monkeypatch):
+    # one entry's check runs out of memory; the other entries still run,
+    # and verify writes its report and exits 1 instead of raising
+    check, orders = harness._CHECKS["orders"]
+
+    def short_of_memory(e, limits):
+        if e.name == "c4":
+            raise MemoryError
+        return orders(e, limits)
+
+    monkeypatch.setitem(harness._CHECKS, "orders", (check, short_of_memory))
+    for name, order in (("c2", 2), ("c3", 3), ("c4", 4)):
+        (tmp_path / f"{name}.pres").write_text(f"gens a\nrels a^{order}\n")
+    rows = run_suite("orders", load_catalog_dir(str(tmp_path))).rows
+    assert [(r["entry"], r["status"]) for r in rows] == [("c2", "pass"), ("c3", "pass"), ("c4", "fail")]
+    assert rows[-1]["detail"] == {"error": "out of memory"}
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "orders", "--catalog", str(tmp_path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())["results"]
+    assert [(r["entry"], r["status"]) for r in report] == [(r["entry"], r["status"]) for r in rows]
+
+
 def test_randomized_specs_draw_from_the_entries_that_build(tmp_path):
     # s3 fails its own row, and the randomized row draws from c2 alone;
     # it fails only once no entry builds, with a build error

@@ -618,6 +618,23 @@ def test_abelian_schreier_on_the_diagonal_subgroup(name, free):
     assert ab.invariants() == [3, 3, 3]
 
 
+@pytest.mark.parametrize("name", ["Mod27", "Heis27"])
+def test_abelian_schreier_does_not_depend_on_the_chunk_size(name, monkeypatch):
+    # in chunks of 64 entries the walk sums fold over many chunks, some of
+    # them rank-deficient on their own, into the same basis
+    table = _kept_nabla_table(name)
+    whole = abelian_schreier(table)
+    fold, chunks = homology._fold, []
+    monkeypatch.setattr(homology, "CHUNK_CELLS", 64)
+    monkeypatch.setattr(homology, "_fold", lambda basis, R: chunks.append(R) or fold(basis, R))
+    chunked = abelian_schreier(table)
+    assert np.array_equal(chunked.hnf, whole.hnf) and np.array_equal(chunked.coords, whole.coords)
+    assert chunked.free == whole.free
+    zero = np.zeros((chunks[0].shape[1],) * 2, dtype=np.int64)
+    assert len(chunks) > 20
+    assert any(not np.diagonal(fold(zero, R)).all() for R in chunks)
+
+
 def test_abelian_schreier_of_trivial_and_infinite_abelianizations():
     # the trivial subgroup of C4 has H^ab = 1, so no coordinates; <a*b> in
     # the infinite dihedral group a^2 = b^2 = 1 has index 2 and is Z
