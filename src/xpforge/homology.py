@@ -302,7 +302,7 @@ COORD_BOUND = 1 << 31
 
 
 def _bounded(a: np.ndarray) -> np.ndarray:
-    if a.size and np.abs(a).max() > COORD_BOUND:
+    if a.size and (a.max() > COORD_BOUND or a.min() < -COORD_BOUND):
         raise RuntimeError(
             f"a Reidemeister-Schreier coordinate exceeds the bound {COORD_BOUND}; "
             "the subgroup's relation lattice is out of exact int64 range"
@@ -347,8 +347,8 @@ def _reduce(hnf: np.ndarray, v) -> np.ndarray:
     v = np.array(v, dtype=np.int64)
     for j, row in enumerate(hnf):
         if row[j + 1 :].any():
-            q = v[..., j] // row[j]
-            v[..., j:] = _bounded(v[..., j:] - q[..., None] * row[j:])
+            v[..., j:] -= (v[..., j] // row[j])[..., None] * row[j:]
+            _bounded(v[..., j:])
         else:
             v[..., j] %= row[j]
     return v
@@ -419,7 +419,7 @@ def _sweep(walks: list, known: np.ndarray, value: np.ndarray):
 
 def _relations(walks: list, value: np.ndarray):
     """The nonzero sums of the walks, yielded one walk length and
-    CHUNK_CELLS entries at a time: no more than a chunk is ever held."""
+    CHUNK_CELLS entries at a time, so that one chunk of sums is held."""
     K = value.shape[1]
     signed = np.empty((2 * len(value), K), dtype=np.int64)
     signed[0::2], signed[1::2] = value, -value
@@ -442,13 +442,11 @@ def _fold(basis: np.ndarray, R: np.ndarray) -> np.ndarray:
     the rows are reduced against the one of least nonzero entry there
     until only it is left, which becomes row j; then each entry above a
     pivot is reduced."""
-    R = np.vstack([basis[basis.any(axis=1)], R])
+    R = np.vstack([basis, R])
     basis = np.zeros_like(basis)
     for j in range(len(basis)):
         col = R[:, j]
         nz = np.flatnonzero(col)
-        if not nz.size:
-            continue
         while nz.size > 1:
             piv = nz[np.argmin(np.abs(col[nz]))]
             q = col // col[piv]
@@ -456,8 +454,9 @@ def _fold(basis: np.ndarray, R: np.ndarray) -> np.ndarray:
             R -= q[:, None] * R[piv]
             _bounded(R)
             nz = np.flatnonzero(col)
-        basis[j] = R[nz[0]] * np.sign(col[nz[0]])
-        R[nz[0]] = 0
+        if nz.size:
+            basis[j] = R[nz[0]] * np.sign(col[nz[0]])
+            R[nz[0]] = 0
     for j in np.flatnonzero(np.diagonal(basis)):
         basis[:j] = _bounded(basis[:j] - (basis[:j, j] // basis[j, j])[:, None] * basis[j])
     return basis
@@ -486,8 +485,8 @@ def abelian_schreier(table) -> AbelianSchreier:
     They are folded chunk by chunk into its reduced Hermite normal form,
     every value is reduced into its box, and the coordinates whose
     diagonal is 1 (always 0 in the box; a relation with a unit
-    coefficient leaves one) are dropped.  Everything is exact; a coordinate beyond
-    COORD_BOUND or an infinite H^ab raises RuntimeError.
+    coefficient leaves one) are dropped.  Everything is exact; a
+    coordinate beyond COORD_BOUND or an infinite H^ab raises RuntimeError.
     """
     cols = table.col_arrays()
     m, k = table.ngens, table.n

@@ -22,12 +22,12 @@ splittable pseudorandom number generators", OOPSLA 2014) computed in numpy
 uint64 arithmetic, with a fixed default seed: sample i reads hashes 2i and
 2i+1, and each 32-bit half h of a hash is scaled to its bound as
 (h * bound) >> 32, so a sample's draws do not depend on how many are taken.
-The samples are checked in chunks of 2**14 through the flattened
+The samples are checked in chunks of 2**12 through the flattened
 multiplication table, each chunk's hashes worked in place, which keeps the
-transients under 2 MB whatever the sample size (tracemalloc: 1.9 MB on
-C3xC3 and Heis27), and numpy.random is never imported.  The report also
-tabulates every single and pairwise projection of the image, which are all
-onto.
+transients near 0.5 MB whatever the sample size (tracemalloc: 0.49-0.51 MB
+on C3xC3, Heis27 and Mod27), and numpy.random is never imported.  The
+report also tabulates every single and pairwise projection of the image,
+which are all onto.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .groups import (
 EXHAUSTIVE_BASE_ORDER = 8
 SAMPLES_PER_DIRECTION = 100_000
 _SAMPLE_SEED = 0x5D17EC7
-_SAMPLE_CHUNK = 1 << 14
+_SAMPLE_CHUNK = 1 << 12
 
 # splitmix64: hash j of a seed is mix(seed + (j + 1) * gamma) mod 2**64
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
