@@ -289,7 +289,10 @@ def test_described_set_check_fails_in_both_sampled_directions():
     assert described_set_mismatches(G, whole_subgroup(G), im, samples=500, seed=1) == second
 
 
-@pytest.mark.parametrize("samples", [1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1])
+# 2**14 and 2**14 + 1 end on and just past the edge of a later chunk
+@pytest.mark.parametrize(
+    "samples", sorted({1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 2**14, 2**14 + 1})
+)
 def test_sampled_check_across_chunk_edges(samples):
     xb = xp("C3xC3")
     G = xb.base
