@@ -4,11 +4,13 @@ Invariant factors are always reported in ascending divisibility order
 (d1 | d2 | ... | dr, one entry per nonzero diagonal of the Smith normal
 form, so r is the rank).  Torsion readings drop the 1s.
 
-The Smith form runs in two stages: a sparse stage that eliminates +-1
-pivots column by column (cheap, removes almost everything for the highly
-redundant boundary matrices built here), then an exact textbook reduction
-on the small dense remainder.  Everything is plain Python int arithmetic,
-so there is no overflow to worry about.
+The Smith form is one elimination on sparse rows, as Havas, Holt and
+Rees do for badly presented Z-modules (Linear Algebra Appl. 192, 1993):
+each column in turn is cleared by row operations against its least
+entry, then that pivot's row by column operations.  The boundary and
+relation matrices built here are highly redundant, so almost every pivot
+is +-1 and settles in one column clear.  Everything is plain Python int
+arithmetic, so there is no overflow to worry about.
 
 abelian_schreier reads H^ab off the coset table of a subgroup H of
 finite index, with the coordinate in it of every edge of the table
@@ -51,162 +53,70 @@ from .coset import CHUNK_CELLS, _by_length, shortlex_bfs, word_to_cols
 # ---------------------------------------------------------------------------
 
 
-def _sparse_unit_eliminate(rows: dict[int, dict[int, int]]):
-    """Eliminate +-1 pivots in place; returns the number eliminated.
-
-    `rows` maps row index -> {col index: value}.  After return it holds
-    only the rows/columns that had no unit pivot reachable.
-    """
-    cols: dict[int, set[int]] = defaultdict(set)
-    for i, r in rows.items():
-        for j in r:
-            cols[j].add(i)
-    units = 0
-    progress = True
-    while progress:
-        progress = False
-        for j in sorted(cols):
-            rowset = cols.get(j)
-            if not rowset:
-                cols.pop(j, None)
-                continue
-            piv = None
-            for i in sorted(rowset, key=lambda i: (len(rows[i]), i)):
-                if abs(rows[i][j]) == 1:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            s = rows[piv][j]
-            prow = dict(rows[piv])
-            for i in sorted(rowset - {piv}):
-                ri = rows[i]
-                m = ri[j] * s
-                for jj, v in prow.items():
-                    nv = ri.get(jj, 0) - m * v
-                    if nv:
-                        if jj not in ri:
-                            cols[jj].add(i)
-                        ri[jj] = nv
-                    elif jj in ri:
-                        del ri[jj]
-                        cols[jj].discard(i)
-                if not ri:
-                    del rows[i]
-            for jj in prow:
-                cols[jj].discard(piv)
-            del rows[piv]
-            cols.pop(j, None)
-            units += 1
-            progress = True
-    return units
-
-
-def _dense_invariants(a: list[list[int]]) -> list[int]:
-    """Exact Smith normal form of a dense integer matrix; returns the
-    nonzero diagonal (ascending divisibility)."""
-    a = [list(row) for row in a]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    res: list[int] = []
-    t = 0
-    while t < m and t < n:
-        # pull the smallest nonzero entry of the submatrix to (t, t)
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            if a[t][t] < 0:
-                a[t] = [-v for v in a[t]]
-            p = a[t][t]
-            swapped = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    if q:
-                        at = a[t]
-                        ai = a[i]
-                        for j in range(t, n):
-                            ai[j] -= q * at[j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    if q:
-                        for i in range(t, m):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(t, m):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            bad = None
-            for i in range(t + 1, m):
-                if any(a[i][j] % p for j in range(t + 1, n)):
-                    bad = i
-                    break
-            if bad is None:
-                res.append(p)
-                t += 1
-                break
-            arow = a[bad]
-            at = a[t]
-            for j in range(t, n):
-                at[j] += arow[j]
-    return res
-
-
-def _as_rows(entries):
-    if isinstance(entries, dict):
-        rows: dict[int, dict[int, int]] = defaultdict(dict)
-        for (i, j), v in entries.items():
-            if v:
-                rows[i][j] = v
-        return dict(rows)
-    rows = {}
-    for i, row in enumerate(entries):
-        r = {j: v for j, v in enumerate(row) if v}
-        if r:
-            rows[i] = r
-    return rows
-
-
 def invariant_factors(entries) -> list[int]:
     """Invariant factors of an integer matrix.
 
     `entries` is either a list of rows or a sparse {(i, j): value} dict
     (zero rows/columns never matter for the result).
+
+    One elimination on sparse rows: the columns are swept in order, and
+    a column's pivot is its least entry, ties going to the shortest row.
+    Row operations clear the column; a remainder is its next pivot.
+    Column operations then clear the pivot's row, and touch no other row
+    because its column is clear; a remainder moves the pivot along the
+    row.  A pivot alone in its row and column is a diagonal entry, and a
+    gcd/lcm pass over pairs puts the diagonal in divisibility order.
     """
-    rows = _as_rows(entries)
-    units = _sparse_unit_eliminate(rows)
-    factors = [1] * units
-    if rows:
-        live_rows = sorted(rows)
-        live_cols = sorted({j for r in rows.values() for j in r})
-        colpos = {j: k for k, j in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for k, i in enumerate(live_rows):
-            for j, v in rows[i].items():
-                dense[k][colpos[j]] = v
-        factors.extend(_dense_invariants(dense))
-    return factors
+    if not isinstance(entries, dict):
+        entries = {(i, j): v for i, row in enumerate(entries) for j, v in enumerate(row)}
+    rows: dict[int, dict[int, int]] = defaultdict(dict)
+    cols: dict[int, set[int]] = defaultdict(set)
+    for (i, j), v in entries.items():
+        if v:
+            rows[i][j] = v
+            cols[j].add(i)
+    diagonal = []
+    for j in sorted(cols):
+        c = j
+        while cols[j]:
+            col = cols[c]
+            p = min(col, key=lambda i: (abs(rows[i][c]), len(rows[i]), i))
+            prow = rows[p]
+            a = prow[c]
+            for i in col - {p}:
+                ri = rows[i]
+                q = ri[c] // a
+                for k, v in prow.items():
+                    nv = ri.get(k, 0) - q * v
+                    if nv:
+                        if k not in ri:
+                            cols[k].add(i)
+                        ri[k] = nv
+                    elif k in ri:
+                        del ri[k]
+                        cols[k].discard(i)
+                if not ri:
+                    del rows[i]
+            if len(col) > 1:
+                continue
+            for k in [k for k in prow if k != c]:
+                prow[k] %= a
+                if not prow[k]:
+                    del prow[k]
+                    cols[k].discard(p)
+            if len(prow) > 1:
+                c = min((k for k in prow if k != c), key=lambda k: (abs(prow[k]), k))
+            else:
+                diagonal.append(abs(a))
+                del rows[p]
+                col.clear()
+                c = j
+    torsion = [d for d in diagonal if d > 1]
+    for x in range(len(torsion)):
+        for y in range(x + 1, len(torsion)):
+            g = gcd(torsion[x], torsion[y])
+            torsion[x], torsion[y] = g, torsion[x] * torsion[y] // g
+    return [1] * (len(diagonal) - len(torsion)) + torsion
 
 
 def matrix_rank(entries) -> int:
@@ -462,14 +372,18 @@ def _fold(basis: np.ndarray, R: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _hnf(R: np.ndarray) -> np.ndarray:
-    """The reduced Hermite normal form of a full-rank lattice, as its
-    square basis.  Raises RuntimeError when a pivot is missing (infinite
-    quotient)."""
-    basis = _fold(np.zeros((R.shape[1],) * 2, dtype=np.int64), R)
+def _full_rank(basis: np.ndarray) -> np.ndarray:
+    """A folded basis, once every pivot is there; RuntimeError if one is
+    missing (infinite quotient)."""
     if not np.diagonal(basis).all():
         raise RuntimeError("the subgroup's abelianization is infinite")
     return basis
+
+
+def _hnf(R: np.ndarray) -> np.ndarray:
+    """The reduced Hermite normal form of a full-rank lattice, as its
+    square basis."""
+    return _full_rank(_fold(np.zeros((R.shape[1],) * 2, dtype=np.int64), R))
 
 
 def abelian_schreier(table) -> AbelianSchreier:
@@ -515,7 +429,7 @@ def abelian_schreier(table) -> AbelianSchreier:
     basis = np.zeros((value.shape[1],) * 2, dtype=np.int64)
     for R in _relations(closed, value):
         basis = _fold(basis, R)
-    hnf = _hnf(basis)  # raises unless every pivot is there
+    hnf = _full_rank(basis)
     keep = np.diagonal(hnf) > 1
     coords = _reduce(hnf, value[:nedges])[:, keep].reshape(m, k, -1)
     return AbelianSchreier(hnf[keep][:, keep], coords, free)

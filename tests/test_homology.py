@@ -32,7 +32,6 @@ from xpforge.groups import (
     whole_subgroup,
 )
 from xpforge.homology import (
-    _dense_invariants,
     abelian_invariants,
     abelian_schreier,
     exterior_square_invariants,
@@ -95,6 +94,8 @@ def grp(name):
         ([[6]], [6]),
         ([[3, 3, 3]], [3]),
         ([[5], [10], [15]], [5]),
+        ([[2, 3]], [1]),
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 2]], [2, 2, 12]),
     ],
 )
 def test_invariant_factors_fixed(matrix, factors):
@@ -170,12 +171,28 @@ def test_divisibility_chain_and_determinant():
             assert len(f) < 4
 
 
-def test_sparse_pipeline_agrees_with_pure_dense():
+def _determinantal_divisors(a):
+    # Smith's definition: s_k = d_k / d_(k-1), d_k the gcd of the k x k
+    # minors, up to the first k at which every minor vanishes
+    factors, previous = [], 1
+    for k in range(1, min(len(a), len(a[0])) + 1):
+        d = 0
+        for rows in itertools.combinations(a, k):
+            for cols in itertools.combinations(range(len(a[0])), k):
+                d = gcd(d, _det([[row[j] for j in cols] for row in rows]))
+        if not d:
+            break
+        factors.append(d // previous)
+        previous = d
+    return factors
+
+
+def test_invariant_factors_match_the_determinantal_divisors():
     rng = random.Random(17)
     for _ in range(20):
         m, n = rng.randint(2, 7), rng.randint(2, 7)
         a = _random_matrix(rng, m, n, lo=-4, hi=4, density=0.5)
-        assert invariant_factors(a) == _dense_invariants(a)
+        assert invariant_factors(a) == _determinantal_divisors(a)
 
 
 def test_matrix_rank_and_torsion():
