@@ -17,26 +17,29 @@ T(Heis27) over its diagonal subgroup (640 relators at 27 cosets: 17 280
 tests, 1 002 scans) and 77 % for X(Heis27) over its left copy (23
 relators at 729 cosets: 16 767 tests, 3 808 scans).
 
-Table format: one row per coset, 2*ngens columns.  Column 2*i holds the
-action of generator i, column 2*i+1 that of its inverse (so a column's
-inverse column is ``col ^ 1``); -1 marks an undefined entry.  Coset 0 is
-the subgroup coset.
+Table format: while it is enumerated, one row per coset, 2*ngens
+columns.  Column 2*i holds the action of generator i, column 2*i+1 that
+of its inverse (so a column's inverse column is ``col ^ 1``); -1 marks an
+undefined entry.  Coset 0 is the subgroup coset.  A finished table is
+its ngens generator columns only, and one routine, with_inverses,
+derives the inverse columns where a walk needs them.
 
 Completed tables are compressed (dead rows removed) onto one int32
-array of columns, then checked and standardized by one routine,
-standardize: every column must be a permutation, every relator must
-close at every coset, and the cosets are renumbered in BFS discovery
-order from coset 0, exploring positive generator columns in index order.
-The standardized table is canonical for the (presentation, subgroup)
-pair, whatever order the cosets were defined in, and the levels of the
-BFS, renumbered with the table, give shortlex canonical words in the
-positive generators for every coset.  That BFS, shortlex_bfs, is the
-one every group in groups.py runs; standardize also serves the regular
-tables that groups.group_from_fold assembles from a smaller
+array of generator columns, then checked and standardized by one
+routine, standardize: every entry must be a point, every column a
+permutation, every relator must close at every coset, and the cosets
+are renumbered in BFS discovery order from coset 0, exploring the
+generator columns in index order.  The standardized table is canonical
+for the (presentation, subgroup) pair, whatever order the cosets were
+defined in, and the levels of the BFS, renumbered with the table, give
+shortlex canonical words in the positive generators for every coset.
+That BFS, shortlex_bfs, is the one every group in groups.py runs;
+standardize also serves the regular tables that groups.group_from_fold
+and groups.group_from_normal_subgroup assemble from a smaller
 enumeration.  A CosetTable keeps that array and, until a PermGroup takes
 them, the levels; its words are built from the levels only when asked
-for.  Relators are certified on the array with one gather per letter
-for a chunk of words at a time.
+for.  Relators are certified on the derived columns with one gather per
+letter for a chunk of words at a time.
 
 Enumeration either completes or raises EnumerationError (limit/time); a
 partial table is never returned.  Memory is bounded by a cell budget, rows
@@ -213,46 +216,59 @@ def words_from_levels(n: int, levels) -> list[tuple[int, ...]]:
     return words
 
 
-def standardize(cols: np.ndarray, rel_cols) -> tuple[np.ndarray, list]:
+def with_inverses(gen_cols: np.ndarray) -> np.ndarray:
+    """The 2*ngens columns of a table from its generator columns (ngens x
+    n): column 2*i+1 holds at each point the point that generator i sends
+    to it, or -1 where no entry of column 2*i reaches it."""
+    d, n = gen_cols.shape
+    cols = np.full((2 * d, n), -1, dtype=np.int32)
+    cols[0::2] = gen_cols
+    step = max(1, CHUNK_CELLS // max(n, 1))
+    for s in range(0, d, step):
+        rows = np.arange(2 * s + 1, 2 * min(s + step, d), 2)[:, None]
+        cols[rows, gen_cols[s : s + step]] = np.arange(n, dtype=np.int32)
+    return cols
+
+
+def standardize(gen_cols: np.ndarray, rel_cols) -> tuple[np.ndarray, list]:
     """Check a complete table and renumber it canonically.
 
-    `cols` holds all 2*ngens columns (ncols x n), column 2*i+1 the inverse
-    of column 2*i, and `rel_cols` the relators as column tuples.  Raises
-    RuntimeError unless every entry is a point, column 2*i+1 undoes
-    column 2*i at every point (so both are permutations, inverse to each
-    other, as _words_close assumes of every inverse letter), every
-    relator acts as the identity, and the BFS along the positive columns
-    from point 0 reaches every point.  Returns the table renumbered in
-    that BFS order and the levels of that BFS renumbered with it (new
-    found, new src, gen): the levels that shortlex_bfs gives on the
-    returned table, so that no caller searches it again.
+    `gen_cols` holds the generator columns (ngens x n) and `rel_cols` the
+    relators as column tuples.  Raises RuntimeError unless every entry is
+    a point, every column is a permutation (with_inverses leaves no -1,
+    so the derived columns are the inverses that _words_close assumes of
+    every inverse letter), every relator acts as the identity, and the
+    BFS along the generator columns from point 0 reaches every point.
+    Returns the generator columns renumbered in that BFS order and the
+    levels of that BFS renumbered with them (new found, new src, gen):
+    the levels that shortlex_bfs gives on the returned table, so that no
+    caller searches it again.
     """
-    n = cols.shape[1]
-    idx = np.arange(n, dtype=np.int32)
-    step = 2 * max(1, CHUNK_CELLS // max(2 * n, 1))
-    if cols.size and not 0 <= cols.min() <= cols.max() < n:
+    n = gen_cols.shape[1]
+    if gen_cols.size and not 0 <= gen_cols.min() <= gen_cols.max() < n:
         raise RuntimeError("a table entry is not a point")
-    for s in range(0, len(cols), step):
-        pair = cols[s : s + step]
-        if not (np.take_along_axis(pair[1::2], pair[0::2], axis=1) == idx).all():
-            raise RuntimeError("a table column is not the inverse of its generator's")
+    cols = with_inverses(gen_cols)
+    if cols[1::2].min(initial=0) < 0:
+        raise RuntimeError("a table column is not a permutation")
     if not _words_close(cols, _by_length(rel_cols)):
         raise RuntimeError("a relator does not close on the table")
-    levels = shortlex_bfs(cols[0::2])
+    del cols
+    levels = shortlex_bfs(gen_cols)
     order = np.concatenate([np.zeros(1, dtype=np.int32)] + [found for found, _, _ in levels])
     if len(order) != n:
         raise RuntimeError("the table is not connected")
     new = np.empty(n, dtype=np.int32)
-    new[order] = idx
-    std = np.empty_like(cols)
-    for s in range(0, len(cols), step):
-        std[s : s + step] = new[cols[s : s + step, order]]
+    new[order] = np.arange(n, dtype=np.int32)
+    std = np.empty_like(gen_cols)
+    step = max(1, CHUNK_CELLS // max(n, 1))
+    for s in range(0, len(gen_cols), step):
+        std[s : s + step] = new[gen_cols[s : s + step, order]]
     return std, [(new[found], new[src], gen) for found, src, gen in levels]
 
 
 class CosetTable:
     """A completed, standardized coset table, held as one int32 array of
-    its columns (2*ngens x n).
+    its generator columns (`gen_cols`, ngens x n).
 
     `levels` are the shortlex BFS levels of the table that standardize
     returned with it.  They are handed over once, by take_levels (PermGroup
@@ -261,26 +277,18 @@ class CosetTable:
     built on first use from the levels by prefix sharing.
     """
 
-    def __init__(self, ngens, cols, levels, presentation, subgroup_words, stats):
-        self.ngens = ngens
-        self._cols = cols
+    def __init__(self, gen_cols, levels, presentation, subgroup_words, stats):
+        self.gen_cols = gen_cols
+        self.ngens = len(gen_cols)
         self._levels = levels
         self.presentation = presentation
         self.subgroup_words = list(subgroup_words)
         self.stats = stats
-        self._rows = None
         self._words = None
 
     @property
     def n(self) -> int:
-        return self._cols.shape[1]
-
-    @property
-    def rows(self) -> list[tuple[int, ...]]:
-        """One tuple of column entries per coset."""
-        if self._rows is None:
-            self._rows = [tuple(r) for r in self._cols.T.tolist()]
-        return self._rows
+        return self.gen_cols.shape[1]
 
     @property
     def words(self) -> list[tuple[int, ...]]:
@@ -291,30 +299,31 @@ class CosetTable:
         return self._words
 
     def take_levels(self) -> list:
-        """The shortlex BFS levels of the positive columns, as
+        """The shortlex BFS levels of the generator columns, as
         shortlex_bfs gives them.  The first call hands over the levels of
         standardize and drops them from the table; a later call searches
         the table again."""
         levels, self._levels = self._levels, None
-        return shortlex_bfs(self._cols[0::2]) if levels is None else levels
+        return shortlex_bfs(self.gen_cols) if levels is None else levels
 
     def trace(self, coset: int, letters) -> int:
-        """Follow a letter sequence (signed, 1-based) from a coset."""
-        cols = self._cols
+        """Follow a letter sequence (signed, 1-based) from a coset; an
+        inverse letter goes back along its generator's column."""
         for a in letters:
-            coset = int(cols[2 * (a - 1) if a > 0 else 2 * (-a - 1) + 1, coset])
+            col = self.gen_cols[abs(a) - 1]
+            coset = int(col[coset]) if a > 0 else int((col == coset).argmax())
         return coset
 
     def col_arrays(self) -> np.ndarray:
-        """All 2*ngens columns as an int32 array of shape (ncols, n)."""
-        return self._cols
+        """All 2*ngens columns (ncols x n), derived on each call."""
+        return with_inverses(self.gen_cols)
 
     def relators_hold(self, relator_words) -> bool:
         """Vectorized check that every word acts as the identity permutation."""
         groups = _by_length([w.letters for w in relator_words])
         for length, a in groups.items():  # word_to_cols, on arrays
             groups[length] = np.where(a > 0, 2 * a - 2, -2 * a - 1)
-        return _words_close(self._cols, groups)
+        return _words_close(with_inverses(self.gen_cols), groups)
 
 
 class _Enumerator:
@@ -582,14 +591,16 @@ class _Enumerator:
     # -- finishing ------------------------------------------------------------
 
     def finish(self) -> CosetTable:
-        """Compact the table onto one int32 array, check that the subgroup
-        words fix coset 0, then check and renumber it with standardize."""
+        """Compact the table onto one int32 array, check and renumber its
+        generator columns with standardize, then check that the subgroup
+        words fix coset 0."""
         p = np.array(self.p, dtype=np.int32)
         live = np.flatnonzero(p == np.arange(len(p)))
         n = len(live)
         cols = np.array(self.table, dtype=np.int32).T[:, live]
         if (cols < 0).any():
             raise RuntimeError("internal: incomplete table after enumeration")
+        gen_cols = cols[0::2]
         if n < len(p):
             # renumber the live cosets in order, through their representatives
             rep = p
@@ -600,16 +611,13 @@ class _Enumerator:
                 rep = up
             mapping = np.full(len(p), -1, dtype=np.int32)
             mapping[live] = np.arange(n, dtype=np.int32)
-            cols = mapping[rep][cols]
-        for w in self.sub_cols:
-            v = 0
-            for c in w:
-                v = cols[c, v]
-            if v != 0:
-                raise RuntimeError("internal: subgroup word leaves coset 0")
-        std, levels = standardize(cols, self.rel_cols)
+            gen_cols = mapping[rep][gen_cols]
+        std, levels = standardize(gen_cols, self.rel_cols)
         stats = {"cosets": n, "total_defined": self.total_defined}
-        return CosetTable(self.ngens, std, levels, self.pres, self.subgroup_words, stats)
+        table = CosetTable(std, levels, self.pres, self.subgroup_words, stats)
+        if any(table.trace(0, w.letters) != 0 for w in self.subgroup_words):
+            raise RuntimeError("internal: subgroup word leaves coset 0")
+        return table
 
 
 def enumerate_cosets(

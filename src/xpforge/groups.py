@@ -5,7 +5,8 @@ O'Brien, Handbook of Computational Group Theory, 2005, section 4.1): its
 elements are the indices 0..n-1, the identity is 0, and `gen_cols` holds
 one int32 row per generator with the index of x*g for every element x.
 A subclass only builds the generators and those rows: PermGroup takes a
-regular table's positive columns, TupleGroup moves one mixed-radix digit
+regular table's positive columns, the whole array the table holds, so a
+group keeps no inverse columns; TupleGroup moves one mixed-radix digit
 per factor generator, SubgroupAsGroup restricts its parent's right
 actions, and QuotientGroup takes the orbits of the normal subgroup's
 generators as its cosets.  Each puts the identity first: coset 0, the
@@ -45,11 +46,11 @@ A presentation is turned into a group by coset enumeration over the
 trivial subgroup (group_from_presentation), or, for a group on two
 copies of a base that folds onto it, over the first copy
 (group_from_fold): the fold and the cosets of that copy give every
-element once, so the regular table is assembled from base's columns and
-a table |base| times smaller, then checked and standardized like an
-enumerated one.  group_from_normal_subgroup does the same for the
-quotient by [H, H] of a normal subgroup H, from the cosets of H and the
-coordinates of H^ab.
+element once, so the regular table's generator columns are assembled
+from base's and a table's |base| times smaller, then checked and
+standardized like an enumerated one.  group_from_normal_subgroup does
+the same for the quotient by [H, H] of a normal subgroup H, from the
+cosets of H and the coordinates of H^ab.
 
 Every subgroup is a boolean mask over its parent's indices plus a small
 generating set.  Generators are chosen greedily and order-stably: a
@@ -93,6 +94,7 @@ from .coset import (
     hold_to_limits,
     shortlex_bfs,
     standardize,
+    with_inverses,
     word_to_cols,
     words_from_levels,
 )
@@ -222,13 +224,8 @@ class FiniteGroup:
         the end of a word too).  Built on first use and kept, since
         gen_cols never changes."""
         if self._acts_rows is None:
-            d, n = self.gen_cols.shape
-            identity = np.arange(n, dtype=np.int32)
-            acts = np.empty((2 * d + 2, n), dtype=np.int32)
-            acts[0 : 2 * d : 2] = self.gen_cols
-            acts[1 : 2 * d : 2][np.arange(d)[:, None], self.gen_cols] = identity
-            acts[2 * d :] = identity
-            self._acts_rows = acts
+            identity = np.arange(self.order, dtype=np.int32)
+            self._acts_rows = np.vstack([with_inverses(self.gen_cols), identity, identity])
         return self._acts_rows
 
     def _products(self, A, B) -> np.ndarray:
@@ -341,10 +338,9 @@ class PermGroup(FiniteGroup):
         if table.subgroup_words:
             raise ValueError("regular representation needs a trivial-subgroup table")
         self.table = table
-        gen_cols = table.col_arrays()[0::2]
         super().__init__(
-            gen_cols[:, 0].tolist(),
-            gen_cols,
+            table.gen_cols[:, 0].tolist(),
+            table.gen_cols,
             name=name,
             presentation=table.presentation,
             levels=table.take_levels(),
@@ -840,8 +836,8 @@ def group_from_fold(
     on it, is a complement of its kernel; so x -> (fold(x), Hx) is a
     bijection from X to base x (right cosets of H), and it respects right
     multiplication by a generator t: (h, c) goes to (h*fold(t), c*t).
-    The table on those |base|*k points is assembled from base's generator
-    columns and the k-coset table of H, then checked and standardized
+    The generator columns on those |base|*k points are assembled from
+    base's and the k-coset table's of H, then checked and standardized
     like any enumerated table (coset.standardize).  A relator that does
     not fold fails the relator check.  Once every relator closes, the
     table is a transitive action of X on |base|*k >= |H|*k = |X| points,
@@ -853,15 +849,15 @@ def group_from_fold(
         raise ValueError("presentation is not on two copies of the base, the first with its relators")
     limits = limits or EnumerationLimits()
     table = enumerate_cosets(pres, [Word.gen(i) for i in range(n)], limits)
-    k, m, ncols = table.n, base.order, 4 * n
+    k, m = table.n, base.order
     defined = table.stats["total_defined"]
-    hold_to_limits(k * m, ncols, defined, limits)
-    # point c*m + h is (h, c); column x moves h by its folded letter, c by x
-    folded = base._acts()[[2 * (x // 2 % n) + (x & 1) for x in range(ncols)]]
-    cols = (table.col_arrays()[:, :, None] * m + folded[:, None, :]).reshape(ncols, k * m)
-    std, levels = standardize(cols, [word_to_cols(w) for w in pres.relators])
+    hold_to_limits(k * m, 4 * n, defined, limits)
+    # point c*m + h is (h, c); generator x moves h by base generator x % n, c by x
+    folded = base.gen_cols[np.arange(2 * n) % n]
+    gen_cols = (table.gen_cols[:, :, None] * m + folded[:, None, :]).reshape(2 * n, k * m)
+    std, levels = standardize(gen_cols, [word_to_cols(w) for w in pres.relators])
     stats = {"cosets": k * m, "total_defined": defined}
-    regular = CosetTable(2 * n, std, levels, pres, [], stats)
+    regular = CosetTable(std, levels, pres, [], stats)
     return PermGroup(regular, name=pres.name)
 
 
@@ -880,10 +876,10 @@ def group_from_normal_subgroup(
     v + gamma(c, x)), gamma the edge's coordinate (homology.
     abelian_schreier).  When H is normal, so is [H, H], and that action
     is the regular representation of the quotient.  So the build raises
-    RuntimeError unless every subgroup word fixes every coset.  The table
-    on those k*|H^ab| points is assembled and then checked and
-    standardized like any enumerated table (coset.standardize); `limits`
-    holds the enumeration and the assembled rows.
+    RuntimeError unless every subgroup word fixes every coset.  The
+    generator columns on those k*|H^ab| points are assembled and then
+    checked and standardized like any enumerated table (coset.
+    standardize); `limits` holds the enumeration and the assembled rows.
     """
     limits = limits or EnumerationLimits()
     table = enumerate_cosets(pres, subgroup_words, limits)
@@ -898,27 +894,23 @@ def group_from_normal_subgroup(
                 f"subgroup word {pres.word_text(w)} moves a coset: the subgroup is not normal"
             )
     ab = abelian_schreier(table)
-    m, ncols = ab.order, 2 * pres.ngens
+    m, ngens = ab.order, pres.ngens
     defined = table.stats["total_defined"]
-    hold_to_limits(k * m, ncols, defined, limits)
+    hold_to_limits(k * m, 2 * ngens, defined, limits)
     d = np.diagonal(ab.hnf).tolist()
     box = np.indices(d, dtype=np.int64).reshape(len(d), m).T  # point c*m + v, v mixed radix
     radix = np.array([math.prod(d[j + 1 :]) for j in range(len(d))], dtype=np.int64)
-    # the coordinate of column 2*i+1 at c is minus that of column 2*i at c*x_i^-1
-    gamma = np.empty((ncols, k, 1, len(d)), dtype=np.int64)
-    gamma[0::2, :, 0] = ab.coords
-    gamma[1::2, :, 0] = -ab.coords[np.arange(pres.ngens)[:, None], cols[1::2]]
-    big = np.empty((ncols, k, m), dtype=np.int32)
+    big = np.empty((ngens, k, m), dtype=np.int32)
     chunk = max(1, CHUNK_CELLS // (k * m * max(len(d), 1)))
-    for s in range(0, ncols, chunk):
-        v = ab.reduce(box + gamma[s : s + chunk]) @ radix
-        big[s : s + chunk] = cols[s : s + chunk, :, None] * m + v
-    big = big.reshape(ncols, k * m)
+    for s in range(0, ngens, chunk):
+        v = ab.reduce(box + ab.coords[s : s + chunk, :, None]) @ radix
+        big[s : s + chunk] = table.gen_cols[s : s + chunk, :, None] * m + v
+    big = big.reshape(ngens, k * m)
     std, levels = standardize(big, [word_to_cols(w) for w in pres.relators])
     stats = {"cosets": k * m, "total_defined": defined}
-    G = PermGroup(CosetTable(pres.ngens, std, levels, pres, [], stats), name=pres.name)
+    G = PermGroup(CosetTable(std, levels, pres, [], stats), name=pres.name)
     # the coset of every element: the coset table walked along its word
-    acts = np.vstack([cols[0::2], every])
+    acts = np.vstack([table.gen_cols, every])
     coset = np.zeros(G.order, dtype=np.int32)
     for step in G._steps:
         coset = acts[step >> 1, coset]

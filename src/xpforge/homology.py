@@ -408,7 +408,7 @@ def abelian_schreier(table) -> AbelianSchreier:
     subgroup = [word_to_cols(w) for w in table.subgroup_words if w.letters]
     known = np.zeros(nedges + len(subgroup), dtype=bool)
     known[nedges:] = True
-    for _, src, gen in shortlex_bfs(cols[0::2]):
+    for _, src, gen in shortlex_bfs(table.gen_cols):
         known[gen * k + src] = True
     value = np.zeros((len(known), len(subgroup)), dtype=np.int64)
     value[nedges:] = np.eye(len(subgroup), dtype=np.int64)

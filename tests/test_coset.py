@@ -188,7 +188,7 @@ def test_canonical_words_klein():
 
 def test_identity_row_and_trace():
     table = enumerate_cosets(C4)
-    a_coset = table.rows[0][0]
+    a_coset = table.gen_cols[0, 0]
     assert table.words[a_coset] == (1,)
     assert table.trace(0, [1, 1, 1, 1]) == 0
     assert table.trace(0, [-1]) == table.trace(0, [1, 1, 1])
@@ -227,14 +227,14 @@ T_KEPT_C2 = kept_tensor_pres("C2")
 def test_strategies_agree_after_standardization(pres):
     t1 = enumerate_with("hlt", pres)
     t2 = enumerate_with("felsch", pres)
-    assert t1.rows == t2.rows
+    assert np.array_equal(t1.gen_cols, t2.gen_cols)
     assert t1.words == t2.words
 
 
 def test_enumeration_is_deterministic():
     t1 = enumerate_cosets(D8)
     t2 = enumerate_cosets(D8)
-    assert t1.rows == t2.rows and t1.words == t2.words
+    assert np.array_equal(t1.gen_cols, t2.gen_cols) and t1.words == t2.words
 
 
 def test_relators_hold_on_completed_table():
@@ -414,7 +414,7 @@ def _reference_hlt(pres, subgroup_words=(), limits=None):
 
 
 def _assert_same_decisions(table, reference):
-    assert table.rows == reference.rows
+    assert np.array_equal(table.gen_cols, reference.gen_cols)
     assert table.words == reference.words
     assert table.stats["total_defined"] == reference.stats["total_defined"]
 
@@ -429,7 +429,7 @@ def test_strategies_agree_on_random_presentations(pres):
         felsch = enumerate_with("felsch", pres, limits=limits)
     except EnumerationError:
         return
-    assert hlt.rows == felsch.rows
+    assert np.array_equal(hlt.gen_cols, felsch.gen_cols)
     assert hlt.words == felsch.words
 
 
@@ -507,7 +507,7 @@ def test_cell_budget_relief_keeps_the_table(monkeypatch):
     monkeypatch.setattr(coset, "MAX_CELLS", 40 * 2 * T_D8.ngens)
     tight = enumerate_cosets(T_D8)
     assert free.stats["total_defined"] > 40
-    assert tight.rows == free.rows
+    assert np.array_equal(tight.gen_cols, free.gen_cols)
     assert tight.words == free.words
 
 
@@ -561,7 +561,7 @@ def test_relief_keeps_the_table_or_fails(pres, strategy, data):
             tight = enumerate_with(strategy, pres, limits=run_limits)
         except EnumerationError:
             return
-        assert tight.rows == free.rows
+        assert np.array_equal(tight.gen_cols, free.gen_cols)
         assert tight.words == free.words
 
     keeps_the_table_or_fails(EnumerationLimits(max_cosets=cap))
@@ -618,10 +618,10 @@ def test_shortlex_bfs_matches_the_sorting_bfs_on_the_catalog(unique_bfs):
     seen = 0
     for name, G in _catalog_groups():
         assert _same_levels(coset.shortlex_bfs(G.gen_cols), unique_bfs(G.gen_cols)), name
-        cols = G.table.col_arrays()
-        std, levels = coset.standardize(cols, [])
-        assert np.array_equal(std, cols), name  # a standardized table is a fixed point
-        assert _same_levels(levels, unique_bfs(cols[0::2])), name
+        gen_cols = G.table.gen_cols
+        std, levels = coset.standardize(gen_cols, [])
+        assert np.array_equal(std, gen_cols), name  # a standardized table is a fixed point
+        assert _same_levels(levels, unique_bfs(gen_cols)), name
         seen += 1
     assert seen == 34  # 12 X, 12 T, and nu of all but Heis27 and Mod27
 
@@ -636,14 +636,34 @@ def test_table_levels_are_handed_over_once():
     assert table.words == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 1), (1, 1, 2)]
 
 
-def test_standardize_checks_that_each_odd_column_inverts_its_generator():
-    # C3 on three points: the inverse column of a is a^-1; repeating a
-    # there gives two permutations that a sort of each column accepts
-    a = np.array([1, 2, 0], dtype=np.int32)
-    std, _ = coset.standardize(np.array([a, np.argsort(a)], dtype=np.int32), [])
-    assert std.tolist() == [[1, 2, 0], [2, 0, 1]]
-    with pytest.raises(RuntimeError, match="not the inverse"):
-        coset.standardize(np.array([a, a]), [])
-    for bad in ([[1, 2, -3], [2, 0, 1]], [[1, 2, 3], [3, 0, 1]]):
+def test_standardize_checks_that_each_column_is_a_permutation():
+    # C3 on three points; a column that sends two points to one reaches
+    # no third, and an entry outside 0..n-1 is no point
+    std, _ = coset.standardize(np.array([[1, 2, 0]], dtype=np.int32), [])
+    assert std.tolist() == [[1, 2, 0]]
+    with pytest.raises(RuntimeError, match="not a permutation"):
+        coset.standardize(np.array([[1, 1, 0]], dtype=np.int32), [])
+    for bad in ([[1, 2, -3]], [[1, 2, 3]]):
         with pytest.raises(RuntimeError, match="not a point"):
             coset.standardize(np.array(bad, dtype=np.int32), [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=connected_tables(), data=st.data())
+def test_with_inverses_undoes_each_column(table, data):
+    # every derived inverse column undoes its generator's at every point;
+    # a column that repeats an entry leaves a point unreached, marked -1
+    gen_cols, _ = table
+    ngens, n = gen_cols.shape
+    cols = coset.with_inverses(gen_cols)
+    assert np.array_equal(cols[0::2], gen_cols)
+    for i in range(ngens):
+        assert np.array_equal(cols[2 * i + 1][gen_cols[i]], np.arange(n))
+    if n > 1:
+        i = data.draw(st.integers(0, ngens - 1), label="column")
+        x, y = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        bad = gen_cols.copy()
+        bad[i, x] = bad[i, y]
+        cols = coset.with_inverses(bad)
+        assert (cols[2 * i + 1] == -1).sum() == 1
+        assert (np.delete(cols, 2 * i + 1, axis=0) >= 0).all()

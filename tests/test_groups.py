@@ -41,7 +41,7 @@ from xpforge.groups import (
     whole_subgroup,
 )
 from xpforge.homology import abelian_invariants
-from xpforge.tensor import _conjugation_tables, build_nu
+from xpforge.tensor import SizeGateError, _conjugation_tables, build_nu
 from xpforge.weakcomm import build_xp
 from xpforge.words import parse_presentation
 
@@ -769,6 +769,23 @@ def test_permgroup_words_are_the_words_of_its_steps(name):
     assert isinstance(G, PermGroup)
     assert G.words == _decoded_words(G)
     assert G.table.words == G.words
+
+
+def test_groups_keep_only_their_generator_columns():
+    # a regular group's columns are the whole array its table holds, not a
+    # view into a table of inverse columns too; every entry below the nu
+    # gate, with its base, X and T
+    seen = 0
+    for e in builtin_catalog():
+        try:
+            nu = harness.nu_of(e).group
+        except SizeGateError:
+            continue
+        for G in (harness.base_group(e), harness.xp_of(e).group, harness.tensor_of(e).group, nu):
+            assert G.gen_cols.base is None, G
+            assert G.gen_cols is G.table.gen_cols, G
+        seen += 1
+    assert seen == 10  # all but Heis27 and Mod27
 
 
 # every catalog base, one doubled group and one pairing group: the batch

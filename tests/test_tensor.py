@@ -9,6 +9,7 @@ nu orders then follow from |nu| = |P|^2 * |T|.  D8 and Q8 (tensor orders
 the size gate that keeps nu builds bounded.
 """
 
+import dataclasses
 import functools
 import hashlib
 import random
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xpforge import coset, harness
+from xpforge import coset, groups, harness
 from xpforge import tensor as tensor_module
 from xpforge.catalog import builtin_catalog, catalog_entry
 from xpforge.coset import CosetTable, EnumerationError, EnumerationLimits
@@ -241,6 +242,23 @@ def test_tensor_square_matches_its_regular_enumeration(name):
     assert np.array_equal(T.group.gen_cols, regular.gen_cols)
     assert T.group.words == regular.words
     assert T.delta == normal_closure(T.group, [T.symbol(g, g) for g in G.elements[1:]])
+
+
+@pytest.mark.parametrize("name", ["C3xC3", "Heis27", "D8"])
+def test_a_corrupted_assembly_is_refused(monkeypatch, name):
+    # one edge coordinate of H^ab shifted by 1: the assembled generator
+    # columns are still permutations, but a relator no longer closes
+    schreier = groups.abelian_schreier
+
+    def corrupted(table):
+        ab = schreier(table)
+        coords = ab.coords.copy()
+        coords[0, 1, 0] = (coords[0, 1, 0] + 1) % ab.hnf[0, 0]
+        return dataclasses.replace(ab, coords=coords)
+
+    monkeypatch.setattr(groups, "abelian_schreier", corrupted)
+    with pytest.raises(RuntimeError, match="a relator does not close on the table"):
+        build_tensor_square(harness.base_group(catalog_entry(name)))
 
 
 # name: (presentation, |T|, H2, cosets defined over Delta).  Over the
